@@ -48,7 +48,11 @@ class Angle:
     radians: float
 
     def __post_init__(self) -> None:
-        r = float(self.radians)
+        r = self.radians
+        # wrap_angle maps a float already in range to itself.
+        if type(r) is float and 0.0 <= r < TWO_PI:
+            return
+        r = float(r)
         if not math.isfinite(r):
             raise ValueError(f"angle must be finite, got {r!r}")
         object.__setattr__(self, "radians", wrap_angle(r))

@@ -31,7 +31,7 @@ from .errors import (
     MaxIterationsExceeded,
     ParameterOutOfRange,
 )
-from .geom import SQRT3, Angle, AngleLike, ORIGIN, Point2, as_angle, distance
+from .geom import SQRT3, Angle, AngleLike, Point2, as_angle
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
@@ -112,11 +112,6 @@ def _q_coords(a: float, b: float) -> tuple[float, float]:
     return qx, qy
 
 
-def _q_angle(a: float, b: float) -> float:
-    qx, qy = _q_coords(a, b)
-    return math.atan2(qy, qx)
-
-
 def locus_point(params: LocusParams, b: float) -> LocusPoint:
     """Evaluate the curve at parameter ``b >= sqrt(3)*a``.
 
@@ -130,7 +125,6 @@ def locus_point(params: LocusParams, b: float) -> LocusPoint:
     qx, qy = _q_coords(a, b)
     q = Point2(qx, qy)
     dd = a * a + b * b
-    r1 = math.hypot(a, b)
     return LocusPoint(
         b=b,
         q=q,
@@ -176,6 +170,8 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     if n < 2:
         raise InvalidSampleCount(f"need at least 2 samples, got {n!r}")
     _check_b(params.a, b_min)
+    if not math.isfinite(b_max):
+        raise ParameterOutOfRange(f"b_max must be finite, got {b_max!r}")
     if not b_min < b_max:
         raise ParameterOutOfRange(
             f"need b_min < b_max, got b_min={b_min!r}, b_max={b_max!r}"
@@ -207,7 +203,8 @@ def trisect(
 
     Raises AngleOutOfRange for targets outside (0, 90] degrees and
     MaxIterationsExceeded (with the best result attached) if the budget runs
-    out before reaching tolerance.
+    out, or the bracket shrinks to two adjacent floats, before reaching
+    tolerance.
     """
     t3 = as_angle(three_theta)
     target = t3.radians
@@ -239,8 +236,22 @@ def trisect(
             angle_residual=f_val,
         )
 
+    # _q_coords' formula with the products of ``a`` hoisted. Python
+    # multiplies left to right, so 4.0*a*a*b is (4.0*a*a)*b and 2.0*a*(...)
+    # is (2.0*a)*(...): every value is bit-identical to _q_coords'. The
+    # bisection step below inlines the same expression, because a call per
+    # step costs more than the step's arithmetic.
+    aa = a * a
+    four_aa = 4.0 * a * a
+    two_a = 2.0 * a
+    atan2 = math.atan2
+
+    def f(b: float) -> float:
+        dd = aa + b * b
+        return atan2(a + two_a * (b * b - aa) / dd, b - four_aa * b / dd) - target
+
     lo = SQRT3 * a
-    f_lo = _q_angle(a, lo) - target
+    f_lo = f(lo)
     if abs(f_lo) <= stop:
         return build(lo, 0, 0.0, f_lo)
 
@@ -248,7 +259,7 @@ def trisect(
     f_hi = f_lo
     for _ in range(_MAX_DOUBLINGS):
         hi *= 2.0
-        f_hi = _q_angle(a, hi) - target
+        f_hi = f(hi)
         if abs(f_hi) <= stop:
             return build(hi, 0, 0.0, f_hi)
         if f_hi < 0.0:
@@ -264,7 +275,18 @@ def trisect(
     f_mid = f_lo
     for iteration in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
-        f_mid = _q_angle(a, mid) - target
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: every later step would repeat
+            # an endpoint whose |f| is already above the stop.
+            f_lo, f_hi = f(lo), f(hi)
+            b, f_b = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+            raise MaxIterationsExceeded(
+                f"bisection bracket collapsed after {iteration - 1} iterations "
+                f"before reaching tol={tol!r} rad (|residual| = {abs(f_b)!r})",
+                result=build(b, iteration - 1, hi - lo, f_b),
+            )
+        dd = aa + mid * mid
+        f_mid = atan2(a + two_a * (mid * mid - aa) / dd, mid - four_aa * mid / dd) - target
         if abs(f_mid) <= stop:
             return build(mid, iteration, hi - lo, f_mid)
         if f_mid > 0.0:
@@ -287,11 +309,12 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
     results produced by :func:`trisect`.
     """
     a = params.a
-    j = Point2(r.b_star, a)
+    n = r.n_point
     residuals = {
         "three_theta_vs_target": abs(3.0 * r.theta.radians - r.three_theta.radians),
-        "jn_vs_2a": abs(distance(r.n_point, j) - 2.0 * a),
-        "on_vs_unit_length": abs(distance(ORIGIN, r.n_point) - r.unit_length),
+        # |NJ| with J = (b*, a), and |ON|.
+        "jn_vs_2a": abs(math.hypot(n.x - r.b_star, n.y - a) - 2.0 * a),
+        "on_vs_unit_length": abs(math.hypot(n.x, n.y) - r.unit_length),
         "fold_ratio_vs_sin_theta": abs(a / r.unit_length - math.sin(r.theta.radians)),
         "locus_relation_at_n": abs(locus_relation_residual(params, r.b_star, r.n_point)),
     }

@@ -109,6 +109,12 @@ class TestLocusCommand:
         code, _, _ = run(capsys, "locus", "--fold", "1", "--b-min", "1.0")
         assert code == 3
 
+    def test_infinite_b_max_exits_3(self, capsys):
+        code, out, err = run(capsys, "locus", "--fold", "1", "--b-max", "inf")
+        assert code == 3
+        assert out == ""
+        assert "b_max" in err
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["locus", "--fold", "1", "--samples", "40",

@@ -21,6 +21,7 @@ from trisectrix.geom import (
     midpoint,
     polar_angle,
     rotate,
+    wrap_angle,
     wrap_signed,
 )
 
@@ -52,6 +53,22 @@ class TestAngle:
             Angle(float("nan"))
         with pytest.raises(ValueError):
             Angle(float("inf"))
+        with pytest.raises(ValueError):
+            Angle(float("-inf"))
+
+    def test_stored_value_is_wrapped_float_bit_for_bit(self):
+        # In-range floats skip normalization; every input must still store
+        # exactly what wrap_angle gives, as a plain float.
+        class Radians(float):
+            pass
+
+        values = [0, 1, 7, -3, True, False, -0.0, 0.0, 1e-300, 1.5,
+                  math.nextafter(TWO_PI, 0.0), TWO_PI, math.nextafter(TWO_PI, 10.0),
+                  -1e-300, -0.5, -TWO_PI, 7.0, 100.0, 1e300, -1e300, Radians(1.5)]
+        for x in values:
+            got = Angle(x).radians
+            assert type(got) is float
+            assert got.hex() == wrap_angle(float(x)).hex(), x
 
     def test_as_angle_coerces_floats(self):
         assert as_angle(1.5).radians == 1.5

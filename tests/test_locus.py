@@ -27,6 +27,7 @@ from trisectrix.geom import (
 from trisectrix.locus import (
     LocusParams,
     TrisectionResult,
+    _q_coords,
     locus_point,
     locus_polar_radius,
     locus_relation_residual,
@@ -184,6 +185,11 @@ class TestSampleLocus:
         with pytest.raises(ParameterOutOfRange):
             sample_locus(LocusParams(1.0), SQRT3, SQRT3, 5)
 
+    def test_non_finite_b_max_rejected(self):
+        for b_max in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterOutOfRange, match="b_max"):
+                sample_locus(LocusParams(1.0), SQRT3, b_max, 5)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidSampleCount):
             sample_locus(LocusParams(1.0), SQRT3, 10.0, 1)
@@ -246,6 +252,46 @@ class TestTrisect:
         assert isinstance(partial, TrisectionResult)
         assert partial.iterations == 3
         assert partial.final_bracket_width > 0.0
+
+    def test_collapsed_bracket_stops_early(self):
+        # At tol=1e-17 some targets cannot be reached in double precision;
+        # the solver must stop once the bracket is two adjacent floats, not
+        # spin until max_iter.
+        params = LocusParams(1.0)
+        failed = []
+        for k in range(1, 901):
+            target = math.radians(k / 10.0)
+            try:
+                trisect(Angle(target), params, tol=1e-17)
+            except MaxIterationsExceeded as exc:
+                failed.append(exc.result)
+        assert len(failed) == 126
+        for partial in failed:
+            assert 0 < partial.iterations <= 54
+            assert abs(partial.angle_residual) > 0.5e-17
+            assert 0.0 < partial.final_bracket_width <= math.ulp(partial.b_star)
+
+    def test_result_matches_curve_formula_bit_for_bit(self):
+        # The solver inlines _q_coords' formula; its reported crossing and
+        # residual must equal the formula's own values exactly.
+        for deg in (0.5, 7.0, 33.3, 60.0, 89.9, 90.0):
+            target = math.radians(deg)
+            for a in (1e-3, 0.3, 1.0, 2.7, 1e4):
+                for tol in (1e-15, 1e-12, 1e-9, 1e-4):
+                    r = trisect(Angle(target), LocusParams(a), tol=tol)
+                    qx, qy = _q_coords(a, r.b_star)
+                    assert r.n_point == Point2(qx, qy)
+                    assert r.angle_residual == math.atan2(qy, qx) - target
+
+    def test_total_iterations_for_criterion_targets(self):
+        # Deterministic step count over acceptance criterion 1's target set;
+        # a solver change that needs more bisection steps shows here.
+        rng = random.Random(0x5B15)
+        targets = [math.radians(d) for d in range(1, 91)]
+        targets += [(1.0 - rng.random()) * (math.pi / 2.0) for _ in range(1000)]
+        params = LocusParams(1.0)
+        total = sum(trisect(Angle(t), params, tol=1e-12).iterations for t in targets)
+        assert total == 41435
 
     def test_matches_division_oracle_for_random_targets(self):
         rng = random.Random(0x7215EC7)
