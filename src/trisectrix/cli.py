@@ -90,10 +90,16 @@ class CliConfig:
                 f"(choose from {', '.join(allowed)})"
             )
 
-    def require_angle(self) -> float:
+    def target(self) -> Angle:
+        """``--angle-deg`` as an Angle. The degrees are checked as given,
+        because an Angle wraps: 450 would otherwise be solved as 90."""
         if self.angle_deg is None:
             raise ValueError(f"{self.subcommand!r} requires --angle-deg")
-        return self.angle_deg
+        if not 0.0 < self.angle_deg <= 90.0:
+            raise AngleOutOfRange(
+                f"--angle-deg must lie in (0, 90] degrees, got {self.angle_deg!r}"
+            )
+        return Angle.from_degrees(self.angle_deg)
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
@@ -121,10 +127,9 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def cmd_trisect(cfg: CliConfig) -> int:
-    angle = cfg.require_angle()
+    target = cfg.target()
     params = LocusParams(cfg.fold_a)
-    result = trisect(Angle.from_degrees(angle), params, tol=cfg.tol,
-                     max_iter=cfg.max_iter)
+    result = trisect(target, params, tol=cfg.tol, max_iter=cfg.max_iter)
     report = verify_trisection(result, params)
     payload = {
         "three_theta_deg": result.three_theta.degrees,
@@ -179,8 +184,7 @@ def cmd_locus(cfg: CliConfig) -> int:
 
 
 def cmd_origami(cfg: CliConfig) -> int:
-    angle = cfg.require_angle()
-    c = abe_construct(Angle.from_degrees(angle))
+    c = abe_construct(cfg.target())
     report = abe_verify(c)
     points = {
         name: {"x": p.x, "y": p.y}
@@ -265,8 +269,7 @@ def cmd_render(cfg: CliConfig, spec: RenderSpec) -> int:
     params = LocusParams(a)
     result = None
     if cfg.angle_deg is not None:
-        result = trisect(Angle.from_degrees(cfg.angle_deg), params, tol=cfg.tol,
-                         max_iter=cfg.max_iter)
+        result = trisect(cfg.target(), params, tol=cfg.tol, max_iter=cfg.max_iter)
         b_min = SQRT3 * a
         b_max = max(1.3 * result.b_star, 2.0 * b_min)
     else:

@@ -93,6 +93,14 @@ def as_angle(value: AngleLike) -> Angle:
     return Angle(float(value))
 
 
+def raw_radians(value: AngleLike) -> float:
+    """Radians of ``value`` as given: an Angle's stored value, or a raw
+    number unwrapped, so a domain check sees 450 degrees as 450, not 90."""
+    if isinstance(value, Angle):
+        return value.radians
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Point2:
     """A point in construction coordinates (dimensionless units)."""
@@ -135,14 +143,19 @@ class Ray:
 X_AXIS_RAY = Ray(ORIGIN, Angle(0.0))
 
 
-def polar_angle(p: Point2) -> Angle:
-    """Angle of ``p`` about the origin, normalized to [0, 2*pi).
+def polar_radians(p: Point2) -> float:
+    """Angle of ``p`` about the origin in radians, normalized to [0, 2*pi).
 
     Raises DegeneratePoint for the origin itself, which has no direction.
     """
     if p.x == 0.0 and p.y == 0.0:
         raise DegeneratePoint("polar angle of the origin is undefined")
-    return Angle(math.atan2(p.y, p.x))
+    return wrap_angle(math.atan2(p.y, p.x))
+
+
+def polar_angle(p: Point2) -> Angle:
+    """:func:`polar_radians` as an Angle."""
+    return Angle(polar_radians(p))
 
 
 def distance(p: Point2, q: Point2) -> float:

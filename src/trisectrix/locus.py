@@ -23,6 +23,7 @@ the angle falls below the target.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     MaxIterationsExceeded,
     ParameterOutOfRange,
 )
-from .geom import SQRT3, Angle, AngleLike, Point2, as_angle
+from .geom import SQRT3, Angle, AngleLike, Point2, as_angle, raw_radians
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
@@ -45,17 +46,33 @@ _LOWER_BOUND_SLACK = 1e-12
 # Doubling steps before the upper-bracket search gives up (2**64 scale).
 _MAX_DOUBLINGS = 64
 
+# The fold range, about [1.77e-103, 4.45e89]. trisect evaluates the curve
+# for b up to the end of its doubling bracket, 2**_MAX_DOUBLINGS * sqrt(3) * a.
+# Over that whole bracket its smallest product is 4a^3 (2a * (b^2 - a^2) at
+# the curve start) and its largest is about 2a * b^2 at the far end; the
+# range keeps both normal floats, so no product underflows to a subnormal or
+# zero or overflows to inf.
+_B_RATIO_MAX = 2.0 ** _MAX_DOUBLINGS * SQRT3
+FOLD_MIN = (sys.float_info.min / 4.0) ** (1.0 / 3.0)
+FOLD_MAX = (sys.float_info.max / (2.0 * _B_RATIO_MAX * _B_RATIO_MAX)) ** (1.0 / 3.0)
+
 
 @dataclass(frozen=True)
 class LocusParams:
     """Curve parameters: ``a`` is the fold spacing, the radius of circle 2
-    being ``2a``. Strictly positive and finite."""
+    being ``2a``. Raises ValueError unless ``a`` is positive and finite, and
+    ParameterOutOfRange outside [FOLD_MIN, FOLD_MAX]."""
 
     a: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"fold spacing a must be finite and positive, got {self.a!r}")
+        a = self.a
+        if not FOLD_MIN <= a <= FOLD_MAX:
+            if not (math.isfinite(a) and a > 0.0):
+                raise ValueError(f"fold spacing a must be finite and positive, got {a!r}")
+            raise ParameterOutOfRange(
+                f"fold spacing a must lie in [{FOLD_MIN:.3g}, {FOLD_MAX:.3g}], got {a!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -153,7 +170,7 @@ def locus_polar_radius(params: LocusParams, phi: AngleLike) -> float:
     subtends the central angle 2*phi/3, and sin of J's angle is a/r.
     Consistent with :func:`locus_point` under b = sqrt(r^2 - a^2).
     """
-    p = as_angle(phi).radians
+    p = raw_radians(phi)
     if not 0.0 < p <= 0.5 * math.pi:
         raise AngleOutOfRange(
             f"locus polar angle must lie in (0, 90] degrees, got {math.degrees(p):.6g}"
@@ -206,12 +223,13 @@ def trisect(
     out, or the bracket shrinks to two adjacent floats, before reaching
     tolerance.
     """
-    t3 = as_angle(three_theta)
-    target = t3.radians
+    target = raw_radians(three_theta)
     if not 0.0 < target <= 0.5 * math.pi:
         raise AngleOutOfRange(
-            f"trisection target must lie in (0, 90] degrees, got {t3.degrees:.6g}"
+            f"trisection target must lie in (0, 90] degrees, "
+            f"got {math.degrees(target):.6g}"
         )
+    t3 = as_angle(three_theta)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:

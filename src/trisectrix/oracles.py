@@ -15,9 +15,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AngleOutOfRange, MismatchDetected
-from .geom import Angle, AngleLike, ORIGIN, Point2, as_angle, distance, midpoint
+from .geom import Angle, AngleLike, ORIGIN, Point2, as_angle, raw_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
+from .report import ResidualMap
+
+# Corner B of the framing square: the same point in every diagram.
+SQUARE_CORNER = Point2(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -72,45 +76,43 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
     on the circle. At exactly 90 degrees E closes onto A and the three
     chords are all one half.
     """
-    t3 = as_angle(three_theta)
-    if not 0.0 < t3.radians <= 0.5 * math.pi:
+    t3_rad = raw_radians(three_theta)
+    if not 0.0 < t3_rad <= 0.5 * math.pi:
         raise AngleOutOfRange(
             f"chord diagram requires an angle in (0, 90] degrees, "
-            f"got {t3.degrees:.6g}"
+            f"got {math.degrees(t3_rad):.6g}"
         )
-    t = t3.radians / 3.0
+    t3 = as_angle(three_theta)
+    t = t3_rad / 3.0
 
-    A = ORIGIN
-    F = Point2(math.cos(t3.radians), math.sin(t3.radians))
-    E = Point2(F.x, 0.0)
-    J = midpoint(A, F)
-    G = Point2(math.cos(t), math.sin(t))
-    B = Point2(1.0, 0.0)
-
-    def second_hit(psi: float) -> Point2:
-        ux, uy = math.cos(psi), math.sin(psi)
-        s = 2.0 * (ux * J.x + uy * J.y)
-        return Point2(s * ux, s * uy)
-
-    K = second_hit(2.0 * t)
-    L = second_hit(t)
+    fx, fy = math.cos(t3_rad), math.sin(t3_rad)
+    # J is the midpoint of A (the origin) and F.
+    jx, jy = 0.5 * fx, 0.5 * fy
+    gx, gy = math.cos(t), math.sin(t)
+    # K and L are the second hits of the rays at 2t and t; G is on the
+    # second of them.
+    ux, uy = math.cos(2.0 * t), math.sin(2.0 * t)
+    s = 2.0 * (ux * jx + uy * jy)
+    kx, ky = s * ux, s * uy
+    s = 2.0 * (gx * jx + gy * jy)
+    lx, ly = s * gx, s * gy
 
     return ChordDiagram(
         three_theta=t3,
-        A=A,
-        B=B,
-        E=E,
-        F=F,
-        G=G,
-        J=J,
-        K=K,
-        L=L,
-        chord_FK=distance(F, K),
-        chord_KL=distance(K, L),
-        chord_LE=distance(L, E),
+        A=ORIGIN,
+        B=SQUARE_CORNER,
+        E=Point2(fx, 0.0),
+        F=Point2(fx, fy),
+        G=Point2(gx, gy),
+        J=Point2(jx, jy),
+        K=Point2(kx, ky),
+        L=Point2(lx, ly),
+        chord_FK=math.hypot(fx - kx, fy - ky),
+        chord_KL=math.hypot(kx - lx, ky - ly),
+        chord_LE=math.hypot(lx - fx, ly),
         # Perpendicular distance from G to the base line; the square corner B
         # plays no part in any checked equality.
-        fold_BG=abs(G.y),
+        fold_BG=abs(gy),
     )
 
 
@@ -120,22 +122,25 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
     at sin(theta), and |GF| at 2 sin(theta)."""
     t = d.three_theta.radians / 3.0
     sin_t = math.sin(t)
+    jx, jy = d.J.x, d.J.y
+    fx, fy = d.F.x, d.F.y
+    hypot = math.hypot
     return {
-        "ja_radius": abs(distance(d.J, d.A) - 0.5),
-        "jf_radius": abs(distance(d.J, d.F) - 0.5),
-        "je_radius": abs(distance(d.J, d.E) - 0.5),
-        "jk_radius": abs(distance(d.J, d.K) - 0.5),
-        "jl_radius": abs(distance(d.J, d.L) - 0.5),
+        "ja_radius": abs(hypot(jx - d.A.x, jy - d.A.y) - 0.5),
+        "jf_radius": abs(hypot(jx - fx, jy - fy) - 0.5),
+        "je_radius": abs(hypot(jx - d.E.x, jy - d.E.y) - 0.5),
+        "jk_radius": abs(hypot(jx - d.K.x, jy - d.K.y) - 0.5),
+        "jl_radius": abs(hypot(jx - d.L.x, jy - d.L.y) - 0.5),
         "fk_vs_sin_theta": abs(d.chord_FK - sin_t),
         "kl_vs_sin_theta": abs(d.chord_KL - sin_t),
         "le_vs_sin_theta": abs(d.chord_LE - sin_t),
         "bg_vs_sin_theta": abs(d.fold_BG - sin_t),
-        "gf_vs_2sin_theta": abs(distance(d.G, d.F) - 2.0 * sin_t),
+        "gf_vs_2sin_theta": abs(hypot(d.G.x - fx, d.G.y - fy) - 2.0 * sin_t),
     }
 
 
 @dataclass(frozen=True)
-class CrossValidationReport:
+class CrossValidationReport(ResidualMap):
     """Every residual from one cross-validation run, keyed by source.
 
     ``theta_origami`` is None (and "origami" appears in ``skipped``) at
@@ -153,16 +158,6 @@ class CrossValidationReport:
     skipped: tuple[str, ...]
     residuals: dict[str, float]
 
-    def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=lambda k: abs(self.residuals[k]))
-        return name, abs(self.residuals[name])
-
-    def max_residual(self) -> float:
-        return max(abs(v) for v in self.residuals.values())
-
-    def passes(self, tol: float) -> bool:
-        return self.max_residual() <= tol
-
 
 def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidationReport:
     """Trisect the same target through every available route and compare.
@@ -174,20 +169,24 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     than ``tol``; domain and convergence errors from the individual routes
     propagate unchanged.
     """
-    t3 = as_angle(three_theta)
     params = LocusParams(a)
-
-    result = trisect(t3, params, tol=tol)
+    # trisect checks the target as given, before it is wrapped into an Angle.
+    result = trisect(three_theta, params, tol=tol)
+    t3 = result.three_theta
     theta_locus = result.theta
     theta_oracle = oracle_theta(t3)
+    locus, oracle = theta_locus.radians, theta_oracle.radians
 
-    residuals: dict[str, float] = {}
-    residuals["theta_locus_vs_oracle"] = abs(theta_locus.radians - theta_oracle.radians)
-    residuals["triple_angle_identity"] = triple_angle_residual(theta_oracle, t3)
-    residuals["triple_angle_locus"] = triple_angle_residual(theta_locus, t3)
+    residuals: dict[str, float] = {
+        "theta_locus_vs_oracle": abs(locus - oracle),
+        "triple_angle_identity": triple_angle_residual(theta_oracle, t3),
+        "triple_angle_locus": triple_angle_residual(theta_locus, t3),
+    }
     for name, value in verify_trisection(result, params).residuals.items():
         residuals[f"trisection_{name}"] = value
 
+    # The estimates compared pairwise, in this order.
+    pairs = [("locus", locus, "oracle", oracle)]
     skipped: tuple[str, ...] = ()
     theta_origami: Optional[Angle] = None
     if t3.radians >= 0.5 * math.pi:
@@ -195,14 +194,13 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     else:
         construction = abe_construct(t3)
         theta_origami = construction.alpha
-        residuals["theta_origami_vs_oracle"] = abs(
-            theta_origami.radians - theta_oracle.radians
-        )
-        residuals["theta_locus_vs_origami"] = abs(
-            theta_locus.radians - theta_origami.radians
-        )
+        origami = theta_origami.radians
+        residuals["theta_origami_vs_oracle"] = abs(origami - oracle)
+        residuals["theta_locus_vs_origami"] = abs(locus - origami)
         for name, value in abe_verify(construction).residuals.items():
             residuals[f"origami_{name}"] = value
+        pairs += [("locus", locus, "origami", origami),
+                  ("oracle", oracle, "origami", origami)]
     for name, value in chord_residuals(chord_diagram(t3)).items():
         residuals[f"chord_{name}"] = value
 
@@ -216,18 +214,12 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
         skipped=skipped,
         residuals=residuals,
     )
-
-    estimates = {"locus": theta_locus, "oracle": theta_oracle}
-    if theta_origami is not None:
-        estimates["origami"] = theta_origami
-    names = sorted(estimates)
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            gap = abs(estimates[first].radians - estimates[second].radians)
-            if gap > tol:
-                raise MismatchDetected(
-                    f"trisected-angle estimates {first} and {second} differ by "
-                    f"{gap!r} rad (> tol {tol!r}) at target {t3.degrees:.6g} deg",
-                    report=report,
-                )
+    for first, x, second, y in pairs:
+        gap = abs(x - y)
+        if gap > tol:
+            raise MismatchDetected(
+                f"trisected-angle estimates {first} and {second} differ by "
+                f"{gap!r} rad (> tol {tol!r}) at target {t3.degrees:.6g} deg",
+                report=report,
+            )
     return report

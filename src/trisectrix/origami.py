@@ -30,12 +30,9 @@ from .geom import (
     AngleLike,
     ORIGIN,
     Point2,
-    X_AXIS_RAY,
     as_angle,
-    distance,
-    foot_of_perpendicular,
-    midpoint,
-    polar_angle,
+    polar_radians,
+    raw_radians,
 )
 from .report import VerificationReport
 
@@ -71,41 +68,38 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     sits on the ray at the full angle (the marked point maps onto it); both
     land on the unit circle, which is what makes the three angles equal.
     """
-    t3 = as_angle(three_theta)
-    if not 0.0 < t3.radians < 0.5 * math.pi:
+    t3_rad = raw_radians(three_theta)
+    if not 0.0 < t3_rad < 0.5 * math.pi:
         raise AngleOutOfRange(
             f"origami construction requires an angle in (0, 90) degrees exclusive, "
-            f"got {t3.degrees:.6g}"
+            f"got {math.degrees(t3_rad):.6g}"
         )
-    t = t3.radians / 3.0
+    t3 = as_angle(three_theta)
+    t = t3_rad / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
+    cx, cy = math.cos(t3_rad), math.sin(t3_rad)
+    gx, gy = 0.5 * (cos_t + cx), 0.5 * (sin_t + cy)
 
-    O = ORIGIN
-    D = Point2(0.0, 2.0 * sin_t)
-    S = Point2(0.0, sin_t)
-    H = Point2(cos_t, sin_t)
-    C = Point2(math.cos(t3.radians), math.sin(t3.radians))
-    G = midpoint(H, C)
-    P = foot_of_perpendicular(H, X_AXIS_RAY)
-
-    alpha = polar_angle(H)
-    beta = polar_angle(G) - alpha
-    gamma = polar_angle(C) - polar_angle(G)
+    # H, G and C lie in the upper half-plane, where atan2 is already in
+    # [0, 2*pi): these are their polar angles.
+    alpha = math.atan2(sin_t, cos_t)
+    g = math.atan2(gy, gx)
 
     return AbeConstruction(
         three_theta=t3,
         theta=Angle(t),
-        O=O,
-        D=D,
-        S=S,
-        H=H,
-        C=C,
-        G=G,
-        P=P,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        unit_length=distance(O, H),
+        O=ORIGIN,
+        D=Point2(0.0, 2.0 * sin_t),
+        S=Point2(0.0, sin_t),
+        H=Point2(cos_t, sin_t),
+        C=Point2(cx, cy),
+        G=Point2(gx, gy),
+        # The foot of the perpendicular from H onto the base ray.
+        P=Point2(cos_t, 0.0),
+        alpha=Angle(alpha),
+        beta=Angle(g - alpha),
+        gamma=Angle(math.atan2(cy, cx) - g),
+        unit_length=math.hypot(cos_t, sin_t),
     )
 
 
@@ -127,25 +121,34 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     t3 = c.three_theta.radians
     sin_t, cos_t = math.sin(t), math.cos(t)
 
-    alpha = polar_angle(c.H).radians
-    beta = polar_angle(c.G).radians - alpha
-    gamma = polar_angle(c.C).radians - polar_angle(c.G).radians
+    alpha = polar_radians(c.H)
+    g = polar_radians(c.G)
+    beta = g - alpha
+    gamma = polar_radians(c.C) - g
 
+    ox, oy = c.O.x, c.O.y
+    dx, dy = c.D.x, c.D.y
+    sx, sy = c.S.x, c.S.y
+    hx, hy = c.H.x, c.H.y
+    cx, cy = c.C.x, c.C.y
+    gx, gy = c.G.x, c.G.y
+    px, py = c.P.x, c.P.y
+    hypot = math.hypot
     residuals = {
-        "oh_vs_oc": abs(distance(c.O, c.H) - distance(c.O, c.C)),
-        "hc_vs_od": abs(distance(c.H, c.C) - distance(c.O, c.D)),
-        "os_vs_sd": abs(distance(c.O, c.S) - distance(c.S, c.D)),
-        "hg_vs_gc": abs(distance(c.H, c.G) - distance(c.G, c.C)),
+        "oh_vs_oc": abs(hypot(ox - hx, oy - hy) - hypot(ox - cx, oy - cy)),
+        "hc_vs_od": abs(hypot(hx - cx, hy - cy) - hypot(ox - dx, oy - dy)),
+        "os_vs_sd": abs(hypot(ox - sx, oy - sy) - hypot(sx - dx, sy - dy)),
+        "hg_vs_gc": abs(hypot(hx - gx, hy - gy) - hypot(gx - cx, gy - cy)),
         "alpha_vs_beta": abs(alpha - beta),
         "beta_vs_gamma": abs(beta - gamma),
-        "op_vs_cos_theta": abs(distance(c.O, c.P) - cos_t),
-        "hp_vs_sin_theta": abs(distance(c.H, c.P) - sin_t),
+        "op_vs_cos_theta": abs(hypot(ox - px, oy - py) - cos_t),
+        "hp_vs_sin_theta": abs(hypot(hx - px, hy - py) - sin_t),
         # Perpendicular distance of C from the ray at the full angle.
-        "c_on_target_ray": abs(c.C.x * math.sin(t3) - c.C.y * math.cos(t3)),
+        "c_on_target_ray": abs(cx * math.sin(t3) - cy * math.cos(t3)),
         "angle_sum_vs_three_theta": abs(alpha + beta + gamma - t3),
-        "h_on_first_crease": abs(c.H.y - sin_t),
+        "h_on_first_crease": abs(hy - sin_t),
     }
     informational = {
-        "cp_vs_sin_theta": abs(distance(c.C, c.P) - sin_t),
+        "cp_vs_sin_theta": abs(hypot(cx - px, cy - py) - sin_t),
     }
     return VerificationReport(residuals=residuals, informational=informational)

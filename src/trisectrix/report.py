@@ -5,17 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """A map of named residuals, each expected to sit at rounding level.
-
-    ``residuals`` carry the checked equalities; ``informational`` entries are
-    diagnostics that are reported but deliberately not held to a tolerance
-    (for example the alternative reading of an ambiguously placed point).
-    """
+class ResidualMap:
+    """Queries over a ``residuals`` map of named residuals, for the report
+    dataclasses that hold one."""
 
     residuals: dict[str, float]
-    informational: dict[str, float] = field(default_factory=dict)
 
     def worst(self) -> tuple[str, float]:
         """Name and magnitude of the largest checked residual."""
@@ -27,6 +21,19 @@ class VerificationReport:
 
     def passes(self, tol: float) -> bool:
         return self.max_residual() <= tol
+
+
+@dataclass(frozen=True)
+class VerificationReport(ResidualMap):
+    """A map of named residuals, each expected to sit at rounding level.
+
+    ``residuals`` carry the checked equalities; ``informational`` entries are
+    diagnostics that are reported but deliberately not held to a tolerance
+    (for example the alternative reading of an ambiguously placed point).
+    """
+
+    residuals: dict[str, float]
+    informational: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, float]:
         """Flat copy including informational entries, for serialization."""

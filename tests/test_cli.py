@@ -1,6 +1,11 @@
 """CLI tests: exit codes, JSON/CSV/SVG emission, determinism."""
 
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from trisectrix.cli import CSV_HEADER, main
 from trisectrix.geom import Angle, Point2, SQRT3
@@ -38,6 +43,23 @@ class TestTrisectCommand:
         code, _, err = run(capsys, "trisect", "--angle-deg", "120", "--fold", "1")
         assert code == 3
         assert "domain error" in err
+
+    @pytest.mark.parametrize("command,degrees", [
+        ("trisect", "450"), ("trisect", "-270"), ("origami", "420"),
+        ("trisect", "90.0000001"), ("trisect", "nan"), ("render", "450"),
+    ])
+    def test_wrapped_angles_exit_3(self, capsys, command, degrees):
+        # An Angle wraps 450 degrees to 90; the flag is checked as given.
+        code, out, err = run(capsys, command, f"--angle-deg={degrees}")
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err and "--angle-deg" in err
+
+    @pytest.mark.parametrize("fold", ["1e-200", "1e-160", "1e140", "1e155"])
+    def test_fold_outside_range_exits_3(self, capsys, fold):
+        code, _, err = run(capsys, "trisect", "--angle-deg", "60", "--fold", fold)
+        assert code == 3
+        assert "domain error" in err and "fold spacing" in err
 
     def test_missing_angle_exits_2(self, capsys):
         code, _, err = run(capsys, "trisect", "--fold", "1")
@@ -222,3 +244,23 @@ class TestExitCodes:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestTotality:
+    @given(
+        command=st.sampled_from(["trisect", "origami", "render"]),
+        degrees=st.floats(min_value=0.0, max_value=90.0) | st.floats(),
+        fold=st.floats(min_value=0.01, max_value=100.0)
+        | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_documented_exit_code_without_traceback(self, command, degrees, fold):
+        # main raises nothing for any angle and positive finite fold: every
+        # failure maps to a documented code.
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, f"--angle-deg={degrees!r}", f"--fold={fold!r}",
+                         "--samples", "16"])
+        assert code in (0, 1, 2, 3, 4)
+        if code == 0:
+            assert 0.0 < degrees <= 90.0

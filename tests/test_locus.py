@@ -12,6 +12,7 @@ from trisectrix.errors import (
     InvalidSampleCount,
     MaxIterationsExceeded,
     ParameterOutOfRange,
+    TrisectrixError,
 )
 from trisectrix.geom import (
     Angle,
@@ -25,6 +26,8 @@ from trisectrix.geom import (
     wrap_signed,
 )
 from trisectrix.locus import (
+    FOLD_MAX,
+    FOLD_MIN,
     LocusParams,
     TrisectionResult,
     _q_coords,
@@ -54,6 +57,19 @@ class TestParams:
             LocusParams(-1.0)
         with pytest.raises(ValueError):
             LocusParams(float("nan"))
+        with pytest.raises(ValueError):
+            LocusParams(math.inf)
+
+    @pytest.mark.parametrize("a", [1e-200, 1e-160, 1e-107, 1e96, 1e140, 1e155])
+    def test_rejects_fold_outside_range(self, a):
+        with pytest.raises(ParameterOutOfRange):
+            LocusParams(a)
+
+    def test_range_ends_accepted(self):
+        for a in (FOLD_MIN, FOLD_MAX):
+            r = trisect(Angle.from_degrees(60.0), LocusParams(a))
+            assert abs(r.theta.radians - math.radians(20.0)) <= 1e-12
+        assert FOLD_MIN < 1e-102 and FOLD_MAX > 1e89
 
 
 class TestLocusPoint:
@@ -327,6 +343,29 @@ class TestTrisect:
         # as sin(theta).
         r = trisect(Angle.from_degrees(60.0), LocusParams(1.0))
         assert abs(1.0 / r.unit_length - math.sin(r.theta.radians)) <= 1e-12
+
+    @pytest.mark.parametrize("degrees", [450.0, -270.0, 420.0, 90.0000001, math.nan])
+    def test_rejects_raw_targets_before_wrapping(self, degrees):
+        # An Angle wraps 450 degrees to 90; a raw target is checked as given.
+        with pytest.raises(AngleOutOfRange):
+            trisect(math.radians(degrees), LocusParams(1.0))
+        with pytest.raises(AngleOutOfRange):
+            locus_polar_radius(LocusParams(1.0), math.radians(degrees))
+
+    @given(
+        target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
+        a=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(deadline=None, max_examples=500)
+    def test_total_over_positive_folds(self, target, a):
+        # Every positive finite fold and every target ends in a result within
+        # tol of a true trisection or in a library error, never in a
+        # ZeroDivisionError, a NaN or a spurious non-convergence.
+        try:
+            r = trisect(target, LocusParams(a))
+        except TrisectrixError:
+            return
+        assert abs(3.0 * r.theta.radians - target) <= 1e-12
 
     def test_accepts_plain_radian_floats(self):
         r = trisect(math.pi / 3.0, LocusParams(1.0))

@@ -1,13 +1,14 @@
 """Tests for the independent verifiers and the cross-validation driver."""
 
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trisectrix.errors import AngleOutOfRange, MismatchDetected
-from trisectrix.geom import Angle, as_angle, distance
+from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
+from trisectrix.geom import Angle, Point2, as_angle, distance
 from trisectrix.oracles import (
     chord_diagram,
     chord_residuals,
@@ -15,6 +16,7 @@ from trisectrix.oracles import (
     oracle_theta,
     triple_angle_residual,
 )
+from trisectrix.origami import abe_construct, abe_verify
 
 SIN_20 = 0.3420201433256687
 TWO_SIN_20 = 0.6840402866513374
@@ -73,6 +75,13 @@ class TestChordDiagram:
             chord_diagram(Angle(0.0))
         with pytest.raises(AngleOutOfRange):
             chord_diagram(Angle.from_degrees(91.0))
+
+    @pytest.mark.parametrize("degrees", [450.0, -270.0, 420.0, 90.0000001, math.nan])
+    def test_rejects_raw_angles_before_wrapping(self, degrees):
+        with pytest.raises(AngleOutOfRange):
+            chord_diagram(math.radians(degrees))
+        with pytest.raises(AngleOutOfRange):
+            cross_validate(math.radians(degrees), 1.0, 1e-10)
 
     @given(t3=st.floats(min_value=0.01, max_value=math.pi / 2.0))
     @settings(deadline=None, max_examples=300)
@@ -145,3 +154,64 @@ class TestCrossValidate:
         assert report.residuals["theta_locus_vs_oracle"] == pytest.approx(
             1e-6, rel=1e-3
         )
+
+    def test_value_constructions_per_call(self, monkeypatch):
+        # Each public value is built once: a sub-90 degree target given as a
+        # raw float builds at most 13 Point2 and 7 Angle values.
+        counts = {Point2: 0, Angle: 0}
+        for cls in counts:
+            original = cls.__post_init__
+
+            def counted(self, original=original, cls=cls):
+                counts[cls] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        cross_validate(math.radians(60.0), 1.0, 1e-12)
+        assert counts[Point2] <= 13
+        assert counts[Angle] <= 7
+
+
+# SHA-256 over the repr of every route's output on the inputs of
+# _pinned_outputs, taken before the routes were rewritten on plain floats.
+# Any change to an output bit, a residual name or order, or an exception's
+# type or message changes it.
+PINNED_DIGEST = "5cddd08534a9ae6ebd481380a595e88b553c9b3ebdd73d81a6a1966a4ccd2e71"
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except TrisectrixError as exc:
+        attached = getattr(exc, "report", None) or getattr(exc, "result", None)
+        return f"{type(exc).__name__}: {exc} | {attached!r}"
+
+
+def _pinned_outputs():
+    """About 300 targets (every integer degree, exact 90 included, plus
+    seeded uniform draws over (0, 90]), half as raw radians and half as
+    Angles, each through the origami and chord routes and through
+    cross_validate at three folds and two tols. The tol of 3e-17 sits below
+    rounding, so the mismatch and bracket-collapse errors are pinned too."""
+    rng = random.Random(0x9E3779B9)
+    degrees = [float(d) for d in range(1, 91)]
+    degrees += [90.0 * (1.0 - rng.random()) for _ in range(210)]
+    for i, deg in enumerate(degrees):
+        t3 = math.radians(deg) if i % 2 else Angle.from_degrees(deg)
+        yield _outcome(abe_construct, t3)
+        if deg < 90.0:
+            yield _outcome(abe_verify, abe_construct(t3))
+        diagram = chord_diagram(t3)
+        yield repr(diagram)
+        yield repr(chord_residuals(diagram))
+        for a in (0.1, 1.0, 7.5):
+            for tol in (1e-10, 3e-17):
+                yield _outcome(cross_validate, t3, a, tol)
+
+
+def test_route_outputs_bit_identical():
+    h = hashlib.sha256()
+    for line in _pinned_outputs():
+        h.update(line.encode())
+        h.update(b"\n")
+    assert h.hexdigest() == PINNED_DIGEST

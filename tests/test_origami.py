@@ -28,6 +28,11 @@ class TestConstruct:
         with pytest.raises(AngleOutOfRange):
             abe_construct(Angle.from_degrees(120.0))
 
+    @pytest.mark.parametrize("degrees", [420.0, -270.0, 450.0, math.nan])
+    def test_rejects_raw_angles_before_wrapping(self, degrees):
+        with pytest.raises(AngleOutOfRange):
+            abe_construct(math.radians(degrees))
+
     def test_finite_just_inside_boundary(self):
         c = abe_construct(Angle.from_degrees(89.9999))
         assert abe_verify(c).passes(1e-12)
