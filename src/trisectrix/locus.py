@@ -17,7 +17,11 @@ which the assumed fold spacing equals the sine of the trisected angle.
 The crossing is found by plain bisection on the polar angle of Q, which is
 strictly decreasing in b; the bracket starts at b = sqrt(3)*a, where Q sits
 straight overhead at (0, 2a), and the upper end is found by doubling b until
-the angle falls below the target.
+the angle falls below the target. The same chord argument gives Q's polar
+angle as 3*atan(a/b), so the sign of every step far from the crossing is
+known in advance: such a step takes its branch without evaluating the curve,
+and only the last few midpoints, near the crossing, are evaluated. The steps,
+iterates and results are those of bisection that evaluates every midpoint.
 """
 
 from __future__ import annotations
@@ -45,6 +49,18 @@ _LOWER_BOUND_SLACK = 1e-12
 
 # Doubling steps before the upper-bracket search gives up (2**64 scale).
 _MAX_DOUBLINGS = 64
+
+# Rounding bound behind trisect's skipped steps. Computed f(b) differs from
+# 3*atan(a/b) - target by about 1e-14 rad at most (Q's coordinates to a few
+# ulp of |OQ|, then atan2 and the subtraction), and the rounding of the skip
+# thresholds (the angle sum, the division by 3, tan, a/tan) moves them by
+# under 1e-15 rad in angle. A margin of 1e-12 rad leaves more than 100x slack,
+# so a step outside the thresholds always takes the branch its evaluation
+# would; were a threshold wrong, the result would still come only from an
+# evaluated |f| <= stop, and the bracket would collapse instead. The margin
+# also keeps target - stop - _SKIP_MARGIN, when positive, at least 2**-92
+# (the grid of floats above 1e-12), so a/tan of a third of it stays finite.
+_SKIP_MARGIN = 1e-12
 
 # The fold range, about [1.77e-103, 4.45e89]. trisect evaluates the curve
 # for b up to the end of its doubling bracket, 2**_MAX_DOUBLINGS * sqrt(3) * a.
@@ -186,9 +202,19 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     """
     if n < 2:
         raise InvalidSampleCount(f"need at least 2 samples, got {n!r}")
-    _check_b(params.a, b_min)
-    if not math.isfinite(b_max):
-        raise ParameterOutOfRange(f"b_max must be finite, got {b_max!r}")
+    a = params.a
+    _check_b(a, b_min)
+    # b_max is the largest sample, and the curve's largest products are
+    # b*b and 2a*(b*b - a*a) (_q_coords); every other product of a point
+    # stays below them for b >= sqrt(3)*a. Both are checked as computed, so
+    # every b_max whose points were finite is still accepted.
+    bb = b_max * b_max
+    if not (math.isfinite(bb) and math.isfinite(2.0 * a * (bb - a * a))):
+        limit = math.sqrt(sys.float_info.max / max(2.0 * a, 1.0))
+        raise ParameterOutOfRange(
+            f"b_max must be finite and at most about {limit:.3g} at fold "
+            f"a={a!r}, where the curve's products overflow, got {b_max!r}"
+        )
     if not b_min < b_max:
         raise ParameterOutOfRange(
             f"need b_min < b_max, got b_min={b_min!r}, b_max={b_max!r}"
@@ -216,7 +242,13 @@ def trisect(
     upper bracket is found by doubling b until the angle drops below the
     target. f is strictly decreasing in b, so the bracket always contains
     the single crossing. Stops once |f| <= tol (radians); ``iterations``
-    counts bisection steps.
+    counts bisection steps. A step whose sign f = 3*atan(a/b) - target
+    settles beyond rounding doubt takes its branch without evaluating f.
+
+    ``tol`` bounds Q's polar angle, not theta: theta = atan2(a, b*) carries
+    its own rounding, so |3*theta - target| is guaranteed only to
+    max(tol, 1e-12). Below about 1e-16 rad a returned result can fail
+    ``verify_trisection(...).passes(tol)``.
 
     Raises AngleOutOfRange for targets outside (0, 90] degrees and
     MaxIterationsExceeded (with the best result attached) if the budget runs
@@ -268,15 +300,28 @@ def trisect(
         dd = aa + b * b
         return atan2(a + two_a * (b * b - aa) / dd, b - four_aa * b / dd) - target
 
+    # By the chord identity f(b) = 3*atan(a/b) - target exactly, so below
+    # b_pos every f > stop + _SKIP_MARGIN and above b_neg every
+    # f < -(stop + _SKIP_MARGIN); a step there takes its branch without an
+    # evaluation. Neither end exists once its angle leaves (0, pi/2).
+    upper = target + stop + _SKIP_MARGIN
+    b_pos = a / math.tan(upper / 3.0) if upper < 0.5 * math.pi else 0.0
+    lower = target - stop - _SKIP_MARGIN
+    b_neg = a / math.tan(lower / 3.0) if lower > 0.0 else math.inf
+
     lo = SQRT3 * a
-    f_lo = f(lo)
-    if abs(f_lo) <= stop:
-        return build(lo, 0, 0.0, f_lo)
+    if lo >= b_pos:
+        f_lo = f(lo)
+        if abs(f_lo) <= stop:
+            return build(lo, 0, 0.0, f_lo)
 
     hi = lo
-    f_hi = f_lo
     for _ in range(_MAX_DOUBLINGS):
         hi *= 2.0
+        if hi < b_pos:
+            continue
+        if hi > b_neg:
+            break
         f_hi = f(hi)
         if abs(f_hi) <= stop:
             return build(hi, 0, 0.0, f_hi)
@@ -286,11 +331,9 @@ def trisect(
         raise MaxIterationsExceeded(
             f"no upper bracket below target {t3.degrees!r} deg within "
             f"{_MAX_DOUBLINGS} doublings",
-            result=build(hi, 0, hi - lo, f_hi),
+            result=build(hi, 0, hi - lo, f(hi)),
         )
 
-    mid = lo
-    f_mid = f_lo
     for iteration in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -303,6 +346,12 @@ def trisect(
                 f"before reaching tol={tol!r} rad (|residual| = {abs(f_b)!r})",
                 result=build(b, iteration - 1, hi - lo, f_b),
             )
+        if mid < b_pos:
+            lo = mid
+            continue
+        if mid > b_neg:
+            hi = mid
+            continue
         dd = aa + mid * mid
         f_mid = atan2(a + two_a * (mid * mid - aa) / dd, mid - four_aa * mid / dd) - target
         if abs(f_mid) <= stop:
@@ -311,6 +360,9 @@ def trisect(
             lo = mid
         else:
             hi = mid
+    # The last midpoint may have been skipped; f is pure, so evaluating it
+    # again gives the value an evaluated step saw.
+    f_mid = f(mid)
     raise MaxIterationsExceeded(
         f"bisection did not reach tol={tol!r} rad in {max_iter} iterations "
         f"(|residual| = {abs(f_mid)!r})",

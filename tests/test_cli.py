@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,24 @@ class TestLocusCommand:
         assert out == ""
         assert "b_max" in err
 
+    @pytest.mark.parametrize("b_max", ["1e300", "1e200", "9.480751908109177e+153"])
+    def test_overflowing_b_max_exits_3(self, capsys, b_max):
+        # b*b or 2a*(b*b - a*a) overflows: a domain error naming b_max, not
+        # a NaN coordinate reported as an argument error.
+        code, out, err = run(capsys, "locus", "--fold", "1", "--b-max", b_max,
+                             "--samples", "3")
+        assert code == 3
+        assert out == ""
+        assert "b_max" in err and "nan" not in err
+
+    def test_largest_finite_b_max_accepted(self, capsys):
+        # The float below the first rejected b_max at fold 1 still gives
+        # finite rows.
+        code, out, _ = run(capsys, "locus", "--fold", "1",
+                           "--b-max", "9.480751908109176e+153", "--samples", "3")
+        assert code == 0
+        assert "inf" not in out and "nan" not in out
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["locus", "--fold", "1", "--samples", "40",
@@ -212,6 +231,16 @@ class TestRenderCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_far_end_of_doubling_bracket(self, capsys):
+        # b* near the solver's largest bracket end 2**64 * sqrt(3) * a, so
+        # the drawn range 1.3 * b* goes past it; its products stay finite.
+        far = 2.0 ** 64 * SQRT3
+        degrees = math.degrees(3.0 * math.atan(1.0 / (0.99 * far)))
+        code, out, _ = run(capsys, "render", f"--angle-deg={degrees!r}", "--fold", "1",
+                           "--tol", "1e-40", "--samples", "9")
+        assert code == 0
+        assert "<svg " in out and ">N</text>" in out
+
     def test_layer_flags(self, capsys, tmp_path):
         path = tmp_path / "bare.svg"
         assert main(["render", "--angle-deg", "75", "--no-labels",
@@ -264,3 +293,20 @@ class TestTotality:
         assert code in (0, 1, 2, 3, 4)
         if code == 0:
             assert 0.0 < degrees <= 90.0
+
+    @given(
+        command=st.sampled_from(["locus", "render"]),
+        b_max=st.floats(allow_nan=False, allow_infinity=False),
+        fold=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_any_finite_b_max_and_fold(self, command, b_max, fold):
+        # Every finite --b-max and --fold ends in a documented code, and an
+        # argument error never reports a NaN made along the way.
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, f"--fold={fold!r}", f"--b-max={b_max!r}",
+                         "--samples", "8"])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert "nan" not in err.getvalue()

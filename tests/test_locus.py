@@ -1,6 +1,7 @@
 """Tests for the locus curve and the bisection trisector."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -25,7 +26,9 @@ from trisectrix.geom import (
     polar_angle,
     wrap_signed,
 )
+from trisectrix.geom import as_angle, raw_radians
 from trisectrix.locus import (
+    _MAX_DOUBLINGS,
     FOLD_MAX,
     FOLD_MIN,
     LocusParams,
@@ -44,6 +47,19 @@ B_STAR_60 = 2.7474774194546225
 UNIT_60 = 2.9238044001630876
 SIN_20 = 0.3420201433256687
 COS_20 = 0.9396926207859084
+
+# math.atan2 calls over acceptance criterion 1's targets at tol 1e-12, the
+# theta of each result included; evaluating every midpoint takes 45940.
+ATAN2_CALLS = 3307
+
+
+def _criterion_targets():
+    """Acceptance criterion 1's targets: 90 integer degrees, 1000 seeded."""
+    rng = random.Random(0x5B15)
+    targets = [math.radians(d) for d in range(1, 91)]
+    targets += [(1.0 - rng.random()) * (math.pi / 2.0) for _ in range(1000)]
+    return targets
+
 
 fold_values = st.floats(min_value=0.01, max_value=100.0)
 ratio_values = st.floats(min_value=1.0, max_value=1e4)
@@ -302,12 +318,30 @@ class TestTrisect:
     def test_total_iterations_for_criterion_targets(self):
         # Deterministic step count over acceptance criterion 1's target set;
         # a solver change that needs more bisection steps shows here.
-        rng = random.Random(0x5B15)
-        targets = [math.radians(d) for d in range(1, 91)]
-        targets += [(1.0 - rng.random()) * (math.pi / 2.0) for _ in range(1000)]
         params = LocusParams(1.0)
-        total = sum(trisect(Angle(t), params, tol=1e-12).iterations for t in targets)
+        total = sum(
+            trisect(Angle(t), params, tol=1e-12).iterations for t in _criterion_targets()
+        )
         assert total == 41435
+
+    def test_atan2_calls_for_criterion_targets(self, monkeypatch):
+        # Deterministic curve-evaluation count over the same target set: the
+        # solver evaluates only the midpoints whose branch the chord identity
+        # cannot decide, plus theta in the result.
+        targets = _criterion_targets()
+        params = LocusParams(1.0)
+        calls = 0
+        atan2 = math.atan2
+
+        def counting_atan2(y, x):
+            nonlocal calls
+            calls += 1
+            return atan2(y, x)
+
+        monkeypatch.setattr(math, "atan2", counting_atan2)
+        for t in targets:
+            trisect(Angle(t), params, tol=1e-12)
+        assert calls == ATAN2_CALLS
 
     def test_matches_division_oracle_for_random_targets(self):
         rng = random.Random(0x7215EC7)
@@ -367,6 +401,25 @@ class TestTrisect:
             return
         assert abs(3.0 * r.theta.radians - target) <= 1e-12
 
+    @given(
+        target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
+        a=st.floats(min_value=FOLD_MIN, max_value=FOLD_MAX),
+        tol=st.floats(min_value=0.0, max_value=1e-12, exclude_min=True),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_tol_below_rounding_bounds_theta_to_1e_12(self, target, a, tol):
+        # tol stops Q's polar angle; theta = atan2(a, b*) adds its own
+        # rounding, so a returned result is within max(tol, 1e-12) of a true
+        # trisection even when it misses a tol below rounding.
+        params = LocusParams(a)
+        try:
+            r = trisect(target, params, tol=tol)
+        except MaxIterationsExceeded:
+            return
+        assert abs(r.angle_residual) <= 0.5 * tol
+        residuals = verify_trisection(r, params).residuals
+        assert residuals["three_theta_vs_target"] <= 1e-12
+
     def test_accepts_plain_radian_floats(self):
         r = trisect(math.pi / 3.0, LocusParams(1.0))
         assert abs(r.theta.radians - math.pi / 9.0) <= 1e-12
@@ -406,3 +459,157 @@ class TestVerifyTrisection:
             math.cos(r.theta.radians),
             rel_tol=1e-12,
         )
+
+
+def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
+    """Plain bisection that evaluates the curve at every midpoint: the
+    solver as it was before it skipped provable steps, kept verbatim as the
+    oracle the fast path must reproduce bit for bit."""
+    target = raw_radians(three_theta)
+    if not 0.0 < target <= 0.5 * math.pi:
+        raise AngleOutOfRange(
+            f"trisection target must lie in (0, 90] degrees, "
+            f"got {math.degrees(target):.6g}"
+        )
+    t3 = as_angle(three_theta)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+    a = params.a
+    stop = 0.5 * tol
+
+    def build(b, iterations, width, f_val):
+        qx, qy = _q_coords(a, b)
+        return TrisectionResult(
+            three_theta=t3,
+            theta=Angle(math.atan2(a, b)),
+            b_star=b,
+            unit_length=math.hypot(a, b),
+            n_point=Point2(qx, qy),
+            iterations=iterations,
+            final_bracket_width=width,
+            angle_residual=f_val,
+        )
+
+    aa = a * a
+    four_aa = 4.0 * a * a
+    two_a = 2.0 * a
+    atan2 = math.atan2
+
+    def f(b):
+        dd = aa + b * b
+        return atan2(a + two_a * (b * b - aa) / dd, b - four_aa * b / dd) - target
+
+    lo = SQRT3 * a
+    f_lo = f(lo)
+    if abs(f_lo) <= stop:
+        return build(lo, 0, 0.0, f_lo)
+
+    hi = lo
+    f_hi = f_lo
+    for _ in range(_MAX_DOUBLINGS):
+        hi *= 2.0
+        f_hi = f(hi)
+        if abs(f_hi) <= stop:
+            return build(hi, 0, 0.0, f_hi)
+        if f_hi < 0.0:
+            break
+    else:
+        raise MaxIterationsExceeded(
+            f"no upper bracket below target {t3.degrees!r} deg within "
+            f"{_MAX_DOUBLINGS} doublings",
+            result=build(hi, 0, hi - lo, f_hi),
+        )
+
+    mid = lo
+    f_mid = f_lo
+    for iteration in range(1, max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            f_lo, f_hi = f(lo), f(hi)
+            b, f_b = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+            raise MaxIterationsExceeded(
+                f"bisection bracket collapsed after {iteration - 1} iterations "
+                f"before reaching tol={tol!r} rad (|residual| = {abs(f_b)!r})",
+                result=build(b, iteration - 1, hi - lo, f_b),
+            )
+        dd = aa + mid * mid
+        f_mid = atan2(a + two_a * (mid * mid - aa) / dd, mid - four_aa * mid / dd) - target
+        if abs(f_mid) <= stop:
+            return build(mid, iteration, hi - lo, f_mid)
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise MaxIterationsExceeded(
+        f"bisection did not reach tol={tol!r} rad in {max_iter} iterations "
+        f"(|residual| = {abs(f_mid)!r})",
+        result=build(mid, max_iter, hi - lo, f_mid),
+    )
+
+
+def _outcome(solve, target, params, tol, max_iter):
+    """repr of a solve's result, or of its error with the attached result."""
+    try:
+        r = solve(target, params, tol=tol, max_iter=max_iter)
+    except TrisectrixError as exc:
+        return f"{type(exc).__name__}: {exc} -> {getattr(exc, 'result', None)!r}"
+    return repr(r)
+
+
+@given(
+    target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
+    a=st.floats(min_value=FOLD_MIN, max_value=FOLD_MAX),
+    tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    max_iter=st.integers(min_value=1, max_value=300),
+)
+@settings(deadline=None, max_examples=400)
+def test_matches_reference_bisection(target, a, tol, max_iter):
+    params = LocusParams(a)
+    assert _outcome(trisect, target, params, tol, max_iter) == _outcome(
+        _reference_trisect, target, params, tol, max_iter
+    )
+
+
+def _solver_grid_lines():
+    half_pi = 0.5 * math.pi
+    below = [half_pi]
+    for _ in range(3):
+        below.append(math.nextafter(below[-1], 0.0))
+    targets = below + [
+        math.radians(60.0), math.radians(1.0), 3e-12, 1.5e-12, 1e-12,
+        1e-300, 5e-324,
+    ]
+    tols = (5e-324, 1e-25, 1e-17, 1e-12, 1.6, 1e10, 1.7e308)
+    for a in (FOLD_MIN, 1.0, FOLD_MAX):
+        params = LocusParams(a)
+        for target in targets:
+            for tol in tols:
+                for max_iter in (1, 3, 60, 2000):
+                    try:
+                        r = trisect(target, params, tol=tol, max_iter=max_iter)
+                    except TrisectrixError as exc:
+                        r = exc.result
+                        yield f"{type(exc).__name__}: {exc} -> {r!r}"
+                    else:
+                        yield repr(r)
+                    yield repr(verify_trisection(r, params))
+
+
+# SHA-256 of _solver_grid_lines() taken from plain bisection, before the
+# solver skipped the evaluation of provable steps.
+SOLVER_GRID_DIGEST = "a9bfadfb9a7c9c5ae6b8db344b6bdb5f3a93638e563bac64fce04e02f15cce52"
+
+
+def test_solver_outputs_bit_identical():
+    # Results, errors and verification reports over the skip path's edges:
+    # targets at and just below 90 degrees and down to the smallest
+    # subnormal, the fold range's ends, tols from subnormal to huge, and
+    # budgets from 1 step up.
+    h = hashlib.sha256()
+    for line in _solver_grid_lines():
+        h.update(line.encode())
+        h.update(b"\n")
+    assert h.hexdigest() == SOLVER_GRID_DIGEST
