@@ -21,16 +21,10 @@ from .geom import (
     Circle,
     ORIGIN,
     Point2,
-    Ray,
     SQRT3,
-    X_AXIS_RAY,
     as_angle,
     circle_circle_intersections,
     distance,
-    foot_of_perpendicular,
-    midpoint,
-    polar_angle,
-    rotate,
 )
 from .locus import (
     LocusParams,
@@ -76,13 +70,11 @@ __all__ = [
     "ORIGIN",
     "ParameterOutOfRange",
     "Point2",
-    "Ray",
     "RenderSpec",
     "SQRT3",
     "TrisectionResult",
     "TrisectrixError",
     "VerificationReport",
-    "X_AXIS_RAY",
     "abe_construct",
     "abe_verify",
     "as_angle",
@@ -91,15 +83,11 @@ __all__ = [
     "circle_circle_intersections",
     "cross_validate",
     "distance",
-    "foot_of_perpendicular",
     "locus_point",
     "locus_polar_radius",
     "locus_relation_residual",
-    "midpoint",
     "oracle_theta",
-    "polar_angle",
     "render_svg",
-    "rotate",
     "sample_locus",
     "triple_angle_residual",
     "trisect",

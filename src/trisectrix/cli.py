@@ -15,8 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     AngleOutOfRange,
@@ -59,63 +58,36 @@ _FORMATS = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated flag set for one subcommand invocation."""
-
-    subcommand: str
-    angle_deg: Optional[float]
-    fold_a: float
-    tol: float
-    samples: int
-    b_min: Optional[float]
-    b_max: Optional[float]
-    output_path: Optional[str]
-    format: str
-    max_iter: int = DEFAULT_MAX_ITER
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.fold_a) and self.fold_a > 0.0):
-            raise ValueError(f"--fold must be positive, got {self.fold_a!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"--tol must be positive, got {self.tol!r}")
-        if self.samples < 2:
-            raise ValueError(f"--samples must be at least 2, got {self.samples!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"--max-iter must be at least 1, got {self.max_iter!r}")
-        allowed = _FORMATS[self.subcommand]
-        if self.format not in allowed:
-            raise ValueError(
-                f"--format {self.format!r} is not valid for {self.subcommand!r} "
-                f"(choose from {', '.join(allowed)})"
-            )
-
-    def target(self) -> Angle:
-        """``--angle-deg`` as an Angle. The degrees are checked as given,
-        because an Angle wraps: 450 would otherwise be solved as 90."""
-        if self.angle_deg is None:
-            raise ValueError(f"{self.subcommand!r} requires --angle-deg")
-        if not 0.0 < self.angle_deg <= 90.0:
-            raise AngleOutOfRange(
-                f"--angle-deg must lie in (0, 90] degrees, got {self.angle_deg!r}"
-            )
-        return Angle.from_degrees(self.angle_deg)
+def _check(args: argparse.Namespace) -> None:
+    """Reject flag values that parse but that no command can use."""
+    if not (math.isfinite(args.fold) and args.fold > 0.0):
+        raise ValueError(f"--fold must be positive, got {args.fold!r}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be positive, got {args.tol!r}")
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples!r}")
+    if args.max_iter < 1:
+        raise ValueError(f"--max-iter must be at least 1, got {args.max_iter!r}")
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    default_format = _FORMATS[args.subcommand][0]
-    return CliConfig(
-        subcommand=args.subcommand,
-        angle_deg=args.angle_deg,
-        fold_a=args.fold,
-        tol=args.tol,
-        samples=args.samples,
-        b_min=args.b_min,
-        b_max=args.b_max,
-        output_path=args.output,
-        format=args.format or default_format,
-        max_iter=args.max_iter,
-    )
+def _target(args: argparse.Namespace) -> Angle:
+    """``--angle-deg`` as an Angle. The degrees are checked as given,
+    because an Angle wraps: 450 would otherwise be solved as 90."""
+    if args.angle_deg is None:
+        raise ValueError(f"{args.subcommand!r} requires --angle-deg")
+    if not 0.0 < args.angle_deg <= 90.0:
+        raise AngleOutOfRange(
+            f"--angle-deg must lie in (0, 90] degrees, got {args.angle_deg!r}"
+        )
+    return Angle.from_degrees(args.angle_deg)
+
+
+def _b_range(args: argparse.Namespace) -> tuple[float, float]:
+    """``--b-min`` and ``--b-max``, by default the curve start sqrt(3)*a and 10*a."""
+    a = args.fold
+    b_min = SQRT3 * a if args.b_min is None else args.b_min
+    b_max = 10.0 * a if args.b_max is None else args.b_max
+    return b_min, b_max
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -126,10 +98,10 @@ def _write_output(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def cmd_trisect(cfg: CliConfig) -> int:
-    target = cfg.target()
-    params = LocusParams(cfg.fold_a)
-    result = trisect(target, params, tol=cfg.tol, max_iter=cfg.max_iter)
+def cmd_trisect(args: argparse.Namespace) -> int:
+    target = _target(args)
+    params = LocusParams(args.fold)
+    result = trisect(target, params, tol=args.tol, max_iter=args.max_iter)
     report = verify_trisection(result, params)
     payload = {
         "three_theta_deg": result.three_theta.degrees,
@@ -143,11 +115,11 @@ def cmd_trisect(cfg: CliConfig) -> int:
         "iterations": result.iterations,
         "final_bracket_width": result.final_bracket_width,
         "angle_residual_rad": result.angle_residual,
-        "sin_theta_normalized": cfg.fold_a / result.unit_length,
-        "fold_a": cfg.fold_a,
+        "sin_theta_normalized": args.fold / result.unit_length,
+        "fold_a": args.fold,
         "verification": dict(report.residuals),
     }
-    if cfg.format == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [
@@ -161,16 +133,14 @@ def cmd_trisect(cfg: CliConfig) -> int:
             f"worst check  : {max(abs(v) for v in payload['verification'].values())!r}",
         ]
         text = "\n".join(lines) + "\n"
-    _write_output(text, cfg.output_path)
+    _write_output(text, args.output)
     return EXIT_OK
 
 
-def cmd_locus(cfg: CliConfig) -> int:
-    a = cfg.fold_a
+def cmd_locus(args: argparse.Namespace) -> int:
+    a = args.fold
     params = LocusParams(a)
-    b_min = SQRT3 * a if cfg.b_min is None else cfg.b_min
-    b_max = 10.0 * a if cfg.b_max is None else cfg.b_max
-    points = sample_locus(params, b_min, b_max, cfg.samples)
+    points = sample_locus(params, *_b_range(args), args.samples)
     lines = [CSV_HEADER]
     for pt in points:
         j_angle_deg = math.degrees(math.atan2(a, pt.b))
@@ -179,12 +149,12 @@ def cmd_locus(cfg: CliConfig) -> int:
             f"{j_angle_deg!r},{pt.residual_circle1!r},{pt.residual_circle2!r},"
             f"{pt.residual_locus_relation!r}"
         )
-    _write_output("\n".join(lines) + "\n", cfg.output_path)
+    _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
-def cmd_origami(cfg: CliConfig) -> int:
-    c = abe_construct(cfg.target())
+def cmd_origami(args: argparse.Namespace) -> int:
+    c = abe_construct(_target(args))
     report = abe_verify(c)
     points = {
         name: {"x": p.x, "y": p.y}
@@ -202,7 +172,7 @@ def cmd_origami(cfg: CliConfig) -> int:
         "residuals": dict(report.residuals),
         "informational": dict(report.informational),
     }
-    if cfg.format == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"fold construction for {payload['three_theta_deg']:.6g} deg"]
@@ -213,17 +183,17 @@ def cmd_origami(cfg: CliConfig) -> int:
             f"worst residual {report.max_residual()!r}"
         )
         text = "\n".join(lines) + "\n"
-    _write_output(text, cfg.output_path)
+    _write_output(text, args.output)
     return EXIT_OK
 
 
-def cmd_verify(cfg: CliConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     worst: dict[str, tuple[float, int]] = {}
     failures: list[str] = []
     checked = 0
     for deg in range(1, 91):
         try:
-            report = cross_validate(Angle.from_degrees(deg), cfg.fold_a, cfg.tol)
+            report = cross_validate(Angle.from_degrees(deg), args.fold, args.tol)
         except (MismatchDetected, MaxIterationsExceeded) as exc:
             failures.append(f"{deg} deg: {exc}")
             continue
@@ -232,16 +202,16 @@ def cmd_verify(cfg: CliConfig) -> int:
             magnitude = abs(value)
             if name not in worst or magnitude > worst[name][0]:
                 worst[name] = (magnitude, deg)
-        if not report.passes(cfg.tol):
+        if not report.passes(args.tol):
             name, value = report.worst()
             failures.append(f"{deg} deg: residual {name} = {value!r} exceeds tol")
 
     ok = not failures
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "angles_checked": checked,
-            "fold_a": cfg.fold_a,
-            "tol": cfg.tol,
+            "fold_a": args.fold,
+            "tol": args.tol,
             "passed": ok,
             "failures": failures,
             "worst_residuals": {
@@ -252,7 +222,7 @@ def cmd_verify(cfg: CliConfig) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [
-            f"cross-check sweep: 1..90 deg, fold a={cfg.fold_a!r}, tol={cfg.tol!r}"
+            f"cross-check sweep: 1..90 deg, fold a={args.fold!r}, tol={args.tol!r}"
         ]
         for name, (value, deg) in sorted(worst.items(), key=lambda kv: -kv[1][0]):
             lines.append(f"  {name:32s} {value:.3e}  (at {deg} deg)")
@@ -260,24 +230,33 @@ def cmd_verify(cfg: CliConfig) -> int:
             lines.append(f"  FAIL {failure}")
         lines.append(f"result: {'PASS' if ok else 'FAIL'} ({checked}/90 angles checked)")
         text = "\n".join(lines) + "\n"
-    _write_output(text, cfg.output_path)
+    _write_output(text, args.output)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_render(cfg: CliConfig, spec: RenderSpec) -> int:
-    a = cfg.fold_a
+def cmd_render(args: argparse.Namespace) -> int:
+    spec = RenderSpec(
+        width_px=args.width,
+        height_px=args.height,
+        margin_px=args.margin,
+        stroke_width=args.stroke_width,
+        circles=not args.no_circles,
+        locus=not args.no_locus,
+        rays=not args.no_rays,
+        labels=not args.no_labels,
+    )
+    a = args.fold
     params = LocusParams(a)
     result = None
-    if cfg.angle_deg is not None:
-        result = trisect(cfg.target(), params, tol=cfg.tol, max_iter=cfg.max_iter)
+    if args.angle_deg is not None:
+        result = trisect(_target(args), params, tol=args.tol, max_iter=args.max_iter)
         b_min = SQRT3 * a
         b_max = max(1.3 * result.b_star, 2.0 * b_min)
     else:
-        b_min = SQRT3 * a if cfg.b_min is None else cfg.b_min
-        b_max = 10.0 * a if cfg.b_max is None else cfg.b_max
-    points = sample_locus(params, b_min, b_max, cfg.samples)
+        b_min, b_max = _b_range(args)
+    points = sample_locus(params, b_min, b_max, args.samples)
     svg = render_svg(params, points, result=result, spec=spec)
-    _write_output(svg, cfg.output_path)
+    _write_output(svg, args.output)
     return EXIT_OK
 
 
@@ -289,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
+    def add_command(name: str, command: Callable[[argparse.Namespace], int], help: str,
+                    samples_default: int = 100) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(command=command)
         p.add_argument("--angle-deg", type=float, default=None,
                        help="target angle in degrees, in (0, 90]")
         p.add_argument("--fold", type=float, default=1.0,
@@ -304,19 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lowest locus parameter (default sqrt(3)*a)")
         p.add_argument("--b-max", type=float, default=None,
                        help="highest locus parameter (default 10*a)")
-        p.add_argument("--format", type=str, default=None,
-                       choices=("json", "csv", "svg", "text"),
-                       help="output format (subcommand-dependent default)")
+        formats = _FORMATS[name]
+        p.add_argument("--format", type=str, default=formats[0], choices=formats,
+                       help=f"output format (default {formats[0]})")
         p.add_argument("--output", type=str, default=None,
                        help="output path (default: standard output)")
+        return p
 
-    add_common(sub.add_parser("trisect", help="solve one trisection, emit JSON"), 100)
-    add_common(sub.add_parser("locus", help="emit a CSV table of locus samples"), 100)
-    add_common(sub.add_parser("origami", help="emit the fold construction"), 100)
-    add_common(sub.add_parser("verify", help="cross-check a 1..90 degree sweep"), 100)
+    add_command("trisect", cmd_trisect, "solve one trisection, emit JSON")
+    add_command("locus", cmd_locus, "emit a CSV table of locus samples")
+    add_command("origami", cmd_origami, "emit the fold construction")
+    add_command("verify", cmd_verify, "cross-check a 1..90 degree sweep")
 
-    render = sub.add_parser("render", help="emit an SVG construction diagram")
-    add_common(render, 128)
+    render = add_command("render", cmd_render, "emit an SVG construction diagram", 128)
     render.add_argument("--width", type=int, default=800, help="canvas width in px")
     render.add_argument("--height", type=int, default=600, help="canvas height in px")
     render.add_argument("--margin", type=int, default=48, help="canvas margin in px")
@@ -337,26 +319,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ARGS
 
     try:
-        cfg = _config(args)
-        if args.subcommand == "trisect":
-            return cmd_trisect(cfg)
-        if args.subcommand == "locus":
-            return cmd_locus(cfg)
-        if args.subcommand == "origami":
-            return cmd_origami(cfg)
-        if args.subcommand == "verify":
-            return cmd_verify(cfg)
-        spec = RenderSpec(
-            width_px=args.width,
-            height_px=args.height,
-            margin_px=args.margin,
-            stroke_width=args.stroke_width,
-            circles=not args.no_circles,
-            locus=not args.no_locus,
-            rays=not args.no_rays,
-            labels=not args.no_labels,
-        )
-        return cmd_render(cfg, spec)
+        _check(args)
+        return args.command(args)
     except (ValueError, InvalidSampleCount) as exc:
         print(f"trisectrix: argument error: {exc}", file=sys.stderr)
         return EXIT_ARGS

@@ -1,4 +1,4 @@
-"""Exact-formula planar primitives: points, circles, rays, and angles.
+"""Exact-formula planar primitives: points, circles, and angles.
 
 Everything here is a pure function of its inputs. Branch ordering is
 deterministic, so identical inputs always produce bit-identical outputs,
@@ -41,7 +41,7 @@ def wrap_signed(radians: float) -> float:
 class Angle:
     """A plane angle stored in radians, normalized into [0, 2*pi).
 
-    Arithmetic re-normalizes, so downstream code never sees a negative or
+    Construction normalizes, so downstream code never sees a negative or
     wrapped-past-full-turn value. Degrees exist only at CLI boundaries.
     """
 
@@ -64,23 +64,6 @@ class Angle:
     @property
     def degrees(self) -> float:
         return math.degrees(self.radians)
-
-    def __float__(self) -> float:
-        return self.radians
-
-    def __add__(self, other: "AngleLike") -> "Angle":
-        return Angle(self.radians + as_angle(other).radians)
-
-    def __sub__(self, other: "AngleLike") -> "Angle":
-        return Angle(self.radians - as_angle(other).radians)
-
-    def __mul__(self, factor: float) -> "Angle":
-        return Angle(self.radians * factor)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor: float) -> "Angle":
-        return Angle(self.radians / divisor)
 
 
 AngleLike = Union[Angle, float, int]
@@ -128,21 +111,6 @@ class Circle:
             raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
 
 
-@dataclass(frozen=True)
-class Ray:
-    """A ray from an origin point along a direction angle in [0, 2*pi)."""
-
-    origin: Point2
-    direction_angle: Angle
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.direction_angle, Angle):
-            object.__setattr__(self, "direction_angle", as_angle(self.direction_angle))
-
-
-X_AXIS_RAY = Ray(ORIGIN, Angle(0.0))
-
-
 def polar_radians(p: Point2) -> float:
     """Angle of ``p`` about the origin in radians, normalized to [0, 2*pi).
 
@@ -153,33 +121,9 @@ def polar_radians(p: Point2) -> float:
     return wrap_angle(math.atan2(p.y, p.x))
 
 
-def polar_angle(p: Point2) -> Angle:
-    """:func:`polar_radians` as an Angle."""
-    return Angle(polar_radians(p))
-
-
 def distance(p: Point2, q: Point2) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p.x - q.x, p.y - q.y)
-
-
-def midpoint(p: Point2, q: Point2) -> Point2:
-    return Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
-
-
-def rotate(p: Point2, angle: AngleLike) -> Point2:
-    """Rotate ``p`` about the origin by ``angle`` counterclockwise."""
-    a = as_angle(angle).radians
-    c, s = math.cos(a), math.sin(a)
-    return Point2(c * p.x - s * p.y, s * p.x + c * p.y)
-
-
-def foot_of_perpendicular(p: Point2, r: Ray) -> Point2:
-    """Orthogonal projection of ``p`` onto the line carrying the ray ``r``."""
-    a = r.direction_angle.radians
-    ux, uy = math.cos(a), math.sin(a)
-    t = (p.x - r.origin.x) * ux + (p.y - r.origin.y) * uy
-    return Point2(r.origin.x + t * ux, r.origin.y + t * uy)
 
 
 def _polar_about(center: Point2, p: Point2) -> float:

@@ -236,7 +236,7 @@ def trisect(
 ) -> TrisectionResult:
     """Solve for the parameter b* where the curve crosses the target ray.
 
-    Bisection on f(b) = polar_angle(Q(b)) - three_theta, bracketed by two
+    Bisection on f(b) = angle(Q(b)) - three_theta, bracketed by two
     points with opposite sign of f: the lower bracket is the curve start
     b = sqrt(3)*a (angle 90 degrees, at or above any valid target) and the
     upper bracket is found by doubling b until the angle drops below the
@@ -286,19 +286,9 @@ def trisect(
             angle_residual=f_val,
         )
 
-    # _q_coords' formula with the products of ``a`` hoisted. Python
-    # multiplies left to right, so 4.0*a*a*b is (4.0*a*a)*b and 2.0*a*(...)
-    # is (2.0*a)*(...): every value is bit-identical to _q_coords'. The
-    # bisection step below inlines the same expression, because a call per
-    # step costs more than the step's arithmetic.
-    aa = a * a
-    four_aa = 4.0 * a * a
-    two_a = 2.0 * a
-    atan2 = math.atan2
-
     def f(b: float) -> float:
-        dd = aa + b * b
-        return atan2(a + two_a * (b * b - aa) / dd, b - four_aa * b / dd) - target
+        qx, qy = _q_coords(a, b)
+        return math.atan2(qy, qx) - target
 
     # By the chord identity f(b) = 3*atan(a/b) - target exactly, so below
     # b_pos every f > stop + _SKIP_MARGIN and above b_neg every
@@ -352,8 +342,7 @@ def trisect(
         if mid > b_neg:
             hi = mid
             continue
-        dd = aa + mid * mid
-        f_mid = atan2(a + two_a * (mid * mid - aa) / dd, mid - four_aa * mid / dd) - target
+        f_mid = f(mid)
         if abs(f_mid) <= stop:
             return build(mid, iteration, hi - lo, f_mid)
         if f_mid > 0.0:

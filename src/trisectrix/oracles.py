@@ -34,7 +34,7 @@ class ChordDiagram:
     E is the foot of F on the base line; G is the unit-circle point at the
     trisected angle, whose height above the base (``fold_BG``) is the crease
     spacing used by the origami fold. B is the corner of the framing square,
-    kept for rendering only.
+    part of the paper's figure; no residual reads it.
     """
 
     three_theta: Angle

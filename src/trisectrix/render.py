@@ -10,6 +10,7 @@ emitted in y-up mathematical coordinates inside a single top-level flip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,8 +35,15 @@ class RenderSpec:
             raise ValueError(
                 f"canvas must be at least 64x64 px, got {self.width_px}x{self.height_px}"
             )
+        if max(self.width_px, self.height_px) > sys.float_info.max:
+            raise ValueError("canvas sides must not exceed the float range")
         if self.margin_px < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin_px!r}")
+        if 2 * self.margin_px >= min(self.width_px, self.height_px):
+            raise ValueError(
+                f"margin {self.margin_px!r} px leaves no drawing area on a "
+                f"{self.width_px}x{self.height_px} px canvas"
+            )
         if not (math.isfinite(self.stroke_width) and self.stroke_width > 0.0):
             raise ValueError(f"stroke width must be positive, got {self.stroke_width!r}")
 

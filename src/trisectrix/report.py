@@ -35,9 +35,3 @@ class VerificationReport(ResidualMap):
     residuals: dict[str, float]
     informational: dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat copy including informational entries, for serialization."""
-        out = dict(self.residuals)
-        for name, value in self.informational.items():
-            out[f"{name} (informational)"] = value
-        return out

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,3 +311,25 @@ class TestTotality:
         assert code in (0, 2, 3)
         if code == 2:
             assert "nan" not in err.getvalue()
+
+    @given(
+        degrees=st.none() | st.floats(min_value=1.0, max_value=90.0),
+        width=st.integers() | st.integers(min_value=2 ** 1020, max_value=2 ** 1030),
+        height=st.integers(min_value=-10, max_value=10 ** 6),
+        margin=st.integers(),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_any_canvas(self, degrees, width, height, margin):
+        # Every integer canvas ends in a documented code, and a drawn one
+        # has a viewBox of positive finite size.
+        argv = ["render", f"--width={width}", f"--height={height}",
+                f"--margin={margin}", "--samples", "8"]
+        if degrees is not None:
+            argv.append(f"--angle-deg={degrees!r}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            view_box = ET.fromstring(out.getvalue()).attrib["viewBox"].split()
+            assert all(0.0 < float(v) < math.inf for v in view_box[2:])

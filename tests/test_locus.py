@@ -23,7 +23,7 @@ from trisectrix.geom import (
     SQRT3,
     circle_circle_intersections,
     distance,
-    polar_angle,
+    polar_radians,
     wrap_signed,
 )
 from trisectrix.geom import as_angle, raw_radians
@@ -114,7 +114,7 @@ class TestLocusPoint:
         # With b = sqrt(3)*a the slider J = (b, a) sits at 30 degrees, i.e.
         # the foot K = (b, 0) and OK = sqrt(3)*KJ.
         j = Point2(SQRT3, 1.0)
-        assert abs(polar_angle(j).radians - math.pi / 6.0) <= 1e-15
+        assert abs(polar_radians(j) - math.pi / 6.0) <= 1e-15
 
     @given(a=fold_values, ratio=ratio_values)
     @settings(deadline=None, max_examples=300)
@@ -151,7 +151,7 @@ class TestLocusPoint:
         slider = math.atan2(a, b)
         ccw = max(
             candidates,
-            key=lambda p: wrap_signed(polar_angle(p).radians - slider),
+            key=lambda p: wrap_signed(polar_radians(p) - slider),
         )
         assert distance(lp.q, ccw) <= 1e-11 * max(1.0, r1)
 

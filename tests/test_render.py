@@ -24,9 +24,21 @@ class TestRenderSpec:
         with pytest.raises(ValueError):
             RenderSpec(height_px=10)
 
+    def test_rejects_canvas_beyond_float_range(self):
+        with pytest.raises(ValueError):
+            RenderSpec(width_px=10 ** 400)
+
     def test_rejects_negative_margin(self):
         with pytest.raises(ValueError):
             RenderSpec(margin_px=-1)
+        # Twice the margin must leave room on the shorter side.
+        for margin, width, height in ((300, 800, 600), (400, 800, 600),
+                                      (32, 64, 64), (50, 64, 600)):
+            with pytest.raises(ValueError):
+                RenderSpec(width_px=width, height_px=height, margin_px=margin)
+        widest = RenderSpec(width_px=800, height_px=600, margin_px=299)
+        view_box = ET.fromstring(render_svg(PARAMS, POINTS, spec=widest)).attrib["viewBox"]
+        assert all(float(v) > 0.0 for v in view_box.split()[2:])
 
     def test_rejects_bad_stroke(self):
         with pytest.raises(ValueError):
