@@ -37,7 +37,7 @@ def wrap_signed(radians: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Angle:
     """A plane angle stored in radians, normalized into [0, 2*pi).
 
@@ -55,7 +55,7 @@ class Angle:
         r = float(r)
         if not math.isfinite(r):
             raise ValueError(f"angle must be finite, got {r!r}")
-        object.__setattr__(self, "radians", wrap_angle(r))
+        self.radians = wrap_angle(r)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Angle":
@@ -84,7 +84,7 @@ def raw_radians(value: AngleLike) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Point2:
     """A point in construction coordinates (dimensionless units)."""
 
@@ -99,7 +99,7 @@ class Point2:
 ORIGIN = Point2(0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Circle:
     """A circle given by center and strictly positive radius."""
 

@@ -73,7 +73,7 @@ FOLD_MIN = (sys.float_info.min / 4.0) ** (1.0 / 3.0)
 FOLD_MAX = (sys.float_info.max / (2.0 * _B_RATIO_MAX * _B_RATIO_MAX)) ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LocusParams:
     """Curve parameters: ``a`` is the fold spacing, the radius of circle 2
     being ``2a``. Raises ValueError unless ``a`` is positive and finite, and
@@ -91,7 +91,7 @@ class LocusParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LocusPoint:
     """One sample of the curve: the parameter b, the point Q, satisfaction
     residuals for both circle equations and the curve's linear relation
@@ -105,7 +105,7 @@ class LocusPoint:
     q_polar_angle: Angle
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrisectionResult:
     """Solved trisection: the target angle, the trisected angle, the curve
     parameter at the crossing, the unit length |ON| = |OJ|, the crossing

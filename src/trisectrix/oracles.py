@@ -24,7 +24,7 @@ from .report import ResidualMap
 SQUARE_CORNER = Point2(1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChordDiagram:
     """Chord construction for a target angle: the segment from the vertex A
     to F on the unit circle is a diameter of a half-unit circle centered at
@@ -139,7 +139,7 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CrossValidationReport(ResidualMap):
     """Every residual from one cross-validation run, keyed by source.
 

@@ -37,7 +37,7 @@ from .geom import (
 from .report import VerificationReport
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AbeConstruction:
     """The named point set and trisecting angles of the fold's end state.
 

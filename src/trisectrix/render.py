@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .locus import LocusParams, LocusPoint, TrisectionResult
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RenderSpec:
     """Canvas geometry and layer toggles for the SVG emitter."""
 
@@ -46,6 +46,8 @@ class RenderSpec:
             )
         if not (math.isfinite(self.stroke_width) and self.stroke_width > 0.0):
             raise ValueError(f"stroke width must be positive, got {self.stroke_width!r}")
+        if self.stroke_width > min(self.width_px, self.height_px) - 2 * self.margin_px:
+            raise ValueError(f"stroke width {self.stroke_width!r} px exceeds the drawing area")
 
 
 def _n(v: float) -> str:

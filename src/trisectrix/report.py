@@ -6,8 +6,10 @@ from dataclasses import dataclass, field
 
 
 class ResidualMap:
-    """Queries over a ``residuals`` map of named residuals, for the report
-    dataclasses that hold one."""
+    """Queries over a ``residuals`` map of named residuals, mixed into the
+    report types that hold one."""
+
+    __slots__ = ()
 
     residuals: dict[str, float]
 
@@ -23,7 +25,7 @@ class ResidualMap:
         return self.max_residual() <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerificationReport(ResidualMap):
     """A map of named residuals, each expected to sit at rounding level.
 

@@ -314,16 +314,19 @@ class TestTotality:
 
     @given(
         degrees=st.none() | st.floats(min_value=1.0, max_value=90.0),
-        width=st.integers() | st.integers(min_value=2 ** 1020, max_value=2 ** 1030),
+        width=st.integers(min_value=64, max_value=4096) | st.integers()
+        | st.integers(min_value=2 ** 1020, max_value=2 ** 1030),
         height=st.integers(min_value=-10, max_value=10 ** 6),
-        margin=st.integers(),
+        margin=st.integers(min_value=0, max_value=64) | st.integers(),
+        stroke=st.floats(min_value=0.0, max_value=1e3) | st.floats(),
     )
     @settings(deadline=None, max_examples=300)
-    def test_any_canvas(self, degrees, width, height, margin):
-        # Every integer canvas ends in a documented code, and a drawn one
-        # has a viewBox of positive finite size.
+    def test_any_canvas(self, degrees, width, height, margin, stroke):
+        # Every integer canvas and stroke width ends in a documented code,
+        # and a drawn one has a viewBox of positive finite size and a stroke
+        # no wider than the shorter side of its drawing area.
         argv = ["render", f"--width={width}", f"--height={height}",
-                f"--margin={margin}", "--samples", "8"]
+                f"--margin={margin}", f"--stroke-width={stroke!r}", "--samples", "8"]
         if degrees is not None:
             argv.append(f"--angle-deg={degrees!r}")
         out = io.StringIO()
@@ -333,3 +336,4 @@ class TestTotality:
         if code == 0:
             view_box = ET.fromstring(out.getvalue()).attrib["viewBox"].split()
             assert all(0.0 < float(v) < math.inf for v in view_box[2:])
+            assert 0.0 < stroke <= min(width, height) - 2 * margin

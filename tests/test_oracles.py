@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
 from trisectrix.geom import Angle, Point2, as_angle, distance
+from trisectrix.locus import LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
     chord_diagram,
     chord_residuals,
@@ -20,6 +21,21 @@ from trisectrix.origami import abe_construct, abe_verify
 
 SIN_20 = 0.3420201433256687
 TWO_SIN_20 = 0.6840402866513374
+
+
+def _count_constructions(monkeypatch) -> dict:
+    """Count Point2 and Angle constructions through their __post_init__,
+    the hook the benchmark's per-op counts wrap."""
+    counts = {Point2: 0, Angle: 0}
+    for cls in counts:
+        original = cls.__post_init__
+
+        def counted(self, original=original, cls=cls):
+            counts[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
 
 
 class TestOracleTheta:
@@ -158,18 +174,19 @@ class TestCrossValidate:
     def test_value_constructions_per_call(self, monkeypatch):
         # Each public value is built once: a sub-90 degree target given as a
         # raw float builds at most 13 Point2 and 7 Angle values.
-        counts = {Point2: 0, Angle: 0}
-        for cls in counts:
-            original = cls.__post_init__
-
-            def counted(self, original=original, cls=cls):
-                counts[cls] += 1
-                original(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        counts = _count_constructions(monkeypatch)
         cross_validate(math.radians(60.0), 1.0, 1e-12)
         assert counts[Point2] <= 13
         assert counts[Angle] <= 7
+
+    def test_value_constructions_per_solve(self, monkeypatch):
+        # The benchmark's solve op, LocusParams + trisect + verify_trisection
+        # of a raw 60 degree target, builds one Point2 (N) and two Angle
+        # values (the target and theta).
+        counts = _count_constructions(monkeypatch)
+        params = LocusParams(1.0)
+        verify_trisection(trisect(math.radians(60.0), params), params)
+        assert counts == {Point2: 1, Angle: 2}
 
 
 # SHA-256 over the repr of every route's output on the inputs of

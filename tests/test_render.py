@@ -41,8 +41,12 @@ class TestRenderSpec:
         assert all(float(v) > 0.0 for v in view_box.split()[2:])
 
     def test_rejects_bad_stroke(self):
-        with pytest.raises(ValueError):
-            RenderSpec(stroke_width=0.0)
+        # Wider than 504 px, the shorter side of the default drawing area
+        # (600 - 2*48), is rejected too.
+        for stroke in (0.0, 504.5, 1e308):
+            with pytest.raises(ValueError):
+                RenderSpec(stroke_width=stroke)
+        assert RenderSpec(stroke_width=504.0).stroke_width == 504.0
 
 
 class TestRenderSvg:
