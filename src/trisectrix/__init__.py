@@ -7,23 +7,19 @@ deterministic JSON/CSV/SVG emitters.
 
 from .errors import (
     AngleOutOfRange,
-    ConcentricCircles,
     DegeneratePoint,
     InvalidSampleCount,
     MaxIterationsExceeded,
     MismatchDetected,
-    NoIntersection,
     ParameterOutOfRange,
     TrisectrixError,
 )
 from .geom import (
     Angle,
-    Circle,
     ORIGIN,
     Point2,
     SQRT3,
     as_angle,
-    circle_circle_intersections,
     distance,
 )
 from .locus import (
@@ -31,7 +27,6 @@ from .locus import (
     LocusPoint,
     TrisectionResult,
     locus_point,
-    locus_polar_radius,
     locus_relation_residual,
     sample_locus,
     trisect,
@@ -57,8 +52,6 @@ __all__ = [
     "AngleOutOfRange",
     "AbeConstruction",
     "ChordDiagram",
-    "Circle",
-    "ConcentricCircles",
     "CrossValidationReport",
     "DegeneratePoint",
     "InvalidSampleCount",
@@ -66,7 +59,6 @@ __all__ = [
     "LocusPoint",
     "MaxIterationsExceeded",
     "MismatchDetected",
-    "NoIntersection",
     "ORIGIN",
     "ParameterOutOfRange",
     "Point2",
@@ -80,11 +72,9 @@ __all__ = [
     "as_angle",
     "chord_diagram",
     "chord_residuals",
-    "circle_circle_intersections",
     "cross_validate",
     "distance",
     "locus_point",
-    "locus_polar_radius",
     "locus_relation_residual",
     "oracle_theta",
     "render_svg",

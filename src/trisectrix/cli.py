@@ -19,12 +19,10 @@ from typing import Callable, Optional, Sequence
 
 from .errors import (
     AngleOutOfRange,
-    ConcentricCircles,
     DegeneratePoint,
     InvalidSampleCount,
     MaxIterationsExceeded,
     MismatchDetected,
-    NoIntersection,
     ParameterOutOfRange,
 )
 from .geom import SQRT3, Angle
@@ -109,13 +107,13 @@ def cmd_trisect(args: argparse.Namespace) -> int:
         "theta_deg": result.theta.degrees,
         "theta_rad": result.theta.radians,
         "b_star": result.b_star,
-        "b_star_normalized": result.b_star / result.unit_length,
+        "b_star_normalized": report.informational["b_star_normalized"],
         "unit_length": result.unit_length,
         "n_point": {"x": result.n_point.x, "y": result.n_point.y},
         "iterations": result.iterations,
         "final_bracket_width": result.final_bracket_width,
         "angle_residual_rad": result.angle_residual,
-        "sin_theta_normalized": args.fold / result.unit_length,
+        "sin_theta_normalized": report.informational["sin_theta_normalized"],
         "fold_a": args.fold,
         "verification": dict(report.residuals),
     }
@@ -130,7 +128,7 @@ def cmd_trisect(args: argparse.Namespace) -> int:
             f"N            : ({payload['n_point']['x']!r}, {payload['n_point']['y']!r})",
             f"iterations   : {payload['iterations']}",
             f"residual     : {payload['angle_residual_rad']!r} rad",
-            f"worst check  : {max(abs(v) for v in payload['verification'].values())!r}",
+            f"worst check  : {report.max_residual()!r}",
         ]
         text = "\n".join(lines) + "\n"
     _write_output(text, args.output)
@@ -324,8 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, InvalidSampleCount) as exc:
         print(f"trisectrix: argument error: {exc}", file=sys.stderr)
         return EXIT_ARGS
-    except (AngleOutOfRange, ParameterOutOfRange, DegeneratePoint,
-            ConcentricCircles, NoIntersection) as exc:
+    except (AngleOutOfRange, ParameterOutOfRange, DegeneratePoint) as exc:
         print(f"trisectrix: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except MaxIterationsExceeded as exc:

@@ -9,14 +9,6 @@ class DegeneratePoint(TrisectrixError):
     """An operation received a point with no defined polar angle (the origin)."""
 
 
-class ConcentricCircles(TrisectrixError):
-    """Two circles share a center; they meet in zero or infinitely many points."""
-
-
-class NoIntersection(TrisectrixError):
-    """Two circles are separated or nested and do not intersect."""
-
-
 class AngleOutOfRange(TrisectrixError):
     """An angle lies outside the domain supported by the construction."""
 

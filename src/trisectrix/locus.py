@@ -10,9 +10,11 @@ J itself lies on circle 1, so the two always meet; the counterclockwise
 intersection point Q traces a curve as b grows. Because the chord JQ of
 circle 1 has fixed length 2a, the central angle it subtends is exactly twice
 the angle of J, which puts Q at three times J's polar angle: the curve is a
-trisectrix. Intersecting it with the ray at a target angle therefore solves
-the trisection, and the distance |OQ| at the crossing is the unit length at
-which the assumed fold spacing equals the sine of the trisected angle.
+trisectrix. With J at angle phi/3 and |OQ| = |OJ|, its polar form is
+r = a / sin(phi/3). Intersecting it with the ray at a target angle therefore
+solves the trisection, and the distance |OQ| at the crossing is the unit
+length at which the assumed fold spacing equals the sine of the trisected
+angle.
 
 The crossing is found by plain bisection on the polar angle of Q, which is
 strictly decreasing in b; the bracket starts at b = sqrt(3)*a, where Q sits
@@ -177,21 +179,6 @@ def locus_relation_residual(params: LocusParams, b: float, q: Point2) -> float:
     """
     a = params.a
     return b * q.x + a * q.y - (b * b - a * a)
-
-
-def locus_polar_radius(params: LocusParams, phi: AngleLike) -> float:
-    """Radial distance of the curve at polar angle ``phi`` in (0, pi/2].
-
-    Closed polar form r = a / sin(phi/3): the chord JQ = 2a of circle 1
-    subtends the central angle 2*phi/3, and sin of J's angle is a/r.
-    Consistent with :func:`locus_point` under b = sqrt(r^2 - a^2).
-    """
-    p = raw_radians(phi)
-    if not 0.0 < p <= 0.5 * math.pi:
-        raise AngleOutOfRange(
-            f"locus polar angle must lie in (0, 90] degrees, got {math.degrees(p):.6g}"
-        )
-    return params.a / math.sin(p / 3.0)
 
 
 def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> list[LocusPoint]:

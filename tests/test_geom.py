@@ -1,19 +1,17 @@
-"""Tests for the planar primitives: angles, distances, intersections."""
+"""Tests for the planar primitives: angles, polar angles and distances."""
 
 import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trisectrix.errors import ConcentricCircles, DegeneratePoint, NoIntersection
+from trisectrix.errors import DegeneratePoint
 from trisectrix.geom import (
     Angle,
-    Circle,
     ORIGIN,
     Point2,
     SQRT3,
     as_angle,
-    circle_circle_intersections,
     distance,
     polar_radians,
     wrap_angle,
@@ -71,12 +69,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Point2(0.0, float("inf"))
 
-    def test_circle_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            Circle(ORIGIN, 0.0)
-        with pytest.raises(ValueError):
-            Circle(ORIGIN, -1.0)
-
 
 class TestPolarAngle:
     def test_positive_x_axis(self):
@@ -127,83 +119,3 @@ class TestDistance:
     def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
         p, q, r = Point2(ax, ay), Point2(bx, by), Point2(cx, cy)
         assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-12
-
-
-@st.composite
-def intersecting_circle_pairs(draw):
-    """Two circles guaranteed to cross transversally (away from tangency)."""
-    cx = draw(st.floats(min_value=-10.0, max_value=10.0))
-    cy = draw(st.floats(min_value=-10.0, max_value=10.0))
-    r1 = draw(st.floats(min_value=0.1, max_value=10.0))
-    r2 = draw(st.floats(min_value=0.1, max_value=10.0))
-    t = draw(st.floats(min_value=0.05, max_value=0.95))
-    angle = draw(st.floats(min_value=0.0, max_value=TWO_PI))
-    d = abs(r1 - r2) + t * ((r1 + r2) - abs(r1 - r2))
-    assume(d > 1e-3)
-    c2 = Point2(cx + d * math.cos(angle), cy + d * math.sin(angle))
-    return Circle(Point2(cx, cy), r1), Circle(c2, r2)
-
-
-class TestCircleIntersections:
-    def test_external_tangency(self):
-        points = circle_circle_intersections(
-            Circle(ORIGIN, 1.0), Circle(Point2(2.0, 0.0), 1.0)
-        )
-        assert len(points) == 1
-        assert distance(points[0], Point2(1.0, 0.0)) <= 1e-12
-
-    def test_locus_circle_pair_contains_top_point(self):
-        # center (0,0) radius sqrt(a^2+b^2), center (b,a) radius 2a, a=1, b=sqrt(3)
-        c1 = Circle(ORIGIN, math.hypot(SQRT3, 1.0))
-        c2 = Circle(Point2(SQRT3, 1.0), 2.0)
-        points = circle_circle_intersections(c1, c2)
-        assert len(points) == 2
-        assert min(distance(p, Point2(0.0, 2.0)) for p in points) <= 1e-12
-
-    def test_separated_circles_raise(self):
-        with pytest.raises(NoIntersection):
-            circle_circle_intersections(
-                Circle(ORIGIN, 1.0), Circle(Point2(5.0, 0.0), 1.0)
-            )
-
-    def test_nested_circles_raise(self):
-        with pytest.raises(NoIntersection):
-            circle_circle_intersections(
-                Circle(ORIGIN, 5.0), Circle(Point2(0.5, 0.0), 1.0)
-            )
-
-    def test_concentric_circles_raise(self):
-        with pytest.raises(ConcentricCircles):
-            circle_circle_intersections(
-                Circle(ORIGIN, 1.0), Circle(Point2(0.0, 0.0), 2.0)
-            )
-
-    def test_branch_order_is_stable(self):
-        c1 = Circle(Point2(0.3, -0.2), 2.0)
-        c2 = Circle(Point2(1.1, 0.9), 1.5)
-        first = circle_circle_intersections(c1, c2)
-        for _ in range(5):
-            again = circle_circle_intersections(c1, c2)
-            assert [(p.x, p.y) for p in again] == [(p.x, p.y) for p in first]
-
-    @given(pair=intersecting_circle_pairs())
-    @settings(deadline=None, max_examples=200)
-    def test_points_lie_on_both_circles(self, pair):
-        c1, c2 = pair
-        points = circle_circle_intersections(c1, c2)
-        assert len(points) == 2
-        for p in points:
-            for c in (c1, c2):
-                residual = abs(distance(p, c.center) - c.radius)
-                assert residual <= 1e-12 * max(c.radius, 1.0)
-
-    @given(pair=intersecting_circle_pairs())
-    @settings(deadline=None, max_examples=200)
-    def test_two_points_ascend_in_polar_angle(self, pair):
-        c1, c2 = pair
-        points = circle_circle_intersections(c1, c2)
-        angles = [
-            math.atan2(p.y - c1.center.y, p.x - c1.center.x) % TWO_PI for p in points
-        ]
-        assert angles == sorted(angles)
-

@@ -17,11 +17,9 @@ from trisectrix.errors import (
 )
 from trisectrix.geom import (
     Angle,
-    Circle,
     ORIGIN,
     Point2,
     SQRT3,
-    circle_circle_intersections,
     distance,
     polar_radians,
     wrap_signed,
@@ -35,7 +33,6 @@ from trisectrix.locus import (
     TrisectionResult,
     _q_coords,
     locus_point,
-    locus_polar_radius,
     locus_relation_residual,
     sample_locus,
     trisect,
@@ -59,6 +56,21 @@ def _criterion_targets():
     targets = [math.radians(d) for d in range(1, 91)]
     targets += [(1.0 - rng.random()) * (math.pi / 2.0) for _ in range(1000)]
     return targets
+
+
+def _circle_intersections(c1, r1, c2, r2):
+    """Both points where two crossing circles meet, by the radical line.
+
+    Its foot lies (r1^2 - r2^2 + d^2) / (2d) from c1 along the center axis,
+    and the half chord h across it satisfies h^2 = r1^2 - foot^2.
+    """
+    dx, dy = c2.x - c1.x, c2.y - c1.y
+    d = math.hypot(dx, dy)
+    foot = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    h = math.sqrt((r1 - foot) * (r1 + foot))
+    ux, uy = dx / d, dy / d
+    fx, fy = c1.x + foot * ux, c1.y + foot * uy
+    return [Point2(fx - h * uy, fy + h * ux), Point2(fx + h * uy, fy - h * ux)]
 
 
 fold_values = st.floats(min_value=0.01, max_value=100.0)
@@ -140,14 +152,12 @@ class TestLocusPoint:
     )
     @settings(deadline=None, max_examples=200)
     def test_agrees_with_general_circle_intersection(self, a, ratio):
-        # Independent route: intersect the two circles with the generic
-        # machinery and select the counterclockwise branch explicitly.
+        # Independent route: intersect the two circles through their radical
+        # line and select the counterclockwise branch explicitly.
         b = SQRT3 * a * ratio
         lp = locus_point(LocusParams(a), b)
         r1 = math.hypot(a, b)
-        candidates = circle_circle_intersections(
-            Circle(ORIGIN, r1), Circle(Point2(b, a), 2.0 * a)
-        )
+        candidates = _circle_intersections(ORIGIN, r1, Point2(b, a), 2.0 * a)
         slider = math.atan2(a, b)
         ccw = max(
             candidates,
@@ -184,28 +194,13 @@ class TestRelationResidual:
 
 
 class TestPolarRadius:
-    def test_quarter_turn_radius(self):
-        r = locus_polar_radius(LocusParams(1.0), math.pi / 2.0)
-        assert abs(r - 2.0) <= 1e-12
-        r_half = locus_polar_radius(LocusParams(0.5), math.pi / 2.0)
-        assert abs(r_half - 1.0) <= 1e-12
-
-    def test_unit_crossing_for_sixty(self):
-        r = locus_polar_radius(LocusParams(SIN_20), math.radians(60.0))
-        assert abs(r - 1.0) <= 1e-12
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(AngleOutOfRange):
-            locus_polar_radius(LocusParams(1.0), 0.0)
-        with pytest.raises(AngleOutOfRange):
-            locus_polar_radius(LocusParams(1.0), math.pi / 2.0 + 0.1)
-
     def test_consistent_with_locus_point(self):
+        # The closed polar form r = a / sin(phi/3) from the module docstring.
         rng = random.Random(0x10C5)
         for _ in range(300):
             a = rng.uniform(0.05, 5.0)
             phi = rng.uniform(0.01, math.pi / 2.0)
-            r = locus_polar_radius(LocusParams(a), phi)
+            r = a / math.sin(phi / 3.0)
             b = math.sqrt(r * r - a * a)
             lp = locus_point(LocusParams(a), b)
             expected = Point2(r * math.cos(phi), r * math.sin(phi))
@@ -383,8 +378,6 @@ class TestTrisect:
         # An Angle wraps 450 degrees to 90; a raw target is checked as given.
         with pytest.raises(AngleOutOfRange):
             trisect(math.radians(degrees), LocusParams(1.0))
-        with pytest.raises(AngleOutOfRange):
-            locus_polar_radius(LocusParams(1.0), math.radians(degrees))
 
     @given(
         target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
@@ -423,7 +416,6 @@ class TestTrisect:
     def test_accepts_plain_radian_floats(self):
         r = trisect(math.pi / 3.0, LocusParams(1.0))
         assert abs(r.theta.radians - math.pi / 9.0) <= 1e-12
-        assert abs(locus_polar_radius(LocusParams(1.0), math.pi / 2.0) - 2.0) <= 1e-12
 
 
 class TestVerifyTrisection:

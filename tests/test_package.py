@@ -1,19 +1,26 @@
-"""Tests for the top-level package: its exports, the README example and the
-layout of its value types."""
+"""Tests for the top-level package: its exports, the README example, the
+layout of its value types and the rule that every name in it has a caller."""
 
+import ast
+import collections
 import contextlib
 import io
 import pathlib
 import re
 
 import trisectrix
-from trisectrix.geom import Angle, Circle, Point2
+from trisectrix.geom import Angle, Point2
 from trisectrix.locus import LocusParams, locus_point, trisect, verify_trisection
 from trisectrix.oracles import chord_diagram, cross_validate
 from trisectrix.origami import abe_construct
 from trisectrix.render import RenderSpec
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = pathlib.Path(trisectrix.__file__).resolve().parent
+
+# Top-level names with no caller inside the package: the acceptance gate
+# (tests/test_acceptance.py) imports them to measure the library's outputs.
+CALLED_ONLY_BY_ACCEPTANCE_GATE = {"distance", "wrap_signed"}
 
 
 def test_every_exported_name_resolves_once():
@@ -43,13 +50,56 @@ def test_value_types_are_slotted_and_keep_post_init():
     params = LocusParams(1.0)
     result = trisect(1.0, params)
     values = [
-        Angle(1.0), Point2(0.0, 1.0), Circle(Point2(0.0, 0.0), 1.0), params,
+        Angle(1.0), Point2(0.0, 1.0), params,
         locus_point(params, 2.0), result, verify_trisection(result, params),
         abe_construct(1.0), chord_diagram(1.0), cross_validate(1.0, 1.0, 1e-10),
         RenderSpec(),
     ]
-    assert len({type(v) for v in values}) == 11
+    assert len({type(v) for v in values}) == 10
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
     assert "__post_init__" in Point2.__dict__
     assert "__post_init__" in Angle.__dict__
+
+
+def _defined_names(statement):
+    """Function, class and constant names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
+
+
+def _loaded_names(statement):
+    """Names a statement reads, bare or as an attribute such as ``geom.x``."""
+    names = collections.Counter()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+    return names
+
+
+def test_every_top_level_name_has_a_caller_in_the_package():
+    # Code is kept only if the pipeline, an oracle route or the CLI uses it.
+    # A re-export from __init__.py is not a use, and neither is a read inside
+    # the name's own definition, such as a recursive call.
+    statements = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            statements += [(path.stem, s, _loaded_names(s)) for s in tree.body]
+    total = collections.Counter()
+    for _, _, loads in statements:
+        total.update(loads)
+    uncalled = {
+        f"{module}.{name}"
+        for module, statement, loads in statements
+        for name in _defined_names(statement)
+        if total[name] == loads[name]
+    }
+    assert uncalled == {f"geom.{name}" for name in CALLED_ONLY_BY_ACCEPTANCE_GATE}
