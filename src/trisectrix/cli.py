@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     AngleOutOfRange,
     DegeneratePoint,
-    InvalidSampleCount,
     MaxIterationsExceeded,
     MismatchDetected,
     ParameterOutOfRange,
@@ -47,25 +46,37 @@ EXIT_IO = 5
 
 CSV_HEADER = "b,x,y,q_angle_deg,j_angle_deg,residual_c1,residual_c2,residual_relation"
 
-_FORMATS = {
-    "trisect": ("json", "text"),
-    "locus": ("csv",),
-    "origami": ("json", "text"),
-    "verify": ("text", "json"),
-    "render": ("svg",),
+
+def _checked(convert: Callable[[str], float], rule: str,
+             ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse type: ``convert`` the text, then reject a value that is not ``ok``."""
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value: 'x'"
+    return parse
+
+
+_POSITIVE = _checked(float, "positive", lambda v: math.isfinite(v) and v > 0.0)
+
+# The flags besides --format and --output, each with its type, check and default.
+_FLAGS = {
+    "--angle-deg": dict(type=float, help="target angle in degrees, in (0, 90]"),
+    "--fold": dict(type=_POSITIVE, default=1.0,
+                   help="fold spacing a in construction units (default 1)"),
+    "--tol": dict(type=_POSITIVE, default=DEFAULT_TOL,
+                  help="solver tolerance in radians (default 1e-12)"),
+    "--max-iter": dict(type=_checked(int, "at least 1", lambda v: v >= 1),
+                       default=DEFAULT_MAX_ITER,
+                       help=f"bisection step budget (default {DEFAULT_MAX_ITER})"),
+    "--samples": dict(type=_checked(int, "at least 2", lambda v: v >= 2),
+                      help="locus sample count (default %(default)s)"),
+    "--b-min": dict(type=float, help="lowest locus parameter (default sqrt(3)*a)"),
+    "--b-max": dict(type=float, help="highest locus parameter (default 10*a)"),
 }
-
-
-def _check(args: argparse.Namespace) -> None:
-    """Reject flag values that parse but that no command can use."""
-    if not (math.isfinite(args.fold) and args.fold > 0.0):
-        raise ValueError(f"--fold must be positive, got {args.fold!r}")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ValueError(f"--tol must be positive, got {args.tol!r}")
-    if args.samples < 2:
-        raise ValueError(f"--samples must be at least 2, got {args.samples!r}")
-    if args.max_iter < 1:
-        raise ValueError(f"--max-iter must be at least 1, got {args.max_iter!r}")
 
 
 def _target(args: argparse.Namespace) -> Angle:
@@ -96,6 +107,16 @@ def _write_output(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _emit(args: argparse.Namespace, payload: dict,
+          text_lines: Callable[[], list[str]]) -> None:
+    """Write ``payload`` as JSON, or as the lines of ``text_lines()`` for --format text."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "\n".join(text_lines()) + "\n"
+    _write_output(text, args.output)
+
+
 def cmd_trisect(args: argparse.Namespace) -> int:
     target = _target(args)
     params = LocusParams(args.fold)
@@ -117,21 +138,16 @@ def cmd_trisect(args: argparse.Namespace) -> int:
         "fold_a": args.fold,
         "verification": dict(report.residuals),
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"target angle : {payload['three_theta_deg']:.6g} deg",
-            f"trisected    : {payload['theta_deg']!r} deg",
-            f"b*           : {payload['b_star']!r}",
-            f"unit length  : {payload['unit_length']!r}",
-            f"N            : ({payload['n_point']['x']!r}, {payload['n_point']['y']!r})",
-            f"iterations   : {payload['iterations']}",
-            f"residual     : {payload['angle_residual_rad']!r} rad",
-            f"worst check  : {report.max_residual()!r}",
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
+    _emit(args, payload, lambda: [
+        f"target angle : {payload['three_theta_deg']:.6g} deg",
+        f"trisected    : {payload['theta_deg']!r} deg",
+        f"b*           : {payload['b_star']!r}",
+        f"unit length  : {payload['unit_length']!r}",
+        f"N            : ({payload['n_point']['x']!r}, {payload['n_point']['y']!r})",
+        f"iterations   : {payload['iterations']}",
+        f"residual     : {payload['angle_residual_rad']!r} rad",
+        f"worst check  : {report.max_residual()!r}",
+    ])
     return EXIT_OK
 
 
@@ -170,18 +186,12 @@ def cmd_origami(args: argparse.Namespace) -> int:
         "residuals": dict(report.residuals),
         "informational": dict(report.informational),
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [f"fold construction for {payload['three_theta_deg']:.6g} deg"]
-        for name, p in points.items():
-            lines.append(f"  {name} = ({p['x']!r}, {p['y']!r})")
-        lines.append(
-            f"  alpha = beta = gamma = {payload['alpha_deg']!r} deg, "
-            f"worst residual {report.max_residual()!r}"
-        )
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
+    _emit(args, payload, lambda: [
+        f"fold construction for {payload['three_theta_deg']:.6g} deg",
+        *(f"  {name} = ({p['x']!r}, {p['y']!r})" for name, p in points.items()),
+        f"  alpha = beta = gamma = {payload['alpha_deg']!r} deg, "
+        f"worst residual {report.max_residual()!r}",
+    ])
     return EXIT_OK
 
 
@@ -205,34 +215,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures.append(f"{deg} deg: residual {name} = {value!r} exceeds tol")
 
     ok = not failures
-    if args.format == "json":
-        payload = {
-            "angles_checked": checked,
-            "fold_a": args.fold,
-            "tol": args.tol,
-            "passed": ok,
-            "failures": failures,
-            "worst_residuals": {
-                name: {"value": value, "at_deg": deg}
-                for name, (value, deg) in sorted(worst.items())
-            },
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"cross-check sweep: 1..90 deg, fold a={args.fold!r}, tol={args.tol!r}"
-        ]
-        for name, (value, deg) in sorted(worst.items(), key=lambda kv: -kv[1][0]):
-            lines.append(f"  {name:32s} {value:.3e}  (at {deg} deg)")
-        for failure in failures:
-            lines.append(f"  FAIL {failure}")
-        lines.append(f"result: {'PASS' if ok else 'FAIL'} ({checked}/90 angles checked)")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
+    payload = {
+        "angles_checked": checked,
+        "fold_a": args.fold,
+        "tol": args.tol,
+        "passed": ok,
+        "failures": failures,
+        "worst_residuals": {
+            name: {"value": value, "at_deg": deg}
+            for name, (value, deg) in sorted(worst.items())
+        },
+    }
+    # The text ranks ``worst`` itself: residuals that tie keep the report's
+    # order, which the payload's sorted names would lose.
+    _emit(args, payload, lambda: [
+        f"cross-check sweep: 1..90 deg, fold a={args.fold!r}, tol={args.tol!r}",
+        *(f"  {name:32s} {value:.3e}  (at {deg} deg)"
+          for name, (value, deg) in sorted(worst.items(), key=lambda kv: -kv[1][0])),
+        *(f"  FAIL {failure}" for failure in failures),
+        f"result: {'PASS' if ok else 'FAIL'} ({checked}/90 angles checked)",
+    ])
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    if args.angle_deg is not None and (args.b_min is not None or args.b_max is not None):
+        raise ValueError("--angle-deg sets the drawn range: drop --b-min and --b-max")
     spec = RenderSpec(
         width_px=args.width,
         height_px=args.height,
@@ -243,15 +251,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         rays=not args.no_rays,
         labels=not args.no_labels,
     )
-    a = args.fold
-    params = LocusParams(a)
+    params = LocusParams(args.fold)
+    b_min, b_max = _b_range(args)
     result = None
     if args.angle_deg is not None:
         result = trisect(_target(args), params, tol=args.tol, max_iter=args.max_iter)
-        b_min = SQRT3 * a
         b_max = max(1.3 * result.b_star, 2.0 * b_min)
-    else:
-        b_min, b_max = _b_range(args)
     points = sample_locus(params, b_min, b_max, args.samples)
     svg = render_svg(params, points, result=result, spec=spec)
     _write_output(svg, args.output)
@@ -267,36 +272,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_command(name: str, command: Callable[[argparse.Namespace], int], help: str,
-                    samples_default: int = 100) -> argparse.ArgumentParser:
+                    flags: Sequence[str], formats: Sequence[str] = (),
+                    **defaults) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(command=command)
-        p.add_argument("--angle-deg", type=float, default=None,
-                       help="target angle in degrees, in (0, 90]")
-        p.add_argument("--fold", type=float, default=1.0,
-                       help="fold spacing a in construction units (default 1)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="solver tolerance in radians (default 1e-12)")
-        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                       help=f"bisection step budget (default {DEFAULT_MAX_ITER})")
-        p.add_argument("--samples", type=int, default=samples_default,
-                       help=f"locus sample count (default {samples_default})")
-        p.add_argument("--b-min", type=float, default=None,
-                       help="lowest locus parameter (default sqrt(3)*a)")
-        p.add_argument("--b-max", type=float, default=None,
-                       help="highest locus parameter (default 10*a)")
-        formats = _FORMATS[name]
-        p.add_argument("--format", type=str, default=formats[0], choices=formats,
-                       help=f"output format (default {formats[0]})")
-        p.add_argument("--output", type=str, default=None,
-                       help="output path (default: standard output)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats,
+                           help=f"output format (default {formats[0]})")
+        p.add_argument("--output", help="output path (default: standard output)")
+        p.set_defaults(command=command, **defaults)
         return p
 
-    add_command("trisect", cmd_trisect, "solve one trisection, emit JSON")
-    add_command("locus", cmd_locus, "emit a CSV table of locus samples")
-    add_command("origami", cmd_origami, "emit the fold construction")
-    add_command("verify", cmd_verify, "cross-check a 1..90 degree sweep")
+    add_command("trisect", cmd_trisect, "solve one trisection, emit JSON",
+                ("--angle-deg", "--fold", "--tol", "--max-iter"), ("json", "text"))
+    add_command("locus", cmd_locus, "emit a CSV table of locus samples",
+                ("--fold", "--samples", "--b-min", "--b-max"), samples=100)
+    add_command("origami", cmd_origami, "emit the fold construction",
+                ("--angle-deg",), ("json", "text"))
+    add_command("verify", cmd_verify, "cross-check a 1..90 degree sweep",
+                ("--fold", "--tol"), ("text", "json"))
 
-    render = add_command("render", cmd_render, "emit an SVG construction diagram", 128)
+    render = add_command("render", cmd_render, "emit an SVG construction diagram",
+                         ("--angle-deg", "--fold", "--tol", "--max-iter", "--samples",
+                          "--b-min", "--b-max"), samples=128)
     render.add_argument("--width", type=int, default=800, help="canvas width in px")
     render.add_argument("--height", type=int, default=600, help="canvas height in px")
     render.add_argument("--margin", type=int, default=48, help="canvas margin in px")
@@ -317,9 +316,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ARGS
 
     try:
-        _check(args)
         return args.command(args)
-    except (ValueError, InvalidSampleCount) as exc:
+    except ValueError as exc:
         print(f"trisectrix: argument error: {exc}", file=sys.stderr)
         return EXIT_ARGS
     except (AngleOutOfRange, ParameterOutOfRange, DegeneratePoint) as exc:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -253,6 +255,74 @@ class TestRenderCommand:
         assert code == 2
 
 
+# Exactly the flags each subcommand reads.
+FLAGS = {
+    "trisect": {"--angle-deg", "--fold", "--tol", "--max-iter", "--format", "--output"},
+    "locus": {"--fold", "--samples", "--b-min", "--b-max", "--output"},
+    "origami": {"--angle-deg", "--format", "--output"},
+    "verify": {"--fold", "--tol", "--format", "--output"},
+    "render": {"--angle-deg", "--fold", "--tol", "--max-iter", "--samples", "--b-min",
+               "--b-max", "--output", "--width", "--height", "--margin", "--stroke-width",
+               "--no-circles", "--no-locus", "--no-rays", "--no-labels"},
+}
+UNREAD = [
+    (command, flag)
+    for command, flags in FLAGS.items()
+    for flag in sorted(set().union(*FLAGS.values()) - flags)
+]
+
+
+class TestFlagSurface:
+    # A command line each subcommand runs to exit 0, and a value for each flag
+    # (None for a switch). --format takes the one choice locus and render had.
+    BASE = {"trisect": ["--angle-deg", "60"], "locus": [], "origami": ["--angle-deg", "60"],
+            "verify": ["--tol", "1e-10"], "render": []}
+    VALUES = {"--angle-deg": "30", "--fold": "2", "--tol": "1e-10", "--max-iter": "5",
+              "--samples": "16", "--b-min": "2", "--b-max": "3", "--width": "800",
+              "--height": "600", "--margin": "48", "--stroke-width": "1.5",
+              "--no-circles": None, "--no-locus": None, "--no-rays": None,
+              "--no-labels": None}
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"} \
+            == FLAGS[command]
+
+    def test_thirty_four_flags_in_all(self):
+        assert sum(len(flags) for flags in FLAGS.values()) == 34
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        value = {"locus": "csv", "render": "svg"}[command] if flag == "--format" \
+            else self.VALUES[flag]
+        argv = [command, *self.BASE[command], flag]
+        code, out, err = run(capsys, *(argv if value is None else [*argv, value]))
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err and flag in err
+
+    def test_readme_lists_exactly_the_flags_read(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        listed = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            match = re.match(r"- `(\w+)`: ", line)
+            if match and match.group(1) in FLAGS:
+                listed[match.group(1)] = set(re.findall(r"--[a-z][a-z-]*", line))
+        assert listed == FLAGS
+
+    @pytest.mark.parametrize("b_range", [["--b-min", "2"], ["--b-max", "3"],
+                                         ["--b-min", "0.5", "--b-max", "2"]])
+    def test_render_angle_with_b_range_exits_2(self, capsys, b_range):
+        # The solved diagram picks its own range, so a given one would be
+        # silently ignored.
+        code, out, err = run(capsys, "render", "--angle-deg", "60", *b_range)
+        assert code == 2
+        assert out == ""
+        assert "argument error" in err and "--b-min" in err and "--b-max" in err
+
+
 class TestExitCodes:
     def test_unwritable_output_exits_5(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
@@ -286,14 +356,22 @@ class TestTotality:
     @settings(deadline=None, max_examples=300)
     def test_documented_exit_code_without_traceback(self, command, degrees, fold):
         # main raises nothing for any angle and positive finite fold: every
-        # failure maps to a documented code.
+        # failure maps to a documented code. Each command gets only the flags
+        # it reads, and well inside the domain it must succeed, so argument
+        # errors alone cannot pass this.
+        argv = [command, f"--angle-deg={degrees!r}"]
+        if command != "origami":
+            argv.append(f"--fold={fold!r}")
+        if command == "render":
+            argv += ["--samples", "16"]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, f"--angle-deg={degrees!r}", f"--fold={fold!r}",
-                         "--samples", "16"])
+            code = main(argv)
         assert code in (0, 1, 2, 3, 4)
         if code == 0:
             assert 0.0 < degrees <= 90.0
+        if 1.0 <= degrees <= 89.0 and (command == "origami" or 0.01 <= fold <= 100.0):
+            assert code == 0
 
     @given(
         command=st.sampled_from(["locus", "render"]),

@@ -9,6 +9,7 @@ import pathlib
 import re
 
 import trisectrix
+from trisectrix.cli import main
 from trisectrix.geom import Angle, Point2
 from trisectrix.locus import LocusParams, locus_point, trisect, verify_trisection
 from trisectrix.oracles import chord_diagram, cross_validate
@@ -41,6 +42,24 @@ def test_readme_library_example_runs_as_written():
     # The value the README shows next to the first print is the one printed.
     assert f"# {lines[0]}\n" in code
     assert abs(float(lines[0]) - 20.0) <= 1e-9
+
+
+def test_readme_command_lines_run_as_written(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert len(commands) == 5
+    for words in commands:
+        assert words[0] == "trisectrix"
+        argv = words[1:]
+        # Each output goes into tmp_path: a named file keeps its name there,
+        # standard output becomes a file of its own.
+        if "--output" in argv:
+            at = argv.index("--output") + 1
+            argv[at] = str(tmp_path / argv[at])
+        else:
+            argv += ["--output", str(tmp_path / f"{argv[0]}.out")]
+        assert main(argv) == 0, " ".join(words)
 
 
 def test_value_types_are_slotted_and_keep_post_init():
