@@ -42,7 +42,7 @@ from .oracles import (
     triple_angle_residual,
 )
 from .origami import AbeConstruction, abe_construct, abe_verify
-from .render import RenderSpec, render_svg
+from .render import render_svg
 from .report import VerificationReport
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "ORIGIN",
     "ParameterOutOfRange",
     "Point2",
-    "RenderSpec",
     "SQRT3",
     "TrisectionResult",
     "TrisectrixError",

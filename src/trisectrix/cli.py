@@ -35,7 +35,7 @@ from .locus import (
 )
 from .oracles import cross_validate
 from .origami import abe_construct, abe_verify
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -241,16 +241,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     if args.angle_deg is not None and (args.b_min is not None or args.b_max is not None):
         raise ValueError("--angle-deg sets the drawn range: drop --b-min and --b-max")
-    spec = RenderSpec(
-        width_px=args.width,
-        height_px=args.height,
-        margin_px=args.margin,
-        stroke_width=args.stroke_width,
-        circles=not args.no_circles,
-        locus=not args.no_locus,
-        rays=not args.no_rays,
-        labels=not args.no_labels,
-    )
     params = LocusParams(args.fold)
     b_min, b_max = _b_range(args)
     result = None
@@ -258,7 +248,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         result = trisect(_target(args), params, tol=args.tol, max_iter=args.max_iter)
         b_max = max(1.3 * result.b_star, 2.0 * b_min)
     points = sample_locus(params, b_min, b_max, args.samples)
-    svg = render_svg(params, points, result=result, spec=spec)
+    svg = render_svg(params, points, result=result)
     _write_output(svg, args.output)
     return EXIT_OK
 
@@ -273,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name: str, command: Callable[[argparse.Namespace], int], help: str,
                     flags: Sequence[str], formats: Sequence[str] = (),
-                    **defaults) -> argparse.ArgumentParser:
+                    **defaults) -> None:
         p = sub.add_parser(name, help=help)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -281,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", default=formats[0], choices=formats,
                            help=f"output format (default {formats[0]})")
         p.add_argument("--output", help="output path (default: standard output)")
-        p.set_defaults(command=command, **defaults)
-        return p
+        # main reports a flag the command does not take with its own usage.
+        p.set_defaults(command=command, parser=p, **defaults)
 
     add_command("trisect", cmd_trisect, "solve one trisection, emit JSON",
                 ("--angle-deg", "--fold", "--tol", "--max-iter"), ("json", "text"))
@@ -292,26 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
                 ("--angle-deg",), ("json", "text"))
     add_command("verify", cmd_verify, "cross-check a 1..90 degree sweep",
                 ("--fold", "--tol"), ("text", "json"))
-
-    render = add_command("render", cmd_render, "emit an SVG construction diagram",
-                         ("--angle-deg", "--fold", "--tol", "--max-iter", "--samples",
-                          "--b-min", "--b-max"), samples=128)
-    render.add_argument("--width", type=int, default=800, help="canvas width in px")
-    render.add_argument("--height", type=int, default=600, help="canvas height in px")
-    render.add_argument("--margin", type=int, default=48, help="canvas margin in px")
-    render.add_argument("--stroke-width", type=float, default=1.5,
-                        help="stroke width in px")
-    render.add_argument("--no-circles", action="store_true", help="hide the circles")
-    render.add_argument("--no-locus", action="store_true", help="hide the locus curve")
-    render.add_argument("--no-rays", action="store_true", help="hide the rays")
-    render.add_argument("--no-labels", action="store_true", help="hide point labels")
+    add_command("render", cmd_render, "emit an SVG construction diagram",
+                ("--angle-deg", "--fold", "--tol", "--max-iter", "--samples",
+                 "--b-min", "--b-max"), samples=128)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ARGS
 

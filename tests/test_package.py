@@ -14,7 +14,6 @@ from trisectrix.geom import Angle, Point2
 from trisectrix.locus import LocusParams, locus_point, trisect, verify_trisection
 from trisectrix.oracles import chord_diagram, cross_validate
 from trisectrix.origami import abe_construct
-from trisectrix.render import RenderSpec
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = pathlib.Path(trisectrix.__file__).resolve().parent
@@ -72,9 +71,8 @@ def test_value_types_are_slotted_and_keep_post_init():
         Angle(1.0), Point2(0.0, 1.0), params,
         locus_point(params, 2.0), result, verify_trisection(result, params),
         abe_construct(1.0), chord_diagram(1.0), cross_validate(1.0, 1.0, 1e-10),
-        RenderSpec(),
     ]
-    assert len({type(v) for v in values}) == 10
+    assert len({type(v) for v in values}) == 9
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
     assert "__post_init__" in Point2.__dict__

@@ -1,52 +1,19 @@
 """Tests for the SVG construction renderer."""
 
+import hashlib
+import itertools
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from trisectrix.geom import Angle, SQRT3
-from trisectrix.locus import LocusParams, sample_locus, trisect
-from trisectrix.render import RenderSpec, render_svg
+from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, sample_locus, trisect
+from trisectrix.render import render_svg
 
 PARAMS = LocusParams(1.0)
 POINTS = sample_locus(PARAMS, SQRT3, 4.0, 64)
 RESULT = trisect(Angle.from_degrees(75.0), PARAMS)
-
-
-class TestRenderSpec:
-    def test_defaults_valid(self):
-        spec = RenderSpec()
-        assert spec.width_px >= 64 and spec.height_px >= 64
-
-    def test_rejects_tiny_canvas(self):
-        with pytest.raises(ValueError):
-            RenderSpec(width_px=32)
-        with pytest.raises(ValueError):
-            RenderSpec(height_px=10)
-
-    def test_rejects_canvas_beyond_float_range(self):
-        with pytest.raises(ValueError):
-            RenderSpec(width_px=10 ** 400)
-
-    def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
-            RenderSpec(margin_px=-1)
-        # Twice the margin must leave room on the shorter side.
-        for margin, width, height in ((300, 800, 600), (400, 800, 600),
-                                      (32, 64, 64), (50, 64, 600)):
-            with pytest.raises(ValueError):
-                RenderSpec(width_px=width, height_px=height, margin_px=margin)
-        widest = RenderSpec(width_px=800, height_px=600, margin_px=299)
-        view_box = ET.fromstring(render_svg(PARAMS, POINTS, spec=widest)).attrib["viewBox"]
-        assert all(float(v) > 0.0 for v in view_box.split()[2:])
-
-    def test_rejects_bad_stroke(self):
-        # Wider than 504 px, the shorter side of the default drawing area
-        # (600 - 2*48), is rejected too.
-        for stroke in (0.0, 504.5, 1e308):
-            with pytest.raises(ValueError):
-                RenderSpec(stroke_width=stroke)
-        assert RenderSpec(stroke_width=504.0).stroke_width == 504.0
 
 
 class TestRenderSvg:
@@ -74,22 +41,6 @@ class TestRenderSvg:
         assert ">Q</text>" in without_solve
         assert ">N</text>" not in without_solve
 
-    def test_layer_toggles(self):
-        no_labels = render_svg(PARAMS, POINTS, result=RESULT,
-                               spec=RenderSpec(labels=False))
-        assert "<text" not in no_labels
-        no_circles = render_svg(PARAMS, POINTS, result=RESULT,
-                                spec=RenderSpec(circles=False))
-        assert "<circle " not in no_circles
-        no_locus = render_svg(PARAMS, POINTS, result=RESULT,
-                              spec=RenderSpec(locus=False))
-        assert "<polyline " not in no_locus
-        no_rays = render_svg(PARAMS, POINTS, result=RESULT,
-                             spec=RenderSpec(rays=False))
-        assert no_rays.count("<line ") < render_svg(
-            PARAMS, POINTS, result=RESULT
-        ).count("<line ")
-
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             render_svg(PARAMS, POINTS[:1], result=None)
@@ -101,3 +52,41 @@ class TestRenderSvg:
         polyline = svg.index("<polyline ")
         first_text = svg.index("<text ")
         assert first_line < first_circle < polyline < first_text
+
+
+def diagram(fold, degrees, samples):
+    """``render_svg`` over the range ``trisectrix render`` picks: sqrt(3)*a to
+    10*a, or with a target up to max(1.3*b*, 2*sqrt(3)*a), solved at tol 1e-12."""
+    params = LocusParams(fold)
+    b_min, b_max = SQRT3 * fold, 10.0 * fold
+    result = None
+    if degrees is not None:
+        result = trisect(Angle.from_degrees(degrees), params, tol=1e-12)
+        b_max = max(1.3 * result.b_star, 2.0 * b_min)
+    return render_svg(params, sample_locus(params, b_min, b_max, samples), result=result)
+
+
+def view_box(svg):
+    return [float(v) for v in ET.fromstring(svg).attrib["viewBox"].split()]
+
+
+def test_svg_bytes_over_a_grid():
+    # 440 diagrams, hashed in fold, target, sample-count order.
+    grid = itertools.product(
+        (1e-9, 1e-3, 0.1, 0.37, 1.0, 2.5, 10.0, 1e5, 1e40, 1e89),
+        (None, 1e-6, 0.5, 1.0, 7.3, 30.0, 45.0, 60.0, 75.0, 89.9, 90.0),
+        (2, 3, 17, 128),
+    )
+    digest = hashlib.sha256("".join(diagram(*point) for point in grid).encode())
+    assert digest.hexdigest() == \
+        "6ffb9756bd809ea0f3d10eb89722050dfcef1152ffd15912f9b562c9ebbf6a9b"
+
+
+@pytest.mark.parametrize("fold", [1e-12, 1e-100, FOLD_MIN, FOLD_MAX])
+def test_view_box_scales_with_the_fold(fold):
+    # The construction scales with a, so the viewBox does too, down to the
+    # smallest fold: its printed 6 digits match fold 1's.
+    unit = view_box(diagram(1.0, 60.0, 128))
+    scaled = view_box(diagram(fold, 60.0, 128))
+    for got, want in zip(scaled, unit):
+        assert math.isclose(got / fold, want, rel_tol=1e-5), (scaled, unit)
