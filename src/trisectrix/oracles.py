@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import AngleOutOfRange, MismatchDetected
 from .geom import Angle, AngleLike, ORIGIN, Point2, as_angle, raw_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
 from .report import ResidualMap
-
-# Corner B of the framing square: the same point in every diagram.
-SQUARE_CORNER = Point2(1.0, 0.0)
 
 
 @dataclass(slots=True)
@@ -33,13 +29,11 @@ class ChordDiagram:
 
     E is the foot of F on the base line; G is the unit-circle point at the
     trisected angle, whose height above the base (``fold_BG``) is the crease
-    spacing used by the origami fold. B is the corner of the framing square,
-    part of the paper's figure; no residual reads it.
+    spacing used by the origami fold.
     """
 
     three_theta: Angle
     A: Point2
-    B: Point2
     E: Point2
     F: Point2
     G: Point2
@@ -100,7 +94,6 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
     return ChordDiagram(
         three_theta=t3,
         A=ORIGIN,
-        B=SQUARE_CORNER,
         E=Point2(fx, 0.0),
         F=Point2(fx, fy),
         G=Point2(gx, gy),
@@ -110,8 +103,7 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
         chord_FK=math.hypot(fx - kx, fy - ky),
         chord_KL=math.hypot(kx - lx, ky - ly),
         chord_LE=math.hypot(lx - fx, ly),
-        # Perpendicular distance from G to the base line; the square corner B
-        # plays no part in any checked equality.
+        # Perpendicular distance from G to the base line.
         fold_BG=abs(gy),
     )
 
@@ -141,21 +133,16 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
 
 @dataclass(slots=True)
 class CrossValidationReport(ResidualMap):
-    """Every residual from one cross-validation run, keyed by source.
+    """The locus solver's trisected angle and every route's residual, keyed
+    by source.
 
-    ``theta_origami`` is None (and "origami" appears in ``skipped``) at
-    exactly 90 degrees, where the fold construction sits on the excluded
-    boundary of its open domain while the locus solver and the chord
-    diagram still cover the target.
+    At exactly 90 degrees no ``origami_*``, ``theta_origami_vs_oracle`` or
+    ``theta_locus_vs_origami`` residual appears: the fold construction sits
+    on the excluded boundary of its open domain there, while the locus
+    solver and the chord diagram still cover the target.
     """
 
-    three_theta: Angle
-    fold_a: float
-    tol: float
     theta_locus: Angle
-    theta_oracle: Angle
-    theta_origami: Optional[Angle]
-    skipped: tuple[str, ...]
     residuals: dict[str, float]
 
 
@@ -187,14 +174,9 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
 
     # The estimates compared pairwise, in this order.
     pairs = [("locus", locus, "oracle", oracle)]
-    skipped: tuple[str, ...] = ()
-    theta_origami: Optional[Angle] = None
-    if t3.radians >= 0.5 * math.pi:
-        skipped = ("origami",)
-    else:
+    if t3.radians < 0.5 * math.pi:
         construction = abe_construct(t3)
-        theta_origami = construction.alpha
-        origami = theta_origami.radians
+        origami = construction.alpha.radians
         residuals["theta_origami_vs_oracle"] = abs(origami - oracle)
         residuals["theta_locus_vs_origami"] = abs(locus - origami)
         for name, value in abe_verify(construction).residuals.items():
@@ -204,16 +186,7 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     for name, value in chord_residuals(chord_diagram(t3)).items():
         residuals[f"chord_{name}"] = value
 
-    report = CrossValidationReport(
-        three_theta=t3,
-        fold_a=a,
-        tol=tol,
-        theta_locus=theta_locus,
-        theta_oracle=theta_oracle,
-        theta_origami=theta_origami,
-        skipped=skipped,
-        residuals=residuals,
-    )
+    report = CrossValidationReport(theta_locus=theta_locus, residuals=residuals)
     for first, x, second, y in pairs:
         gap = abs(x - y)
         if gap > tol:

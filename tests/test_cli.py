@@ -10,7 +10,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trisectrix.cli import CSV_HEADER, main
+from trisectrix.cli import CSV_HEADER, build_parser, main
 from trisectrix.geom import Angle, Point2, SQRT3
 from trisectrix.locus import LocusParams, TrisectionResult, verify_trisection
 
@@ -304,6 +304,20 @@ class TestFlagSurface:
             if match and match.group(1) in FLAGS:
                 listed[match.group(1)] = set(re.findall(r"--[a-z][a-z-]*", line))
         assert listed == FLAGS
+
+    @pytest.mark.parametrize("command", ["locus", "render"])
+    def test_samples_above_bound_exits_2(self, capsys, command):
+        # Peak memory grows with the count, so a huge one is refused, not run.
+        code, out, err = run(capsys, command, "--samples", "100001")
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
+    @pytest.mark.parametrize("command", ["locus", "render"])
+    def test_samples_bound_parses(self, command):
+        # Parsed only: drawing 100000 samples takes about a second.
+        args = build_parser().parse_args([command, "--samples", "100000"])
+        assert args.samples == 100000
 
     @pytest.mark.parametrize("b_range", [["--b-min", "2"], ["--b-max", "3"],
                                          ["--b-min", "0.5", "--b-max", "2"]])
