@@ -7,8 +7,6 @@ deterministic JSON/CSV/SVG emitters.
 
 from .errors import (
     AngleOutOfRange,
-    DegeneratePoint,
-    InvalidSampleCount,
     MaxIterationsExceeded,
     MismatchDetected,
     ParameterOutOfRange,
@@ -53,8 +51,6 @@ __all__ = [
     "AbeConstruction",
     "ChordDiagram",
     "CrossValidationReport",
-    "DegeneratePoint",
-    "InvalidSampleCount",
     "LocusParams",
     "LocusPoint",
     "MaxIterationsExceeded",

@@ -80,8 +80,8 @@ _FLAGS = {
 
 
 def _target(args: argparse.Namespace) -> Angle:
-    """``--angle-deg`` as an Angle. The degrees are checked as given,
-    because an Angle wraps: 450 would otherwise be solved as 90."""
+    """``--angle-deg`` as an Angle. The degrees are checked here so that
+    450 is a domain error (exit 3), not Angle's ValueError (exit 2)."""
     if args.angle_deg is None:
         raise ValueError(f"{args.subcommand!r} requires --angle-deg")
     if not 0.0 < args.angle_deg <= 90.0:

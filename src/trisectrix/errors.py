@@ -5,20 +5,12 @@ class TrisectrixError(Exception):
     """Base class for all library-specific errors."""
 
 
-class DegeneratePoint(TrisectrixError):
-    """An operation received a point with no defined polar angle (the origin)."""
-
-
 class AngleOutOfRange(TrisectrixError):
     """An angle lies outside the domain supported by the construction."""
 
 
 class ParameterOutOfRange(TrisectrixError):
     """A locus parameter lies outside the curve's valid regime."""
-
-
-class InvalidSampleCount(TrisectrixError):
-    """A sampling request asked for fewer than two points."""
 
 
 class MaxIterationsExceeded(TrisectrixError):

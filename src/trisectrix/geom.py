@@ -11,16 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DegeneratePoint
+from .errors import AngleOutOfRange
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
-
-
-def wrap_angle(radians: float) -> float:
-    """Normalize an angle in radians into [0, 2*pi)."""
-    r = math.fmod(radians, TWO_PI)
-    return r + TWO_PI if r < 0.0 else r
 
 
 def wrap_signed(radians: float) -> float:
@@ -35,23 +29,23 @@ def wrap_signed(radians: float) -> float:
 
 @dataclass(slots=True)
 class Angle:
-    """A plane angle stored in radians, normalized into [0, 2*pi).
+    """A plane angle stored in radians, in [0, 2*pi).
 
-    Construction normalizes, so downstream code never sees a negative or
-    wrapped-past-full-turn value. Degrees exist only at CLI boundaries.
+    Construction rejects a value outside that range (NaN and infinities
+    included) instead of reducing it, so 450 degrees is never read as 90.
+    Degrees exist only at CLI boundaries.
     """
 
     radians: float
 
     def __post_init__(self) -> None:
         r = self.radians
-        # wrap_angle maps a float already in range to itself.
         if type(r) is float and 0.0 <= r < TWO_PI:
             return
         r = float(r)
-        if not math.isfinite(r):
-            raise ValueError(f"angle must be finite, got {r!r}")
-        self.radians = wrap_angle(r)
+        if not 0.0 <= r < TWO_PI:
+            raise ValueError(f"angle must lie in [0, 2*pi) radians, got {r!r}")
+        self.radians = r
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Angle":
@@ -72,12 +66,15 @@ def as_angle(value: AngleLike) -> Angle:
     return Angle(float(value))
 
 
-def raw_radians(value: AngleLike) -> float:
-    """Radians of ``value`` as given: an Angle's stored value, or a raw
-    number unwrapped, so a domain check sees 450 degrees as 450, not 90."""
-    if isinstance(value, Angle):
-        return value.radians
-    return float(value)
+def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> Angle:
+    """``value`` as an Angle if it lies in (0, pi/2], or in (0, pi/2) without
+    ``quarter_turn``; otherwise AngleOutOfRange, its message ``domain``
+    followed by the value in degrees. A raw number is checked as given, so
+    450 degrees is out of range, not 90."""
+    r = value.radians if isinstance(value, Angle) else float(value)
+    if not (0.0 < r < 0.5 * math.pi or (quarter_turn and r == 0.5 * math.pi)):
+        raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
+    return value if isinstance(value, Angle) else Angle(r)
 
 
 @dataclass(slots=True)
@@ -93,16 +90,6 @@ class Point2:
 
 
 ORIGIN = Point2(0.0, 0.0)
-
-
-def polar_radians(p: Point2) -> float:
-    """Angle of ``p`` about the origin in radians, normalized to [0, 2*pi).
-
-    Raises DegeneratePoint for the origin itself, which has no direction.
-    """
-    if p.x == 0.0 and p.y == 0.0:
-        raise DegeneratePoint("polar angle of the origin is undefined")
-    return wrap_angle(math.atan2(p.y, p.x))
 
 
 def distance(p: Point2, q: Point2) -> float:

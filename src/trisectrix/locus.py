@@ -32,13 +32,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (
-    AngleOutOfRange,
-    InvalidSampleCount,
-    MaxIterationsExceeded,
-    ParameterOutOfRange,
-)
-from .geom import SQRT3, Angle, AngleLike, Point2, as_angle, raw_radians
+from .errors import MaxIterationsExceeded, ParameterOutOfRange
+from .geom import SQRT3, Angle, AngleLike, Point2, target_angle
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
@@ -188,7 +183,7 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     deterministic: the same arguments always produce bit-identical points.
     """
     if n < 2:
-        raise InvalidSampleCount(f"need at least 2 samples, got {n!r}")
+        raise ValueError(f"need at least 2 samples, got {n!r}")
     a = params.a
     _check_b(a, b_min)
     # b_max is the largest sample, and the curve's largest products are
@@ -242,13 +237,8 @@ def trisect(
     out, or the bracket shrinks to two adjacent floats, before reaching
     tolerance.
     """
-    target = raw_radians(three_theta)
-    if not 0.0 < target <= 0.5 * math.pi:
-        raise AngleOutOfRange(
-            f"trisection target must lie in (0, 90] degrees, "
-            f"got {math.degrees(target):.6g}"
-        )
-    t3 = as_angle(three_theta)
+    t3 = target_angle(three_theta, "trisection target must lie in (0, 90] degrees")
+    target = t3.radians
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AngleOutOfRange, MismatchDetected
-from .geom import Angle, AngleLike, ORIGIN, Point2, as_angle, raw_radians
+from .errors import MismatchDetected
+from .geom import Angle, AngleLike, ORIGIN, Point2, as_angle, target_angle
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
 from .report import ResidualMap
@@ -70,13 +70,8 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
     on the circle. At exactly 90 degrees E closes onto A and the three
     chords are all one half.
     """
-    t3_rad = raw_radians(three_theta)
-    if not 0.0 < t3_rad <= 0.5 * math.pi:
-        raise AngleOutOfRange(
-            f"chord diagram requires an angle in (0, 90] degrees, "
-            f"got {math.degrees(t3_rad):.6g}"
-        )
-    t3 = as_angle(three_theta)
+    t3 = target_angle(three_theta, "chord diagram requires an angle in (0, 90] degrees")
+    t3_rad = t3.radians
     t = t3_rad / 3.0
 
     fx, fy = math.cos(t3_rad), math.sin(t3_rad)
@@ -157,7 +152,7 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     propagate unchanged.
     """
     params = LocusParams(a)
-    # trisect checks the target as given, before it is wrapped into an Angle.
+    # trisect checks the target domain; the routes below reuse its Angle.
     result = trisect(three_theta, params, tol=tol)
     t3 = result.three_theta
     theta_locus = result.theta

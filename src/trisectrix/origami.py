@@ -24,16 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AngleOutOfRange
-from .geom import (
-    Angle,
-    AngleLike,
-    ORIGIN,
-    Point2,
-    as_angle,
-    polar_radians,
-    raw_radians,
-)
+from .geom import Angle, AngleLike, ORIGIN, Point2, target_angle
 from .report import VerificationReport
 
 
@@ -68,13 +59,12 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     sits on the ray at the full angle (the marked point maps onto it); both
     land on the unit circle, which is what makes the three angles equal.
     """
-    t3_rad = raw_radians(three_theta)
-    if not 0.0 < t3_rad < 0.5 * math.pi:
-        raise AngleOutOfRange(
-            f"origami construction requires an angle in (0, 90) degrees exclusive, "
-            f"got {math.degrees(t3_rad):.6g}"
-        )
-    t3 = as_angle(three_theta)
+    t3 = target_angle(
+        three_theta,
+        "origami construction requires an angle in (0, 90) degrees exclusive",
+        quarter_turn=False,
+    )
+    t3_rad = t3.radians
     t = t3_rad / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
     cx, cy = math.cos(t3_rad), math.sin(t3_rad)
@@ -107,9 +97,11 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     """Measure every claimed relationship of the fold from the points.
 
     Angles are re-measured with atan2 rather than read from the stored
-    fields, so a tampered or perturbed construction is flagged. All checked
-    residuals sit at rounding level (<= 1e-12) for constructions produced by
-    :func:`abe_construct`.
+    fields, so a tampered or perturbed construction is flagged. An H, G or
+    C moved to the origin or below the base line is flagged the same way,
+    and nothing raises. All checked residuals sit at rounding level (<= 1e-12) for
+    constructions produced by :func:`abe_construct`, whose H, G and C lie
+    in the upper half-plane.
 
     Two readings of the point P exist in classical presentations of the
     fold: with P the foot of the perpendicular from H, the lengths O-P and
@@ -121,11 +113,6 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     t3 = c.three_theta.radians
     sin_t, cos_t = math.sin(t), math.cos(t)
 
-    alpha = polar_radians(c.H)
-    g = polar_radians(c.G)
-    beta = g - alpha
-    gamma = polar_radians(c.C) - g
-
     ox, oy = c.O.x, c.O.y
     dx, dy = c.D.x, c.D.y
     sx, sy = c.S.x, c.S.y
@@ -133,6 +120,11 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     cx, cy = c.C.x, c.C.y
     gx, gy = c.G.x, c.G.y
     px, py = c.P.x, c.P.y
+
+    alpha = math.atan2(hy, hx)
+    g = math.atan2(gy, gx)
+    beta = g - alpha
+    gamma = math.atan2(cy, cx) - g
     hypot = math.hypot
     residuals = {
         "oh_vs_oc": abs(hypot(ox - hx, oy - hy) - hypot(ox - cx, oy - cy)),

@@ -52,7 +52,7 @@ class TestTrisectCommand:
         ("trisect", "90.0000001"), ("trisect", "nan"), ("render", "450"),
     ])
     def test_wrapped_angles_exit_3(self, capsys, command, degrees):
-        # An Angle wraps 450 degrees to 90; the flag is checked as given.
+        # The flag is checked as given: 450 degrees is a domain error, not 90.
         code, out, err = run(capsys, command, f"--angle-deg={degrees}")
         assert code == 3
         assert out == ""

@@ -1,21 +1,18 @@
-"""Tests for the planar primitives: angles, polar angles and distances."""
+"""Tests for the planar primitives: angles, the target domain and distances."""
 
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from trisectrix.errors import DegeneratePoint
+from trisectrix.errors import AngleOutOfRange
 from trisectrix.geom import (
     Angle,
     ORIGIN,
     Point2,
-    SQRT3,
     as_angle,
     distance,
-    polar_radians,
-    wrap_angle,
-    wrap_signed,
+    target_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -25,10 +22,11 @@ coords = st.floats(min_value=-100.0, max_value=100.0,
 
 
 class TestAngle:
-    def test_normalizes_into_full_turn(self):
-        assert Angle(-0.5).radians == pytest.approx(TWO_PI - 0.5, abs=1e-15)
-        assert Angle(TWO_PI).radians == 0.0
-        assert Angle(3.0 * math.pi).radians == pytest.approx(math.pi, abs=1e-12)
+    def test_rejects_outside_full_turn(self):
+        # Rejected, not reduced: 3*pi is never read as pi.
+        for x in (-0.5, -1e-300, TWO_PI, 3.0 * math.pi, 7.0, 1e300, -1e300):
+            with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+                Angle(x)
 
     def test_degrees_round_trip(self):
         a = Angle.from_degrees(60.0)
@@ -42,19 +40,32 @@ class TestAngle:
         with pytest.raises(ValueError):
             Angle(float("-inf"))
 
-    def test_stored_value_is_wrapped_float_bit_for_bit(self):
-        # In-range floats skip normalization; every input must still store
-        # exactly what wrap_angle gives, as a plain float.
+    def test_stored_value_is_input_float_bit_for_bit(self):
+        # In-range floats skip the conversion; every accepted input must
+        # still store exactly float(x), as a plain float.
         class Radians(float):
             pass
 
-        values = [0, 1, 7, -3, True, False, -0.0, 0.0, 1e-300, 1.5,
-                  math.nextafter(TWO_PI, 0.0), TWO_PI, math.nextafter(TWO_PI, 10.0),
-                  -1e-300, -0.5, -TWO_PI, 7.0, 100.0, 1e300, -1e300, Radians(1.5)]
+        values = [0, 1, True, False, -0.0, 0.0, 1e-300, 1.5,
+                  math.nextafter(TWO_PI, 0.0), Radians(1.5)]
         for x in values:
             got = Angle(x).radians
             assert type(got) is float
-            assert got.hex() == wrap_angle(float(x)).hex(), x
+            assert got.hex() == float(x).hex(), x
+        for x in (7, -3, TWO_PI, math.nextafter(TWO_PI, 10.0), -TWO_PI, Radians(7.0)):
+            with pytest.raises(ValueError):
+                Angle(x)
+
+    @given(x=st.floats())
+    @settings(deadline=None, max_examples=500)
+    def test_any_float_is_stored_exactly_or_rejected(self, x):
+        # NaN and the infinities included: never a different value.
+        try:
+            got = Angle(x).radians
+        except ValueError:
+            assert not 0.0 <= x < TWO_PI
+        else:
+            assert got.hex() == x.hex()
 
     def test_as_angle_coerces_floats(self):
         assert as_angle(1.5).radians == 1.5
@@ -70,34 +81,20 @@ class TestDomainTypes:
             Point2(0.0, float("inf"))
 
 
-class TestPolarAngle:
-    def test_positive_x_axis(self):
-        assert polar_radians(Point2(1.0, 0.0)) == 0.0
-
-    def test_positive_y_axis(self):
-        assert polar_radians(Point2(0.0, 2.0)) == pytest.approx(
-            math.pi / 2.0, abs=1e-15
-        )
-
-    def test_thirty_degrees(self):
-        # tan(30 deg) = 1/sqrt(3); oracle is the arctangent of that ratio.
-        expected = math.atan(1.0 / SQRT3)
-        got = polar_radians(Point2(SQRT3, 1.0))
-        assert got == pytest.approx(expected, abs=1e-15)
-        assert got == pytest.approx(math.pi / 6.0, abs=1e-15)
-
-    def test_origin_rejected(self):
-        with pytest.raises(DegeneratePoint):
-            polar_radians(Point2(0.0, 0.0))
-
-    @given(x=coords, y=coords, phi=st.floats(min_value=-10.0, max_value=10.0))
-    @settings(deadline=None)
-    def test_rotation_shifts_polar_angle(self, x, y, phi):
-        assume(math.hypot(x, y) > 1e-6)
-        c, s = math.cos(phi), math.sin(phi)
-        before = polar_radians(Point2(x, y))
-        after = polar_radians(Point2(c * x - s * y, s * x + c * y))
-        assert abs(wrap_signed(after - (before + phi))) <= 1e-12
+class TestTargetAngle:
+    def test_checks_the_value_as_given(self):
+        a = Angle(0.5)
+        assert target_angle(a, "d") is a
+        assert target_angle(1, "d") == Angle(1.0)
+        assert target_angle(0.5 * math.pi, "d").radians == 0.5 * math.pi
+        with pytest.raises(AngleOutOfRange, match=r"^d, got 450$"):
+            target_angle(math.radians(450.0), "d")
+        with pytest.raises(AngleOutOfRange, match=r"^d, got 90$"):
+            target_angle(0.5 * math.pi, "d", quarter_turn=False)
+        with pytest.raises(AngleOutOfRange, match=r"^d, got nan$"):
+            target_angle(math.nan, "d")
+        with pytest.raises(AngleOutOfRange):
+            target_angle(Angle(0.0), "d")
 
 
 class TestDistance:

@@ -200,6 +200,26 @@ class TestCrossValidate:
 PINNED_DIGEST = "7d31461a13969227b227380bab8dd2aa0c34dc6d4fee7f5b5b34fb917306ad6f"
 
 
+@given(x=st.floats())
+@settings(deadline=None, max_examples=500)
+def test_routes_keep_a_float_target_exactly_or_reject_it(x):
+    # Over the whole float range, NaN and the infinities included, each
+    # route stores the target bit for bit or raises AngleOutOfRange, never a
+    # reduced angle. The fold's domain is open, so it also rejects pi/2.
+    accepted = []
+    for route in (lambda v: trisect(v, LocusParams(1.0)), chord_diagram, abe_construct):
+        try:
+            got = route(x).three_theta.radians
+        except AngleOutOfRange:
+            accepted.append(False)
+        else:
+            assert got.hex() == x.hex()
+            accepted.append(True)
+    solved, chord, fold = accepted
+    assert chord == solved
+    assert fold == (solved and x != 0.5 * math.pi)
+
+
 def _outcome(fn, *args) -> str:
     try:
         return repr(fn(*args))

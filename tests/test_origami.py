@@ -7,7 +7,7 @@ import random
 import pytest
 
 from trisectrix.errors import AngleOutOfRange
-from trisectrix.geom import Angle, Point2, distance, polar_radians
+from trisectrix.geom import ORIGIN, Angle, Point2, distance
 from trisectrix.origami import abe_construct, abe_verify
 
 # Frozen with math.sin/math.cos at the stated arguments.
@@ -99,7 +99,7 @@ class TestProperties:
         for _ in range(500):
             t3 = rng.uniform(0.001, math.pi / 2.0 - 0.001)
             c = abe_construct(Angle(t3))
-            assert abs(polar_radians(c.G) - 2.0 * t3 / 3.0) <= 1e-12
+            assert abs(math.atan2(c.G.y, c.G.x) - 2.0 * t3 / 3.0) <= 1e-12
             assert abs(distance(c.O, c.G) - math.cos(t3 / 3.0)) <= 1e-12
 
     def test_h_stays_on_first_crease(self):
@@ -123,6 +123,19 @@ class TestVerify:
         assert not report.passes(1e-12)
         # The injected shift moves the measured first angle by ~1e-3 rad.
         assert 1e-4 < report.residuals["alpha_vs_beta"] < 1e-2
+
+    @pytest.mark.parametrize("where", ["origin", "below_base_line"])
+    @pytest.mark.parametrize("name", ["H", "G", "C"])
+    def test_point_at_origin_or_below_base_line_is_flagged(self, name, where):
+        # atan2 measures any point, so such a tampered H, G or C shows in the
+        # angle residuals instead of raising.
+        c = abe_construct(Angle.from_degrees(60.0))
+        p = getattr(c, name)
+        moved = ORIGIN if where == "origin" else Point2(p.x, -p.y)
+        report = abe_verify(dataclasses.replace(c, **{name: moved}))
+        assert not report.passes(1e-12)
+        angles = report.residuals["alpha_vs_beta"], report.residuals["beta_vs_gamma"]
+        assert max(angles) > 0.1
 
     def test_alternative_p_reading_reported_not_enforced(self):
         # "C-P equals sin(theta)" has no solution with P on the base ray; the

@@ -122,6 +122,26 @@ def test_every_top_level_name_has_a_caller_in_the_package():
     assert uncalled == {f"geom.{name}" for name in CALLED_ONLY_BY_ACCEPTANCE_GATE}
 
 
+def test_every_library_error_has_an_exit_code():
+    # Every input ends in a result or in a TrisectrixError mapped to its
+    # documented exit code, so the CLI must catch each subclass by name.
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    subclasses = {
+        node.name for node in errors.body
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", None) == "TrisectrixError" for base in node.bases)
+    }
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    caught = {
+        name.id
+        for handler in ast.walk(cli)
+        if isinstance(handler, ast.ExceptHandler) and handler.type
+        for name in ast.walk(handler.type) if isinstance(name, ast.Name)
+    }
+    assert subclasses
+    assert subclasses - caught == set()
+
+
 def _is_dataclass(node):
     return isinstance(node, ast.ClassDef) and any(
         getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
