@@ -25,7 +25,6 @@ from .errors import (
 )
 from .geom import SQRT3, Angle
 from .locus import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LocusParams,
     sample_locus,
@@ -68,9 +67,6 @@ _FLAGS = {
                    help="fold spacing a in construction units (default 1)"),
     "--tol": dict(type=_POSITIVE, default=DEFAULT_TOL,
                   help="solver tolerance in radians (default 1e-12)"),
-    "--max-iter": dict(type=_checked(int, "at least 1", lambda v: v >= 1),
-                       default=DEFAULT_MAX_ITER,
-                       help=f"bisection step budget (default {DEFAULT_MAX_ITER})"),
     # A sample costs about 800 B of peak memory: 100000 of them peak near 100 MB.
     "--samples": dict(type=_checked(int, "in [2, 100000]", lambda v: 2 <= v <= 100_000),
                       help="locus sample count, 2 to 100000 (default %(default)s)"),
@@ -120,7 +116,7 @@ def _emit(args: argparse.Namespace, payload: dict,
 def cmd_trisect(args: argparse.Namespace) -> int:
     target = _target(args)
     params = LocusParams(args.fold)
-    result = trisect(target, params, tol=args.tol, max_iter=args.max_iter)
+    result = trisect(target, params, tol=args.tol)
     report = verify_trisection(result, params)
     payload = {
         "three_theta_deg": result.three_theta.degrees,
@@ -245,7 +241,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     b_min, b_max = _b_range(args)
     result = None
     if args.angle_deg is not None:
-        result = trisect(_target(args), params, tol=args.tol, max_iter=args.max_iter)
+        result = trisect(_target(args), params, tol=args.tol)
         b_max = max(1.3 * result.b_star, 2.0 * b_min)
     points = sample_locus(params, b_min, b_max, args.samples)
     svg = render_svg(params, points, result=result)
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(command=command, parser=p, **defaults)
 
     add_command("trisect", cmd_trisect, "solve one trisection, emit JSON",
-                ("--angle-deg", "--fold", "--tol", "--max-iter"), ("json", "text"))
+                ("--angle-deg", "--fold", "--tol"), ("json", "text"))
     add_command("locus", cmd_locus, "emit a CSV table of locus samples",
                 ("--fold", "--samples", "--b-min", "--b-max"), samples=100)
     add_command("origami", cmd_origami, "emit the fold construction",
@@ -283,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("verify", cmd_verify, "cross-check a 1..90 degree sweep",
                 ("--fold", "--tol"), ("text", "json"))
     add_command("render", cmd_render, "emit an SVG construction diagram",
-                ("--angle-deg", "--fold", "--tol", "--max-iter", "--samples",
-                 "--b-min", "--b-max"), samples=128)
+                ("--angle-deg", "--fold", "--tol", "--samples", "--b-min", "--b-max"),
+                samples=128)
     return parser
 
 

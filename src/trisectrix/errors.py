@@ -14,7 +14,8 @@ class ParameterOutOfRange(TrisectrixError):
 
 
 class MaxIterationsExceeded(TrisectrixError):
-    """The root bracket failed to shrink below tolerance within the step budget.
+    """The solver stopped before reaching tolerance: no upper bracket within
+    its doublings, or a bracket collapsed to two adjacent floats.
 
     The best result found so far is attached as ``result`` so callers can
     inspect the partial solve instead of losing it.

@@ -17,6 +17,15 @@ TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
 
 
+def as_float(value: float) -> float:
+    """``float(value)``, reading an int beyond the float range as the
+    infinity of its sign, so a range check rejects it as it rejects inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def wrap_signed(radians: float) -> float:
     """Normalize an angle difference into (-pi, pi]."""
     r = math.fmod(radians, TWO_PI)
@@ -42,7 +51,7 @@ class Angle:
         r = self.radians
         if type(r) is float and 0.0 <= r < TWO_PI:
             return
-        r = float(r)
+        r = as_float(r)
         if not 0.0 <= r < TWO_PI:
             raise ValueError(f"angle must lie in [0, 2*pi) radians, got {r!r}")
         self.radians = r
@@ -63,7 +72,7 @@ def as_angle(value: AngleLike) -> Angle:
     """Coerce a raw radian value (or pass an Angle through) to an Angle."""
     if isinstance(value, Angle):
         return value
-    return Angle(float(value))
+    return Angle(as_float(value))
 
 
 def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> Angle:
@@ -71,7 +80,7 @@ def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> An
     ``quarter_turn``; otherwise AngleOutOfRange, its message ``domain``
     followed by the value in degrees. A raw number is checked as given, so
     450 degrees is out of range, not 90."""
-    r = value.radians if isinstance(value, Angle) else float(value)
+    r = value.radians if isinstance(value, Angle) else as_float(value)
     if not (0.0 < r < 0.5 * math.pi or (quarter_turn and r == 0.5 * math.pi)):
         raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
     return value if isinstance(value, Angle) else Angle(r)

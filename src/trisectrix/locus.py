@@ -28,16 +28,16 @@ iterates and results are those of bisection that evaluates every midpoint.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 from .errors import MaxIterationsExceeded, ParameterOutOfRange
-from .geom import SQRT3, Angle, AngleLike, Point2, target_angle
+from .geom import SQRT3, Angle, AngleLike, Point2, as_float, target_angle
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
 
 # Relative slack on the b >= sqrt(3)*a lower bound, so a bound computed by a
 # caller through a different (equally valid) floating expression is not
@@ -81,7 +81,7 @@ class LocusParams:
     def __post_init__(self) -> None:
         a = self.a
         if not FOLD_MIN <= a <= FOLD_MAX:
-            if not (math.isfinite(a) and a > 0.0):
+            if not (math.isfinite(as_float(a)) and a > 0.0):
                 raise ValueError(f"fold spacing a must be finite and positive, got {a!r}")
             raise ParameterOutOfRange(
                 f"fold spacing a must lie in [{FOLD_MIN:.3g}, {FOLD_MAX:.3g}], got {a!r}"
@@ -214,7 +214,6 @@ def trisect(
     three_theta: AngleLike,
     params: LocusParams,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> TrisectionResult:
     """Solve for the parameter b* where the curve crosses the target ray.
 
@@ -224,25 +223,26 @@ def trisect(
     upper bracket is found by doubling b until the angle drops below the
     target. f is strictly decreasing in b, so the bracket always contains
     the single crossing. Stops once |f| <= tol (radians); ``iterations``
-    counts bisection steps. A step whose sign f = 3*atan(a/b) - target
-    settles beyond rounding doubt takes its branch without evaluating f.
+    counts bisection steps, at most 55, so no step budget is needed: the
+    crossing lies in (hi/2, hi] for the doubled upper bracket hi, and each
+    step halves a bracket under hi wide until it spans two adjacent floats,
+    over hi * 2**-54 apart; one step is spare for midpoint rounding. A step
+    whose sign f = 3*atan(a/b) - target settles beyond rounding doubt takes
+    its branch without evaluating f.
 
     ``tol`` bounds Q's polar angle, not theta: theta = atan2(a, b*) carries
     its own rounding, so |3*theta - target| is guaranteed only to
     max(tol, 1e-12). Below about 1e-16 rad a returned result can fail
     ``verify_trisection(...).passes(tol)``.
 
-    Raises AngleOutOfRange for targets outside (0, 90] degrees and
-    MaxIterationsExceeded (with the best result attached) if the budget runs
-    out, or the bracket shrinks to two adjacent floats, before reaching
-    tolerance.
+    Raises AngleOutOfRange for targets outside (0, 90] degrees, and
+    MaxIterationsExceeded (best result attached) if 64 doublings find no upper
+    bracket or the bracket shrinks to two adjacent floats before reaching tol.
     """
     t3 = target_angle(three_theta, "trisection target must lie in (0, 90] degrees")
     target = t3.radians
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (math.isfinite(as_float(tol)) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
     a = params.a
     # Stop at half of tol so residuals re-measured downstream from the
@@ -301,7 +301,7 @@ def trisect(
             result=build(hi, 0, hi - lo, f(hi)),
         )
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in itertools.count(1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             # lo and hi are adjacent floats: every later step would repeat
@@ -326,14 +326,6 @@ def trisect(
             lo = mid
         else:
             hi = mid
-    # The last midpoint may have been skipped; f is pure, so evaluating it
-    # again gives the value an evaluated step saw.
-    f_mid = f(mid)
-    raise MaxIterationsExceeded(
-        f"bisection did not reach tol={tol!r} rad in {max_iter} iterations "
-        f"(|residual| = {abs(f_mid)!r})",
-        result=build(mid, max_iter, hi - lo, f_mid),
-    )
 
 
 def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationReport:

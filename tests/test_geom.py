@@ -14,6 +14,14 @@ from trisectrix.geom import (
     distance,
     target_angle,
 )
+from trisectrix.locus import LocusParams, trisect
+from trisectrix.oracles import (
+    chord_diagram,
+    cross_validate,
+    oracle_theta,
+    triple_angle_residual,
+)
+from trisectrix.origami import abe_construct
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,6 +103,36 @@ class TestTargetAngle:
             target_angle(math.nan, "d")
         with pytest.raises(AngleOutOfRange):
             target_angle(Angle(0.0), "d")
+
+
+# Each entry point that converts a number, with the error an infinity there raises.
+NUMERIC_ENTRY_POINTS = {
+    "Angle": (Angle, ValueError),
+    "LocusParams": (LocusParams, ValueError),
+    "trisect target": (lambda v: trisect(v, LocusParams(1.0)), AngleOutOfRange),
+    "trisect tol": (lambda v: trisect(1.0, LocusParams(1.0), tol=v), ValueError),
+    "chord_diagram": (chord_diagram, AngleOutOfRange),
+    "abe_construct": (abe_construct, AngleOutOfRange),
+    "cross_validate target": (lambda v: cross_validate(v, 1.0, 1e-10), AngleOutOfRange),
+    "cross_validate a": (lambda v: cross_validate(1.0, v, 1e-10), ValueError),
+    "cross_validate tol": (lambda v: cross_validate(1.0, 1.0, v), ValueError),
+    "oracle_theta": (oracle_theta, ValueError),
+    "triple_angle_residual theta": (lambda v: triple_angle_residual(v, 1.0), ValueError),
+    "triple_angle_residual three_theta": (lambda v: triple_angle_residual(0.3, v),
+                                          ValueError),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+def test_int_beyond_float_range_raises_as_infinity(entry, sign):
+    # 10**400 has no float; it is rejected as the infinity of its sign is,
+    # not with float()'s OverflowError.
+    call, error = NUMERIC_ENTRY_POINTS[entry]
+    for value in (sign * math.inf, sign * 10**400):
+        with pytest.raises(error) as info:
+            call(value)
+        assert info.type is error
 
 
 class TestDistance:

@@ -4,10 +4,10 @@ import dataclasses
 import hashlib
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trisectrix.errors import (
     AngleOutOfRange,
@@ -70,6 +70,34 @@ def _circle_intersections(c1, r1, c2, r2):
     ux, uy = dx / d, dy / d
     fx, fy = c1.x + foot * ux, c1.y + foot * uy
     return [Point2(fx - h * uy, fy + h * ux), Point2(fx + h * uy, fy - h * ux)]
+
+
+def _decimal_sin_cos(x):
+    """sin(x) and cos(x) of a Decimal, by the series recipes of the stdlib
+    ``decimal`` documentation, at two digits above the context's precision."""
+    getcontext().prec += 2
+    sums = []
+    for i, s in ((1, x), (0, Decimal(1))):
+        lasts, fact, num, sign = 0, 1, s, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            s += num / fact * sign
+        sums.append(s)
+    getcontext().prec -= 2
+    return +sums[0], +sums[1]
+
+
+def _truth(target, a):
+    """The exact crossing to 50 digits: b* = a*cot(t) and the unit length
+    a/sin(t) at t = Decimal(target)/3, which is exact since Decimal(float) is."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sin_t, cos_t = _decimal_sin_cos(Decimal(target) / 3)
+        return Decimal(a) * cos_t / sin_t, Decimal(a) / sin_t
 
 
 fold_values = st.floats(min_value=0.01, max_value=100.0)
@@ -267,22 +295,11 @@ class TestTrisect:
     def test_rejects_bad_solver_arguments(self):
         with pytest.raises(ValueError):
             trisect(Angle.from_degrees(45.0), LocusParams(1.0), tol=0.0)
-        with pytest.raises(ValueError):
-            trisect(Angle.from_degrees(45.0), LocusParams(1.0), max_iter=0)
-
-    def test_budget_exhaustion_attaches_partial_result(self):
-        with pytest.raises(MaxIterationsExceeded) as excinfo:
-            trisect(Angle.from_degrees(47.0), LocusParams(1.0),
-                    tol=1e-15, max_iter=3)
-        partial = excinfo.value.result
-        assert isinstance(partial, TrisectionResult)
-        assert partial.iterations == 3
-        assert partial.final_bracket_width > 0.0
 
     def test_collapsed_bracket_stops_early(self):
         # At tol=1e-17 some targets cannot be reached in double precision;
-        # the solver must stop once the bracket is two adjacent floats, not
-        # spin until max_iter.
+        # the solver must stop once the bracket is two adjacent floats and
+        # attach its best result.
         params = LocusParams(1.0)
         failed = []
         for k in range(1, 901):
@@ -296,6 +313,30 @@ class TestTrisect:
             assert 0 < partial.iterations <= 54
             assert abs(partial.angle_residual) > 0.5e-17
             assert 0.0 < partial.final_bracket_width <= math.ulp(partial.b_star)
+
+    @given(
+        target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
+        | st.floats(min_value=math.log(5e-324), max_value=math.log(math.pi / 2.0)).map(
+            lambda x: min(max(math.exp(x), 5e-324), math.pi / 2.0)),
+        log_a=st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX)),
+        tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(deadline=None, max_examples=500)
+    def test_bisection_ends_within_step_bound(self, target, log_a, tol):
+        # The bound in trisect's docstring, which stands in for a step
+        # budget: doubling leaves the crossing in (hi/2, hi], the bracket
+        # starts under hi wide and halves each step, and adjacent floats
+        # there lie over hi * 2**-54 apart, so 54 steps reach them and one
+        # is spare for midpoint rounding. Measured worst over 900,000 random
+        # draws (fold log-uniform; target uniform, log-uniform down to 5e-324
+        # or within 2e-10 of pi/2; tol log-uniform from 5e-324 up to 1e-3 or
+        # 1e300): 54 steps.
+        a = min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX)
+        try:
+            r = trisect(target, LocusParams(a), tol=tol)
+        except MaxIterationsExceeded as exc:
+            r = exc.result
+        assert r.iterations <= 55
 
     def test_result_matches_curve_formula_bit_for_bit(self):
         # The solver inlines _q_coords' formula; its reported crossing and
@@ -434,6 +475,40 @@ class TestTrisect:
             bound = Decimal(tol) / 6 + 4 * Decimal(math.ulp(float(ref)))
             assert abs(Decimal(theta) - ref) <= bound
 
+    @given(
+        target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
+        log_a=st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX)),
+        log_tol=st.floats(min_value=math.log(1e-15), max_value=math.log(1e-3)),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_b_star_and_unit_length_within_bound_of_decimal_truth(
+            self, target, log_a, log_tol):
+        # The theta bound d = tol/6 + 4 ulp of the test above, carried to
+        # b* = a*cot(t) and the unit length a/sin(t): |d cot/dt| = 1/sin^2
+        # and |d(1/sin)/dt| = cos/sin^2 both fall as t grows, so over
+        # [t - d, t + d] the errors are at most a*d/sin^2(t - d) and
+        # a*d*cos(t - d)/sin^2(t - d); divided by the truth, these are the
+        # relative bounds. Below t = d the theta bound leaves b* unbounded.
+        # Measured on 200,000 random draws (half of the targets log-uniform
+        # down to 1e-300; the 103,022 with t > d checked): the errors reached
+        # 0.99999 of these terms and stayed at least 1.6 ulp of the truth
+        # below them, so 2 ulp is margin.
+        a = min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX)
+        tol = math.exp(log_tol)
+        r = trisect(target, LocusParams(a), tol=tol)
+        b_true, unit_true = _truth(target, a)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            t = Decimal(target) / 3
+            d = Decimal(tol) / 6 + 4 * Decimal(math.ulp(float(t)))
+            assume(t > d)
+            sin_lo, cos_lo = _decimal_sin_cos(t - d)
+            reach = Decimal(a) * d / (sin_lo * sin_lo)
+            assert abs(Decimal(r.b_star) - b_true) \
+                <= reach + 2 * Decimal(math.ulp(float(b_true)))
+            assert abs(Decimal(r.unit_length) - unit_true) \
+                <= reach * cos_lo + 2 * Decimal(math.ulp(float(unit_true)))
+
     def test_accepts_plain_radian_floats(self):
         r = trisect(math.pi / 3.0, LocusParams(1.0))
         assert abs(r.theta.radians - math.pi / 9.0) <= 1e-12
@@ -564,10 +639,10 @@ def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
     )
 
 
-def _outcome(solve, target, params, tol, max_iter):
+def _outcome(solve, target, params, tol):
     """repr of a solve's result, or of its error with the attached result."""
     try:
-        r = solve(target, params, tol=tol, max_iter=max_iter)
+        r = solve(target, params, tol=tol)
     except TrisectrixError as exc:
         return f"{type(exc).__name__}: {exc} -> {getattr(exc, 'result', None)!r}"
     return repr(r)
@@ -577,13 +652,12 @@ def _outcome(solve, target, params, tol, max_iter):
     target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
     a=st.floats(min_value=FOLD_MIN, max_value=FOLD_MAX),
     tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    max_iter=st.integers(min_value=1, max_value=300),
 )
 @settings(deadline=None, max_examples=400)
-def test_matches_reference_bisection(target, a, tol, max_iter):
+def test_matches_reference_bisection(target, a, tol):
     params = LocusParams(a)
-    assert _outcome(trisect, target, params, tol, max_iter) == _outcome(
-        _reference_trisect, target, params, tol, max_iter
+    assert _outcome(trisect, target, params, tol) == _outcome(
+        _reference_trisect, target, params, tol
     )
 
 
@@ -601,27 +675,26 @@ def _solver_grid_lines():
         params = LocusParams(a)
         for target in targets:
             for tol in tols:
-                for max_iter in (1, 3, 60, 2000):
-                    try:
-                        r = trisect(target, params, tol=tol, max_iter=max_iter)
-                    except TrisectrixError as exc:
-                        r = exc.result
-                        yield f"{type(exc).__name__}: {exc} -> {r!r}"
-                    else:
-                        yield repr(r)
-                    yield repr(verify_trisection(r, params))
+                try:
+                    r = trisect(target, params, tol=tol)
+                except TrisectrixError as exc:
+                    r = exc.result
+                    yield f"{type(exc).__name__}: {exc} -> {r!r}"
+                else:
+                    yield repr(r)
+                yield repr(verify_trisection(r, params))
 
 
-# SHA-256 of _solver_grid_lines() taken from plain bisection, before the
-# solver skipped the evaluation of provable steps.
-SOLVER_GRID_DIGEST = "a9bfadfb9a7c9c5ae6b8db344b6bdb5f3a93638e563bac64fce04e02f15cce52"
+# SHA-256 of the 462 lines of _solver_grid_lines(), taken from the solver
+# when it still had a step budget, at a budget of 2000 steps (budgets 55,
+# 60 and 200 gave the same digest, 53 did not).
+SOLVER_GRID_DIGEST = "0038eec9a5c7186cb3bb44c91208f849a744740f99a7ee1304b9341fa42510d6"
 
 
 def test_solver_outputs_bit_identical():
     # Results, errors and verification reports over the skip path's edges:
     # targets at and just below 90 degrees and down to the smallest
-    # subnormal, the fold range's ends, tols from subnormal to huge, and
-    # budgets from 1 step up.
+    # subnormal, the fold range's ends, and tols from subnormal to huge.
     h = hashlib.sha256()
     for line in _solver_grid_lines():
         h.update(line.encode())
