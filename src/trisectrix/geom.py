@@ -1,4 +1,5 @@
-"""Exact-formula planar primitives: points and angles.
+"""Exact-formula planar primitives: points and angles, and ``Value``, the
+base of the library's value types.
 
 Everything here is a pure function of its inputs, so identical inputs
 always produce bit-identical outputs, which the CSV/SVG emitters rely on
@@ -8,7 +9,6 @@ for golden-file stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import AngleOutOfRange
@@ -26,6 +26,27 @@ def as_float(value: float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+class Value:
+    """Base of the library's value types. A subclass names its fields in
+    ``__slots__`` and sets them in ``__init__``; this supplies the repr and a
+    field-wise equality that holds only between instances of one class.
+    Values are not hashable."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+    __hash__ = None
+
+
 def wrap_signed(radians: float) -> float:
     """Normalize an angle difference into (-pi, pi]."""
     r = math.fmod(radians, TWO_PI)
@@ -36,8 +57,7 @@ def wrap_signed(radians: float) -> float:
     return r
 
 
-@dataclass(slots=True)
-class Angle:
+class Angle(Value):
     """A plane angle stored in radians, in [0, 2*pi).
 
     Construction rejects a value outside that range (NaN and infinities
@@ -45,7 +65,11 @@ class Angle:
     Degrees exist only at CLI boundaries.
     """
 
-    radians: float
+    __slots__ = ("radians",)
+
+    def __init__(self, radians: float) -> None:
+        self.radians = radians
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         r = self.radians
@@ -86,12 +110,15 @@ def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> An
     return value if isinstance(value, Angle) else Angle(r)
 
 
-@dataclass(slots=True)
-class Point2:
+class Point2(Value):
     """A point in construction coordinates (dimensionless units)."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        self.x = x
+        self.y = y
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):

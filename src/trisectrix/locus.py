@@ -31,10 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import MaxIterationsExceeded, ParameterOutOfRange
-from .geom import SQRT3, Angle, AngleLike, Point2, as_float, target_angle
+from .geom import SQRT3, Angle, AngleLike, Point2, Value, as_float, target_angle
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
@@ -70,16 +69,15 @@ FOLD_MIN = (sys.float_info.min / 4.0) ** (1.0 / 3.0)
 FOLD_MAX = (sys.float_info.max / (2.0 * _B_RATIO_MAX * _B_RATIO_MAX)) ** (1.0 / 3.0)
 
 
-@dataclass(slots=True)
-class LocusParams:
+class LocusParams(Value):
     """Curve parameters: ``a`` is the fold spacing, the radius of circle 2
     being ``2a``. Raises ValueError unless ``a`` is positive and finite, and
     ParameterOutOfRange outside [FOLD_MIN, FOLD_MAX]."""
 
-    a: float
+    __slots__ = ("a",)
 
-    def __post_init__(self) -> None:
-        a = self.a
+    def __init__(self, a: float) -> None:
+        self.a = a
         if not FOLD_MIN <= a <= FOLD_MAX:
             if not (math.isfinite(as_float(a)) and a > 0.0):
                 raise ValueError(f"fold spacing a must be finite and positive, got {a!r}")
@@ -88,34 +86,44 @@ class LocusParams:
             )
 
 
-@dataclass(slots=True)
-class LocusPoint:
+class LocusPoint(Value):
     """One sample of the curve: the parameter b, the point Q, satisfaction
     residuals for both circle equations and the curve's linear relation
     (all absolute values), and Q's polar angle."""
 
-    b: float
-    q: Point2
-    residual_circle1: float
-    residual_circle2: float
-    residual_locus_relation: float
-    q_polar_angle: Angle
+    __slots__ = ("b", "q", "residual_circle1", "residual_circle2",
+                 "residual_locus_relation", "q_polar_angle")
+
+    def __init__(self, b: float, q: Point2, residual_circle1: float,
+                 residual_circle2: float, residual_locus_relation: float,
+                 q_polar_angle: Angle) -> None:
+        self.b = b
+        self.q = q
+        self.residual_circle1 = residual_circle1
+        self.residual_circle2 = residual_circle2
+        self.residual_locus_relation = residual_locus_relation
+        self.q_polar_angle = q_polar_angle
 
 
-@dataclass(slots=True)
-class TrisectionResult:
+class TrisectionResult(Value):
     """Solved trisection: the target angle, the trisected angle, the curve
     parameter at the crossing, the unit length |ON| = |OJ|, the crossing
     point N, and solver diagnostics."""
 
-    three_theta: Angle
-    theta: Angle
-    b_star: float
-    unit_length: float
-    n_point: Point2
-    iterations: int
-    final_bracket_width: float
-    angle_residual: float
+    __slots__ = ("three_theta", "theta", "b_star", "unit_length", "n_point",
+                 "iterations", "final_bracket_width", "angle_residual")
+
+    def __init__(self, three_theta: Angle, theta: Angle, b_star: float,
+                 unit_length: float, n_point: Point2, iterations: int,
+                 final_bracket_width: float, angle_residual: float) -> None:
+        self.three_theta = three_theta
+        self.theta = theta
+        self.b_star = b_star
+        self.unit_length = unit_length
+        self.n_point = n_point
+        self.iterations = iterations
+        self.final_bracket_width = final_bracket_width
+        self.angle_residual = angle_residual
 
 
 def _check_b(a: float, b: float) -> None:

@@ -11,17 +11,15 @@ residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import MismatchDetected
-from .geom import Angle, AngleLike, ORIGIN, Point2, as_angle, target_angle
+from .geom import Angle, AngleLike, ORIGIN, Point2, Value, as_angle, target_angle
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
 from .report import ResidualMap
 
 
-@dataclass(slots=True)
-class ChordDiagram:
+class ChordDiagram(Value):
     """Chord construction for a target angle: the segment from the vertex A
     to F on the unit circle is a diameter of a half-unit circle centered at
     J; the trisecting rays cut that circle at K and L, and the arcs F-K,
@@ -32,18 +30,24 @@ class ChordDiagram:
     spacing used by the origami fold.
     """
 
-    three_theta: Angle
-    A: Point2
-    E: Point2
-    F: Point2
-    G: Point2
-    J: Point2
-    K: Point2
-    L: Point2
-    chord_FK: float
-    chord_KL: float
-    chord_LE: float
-    fold_BG: float
+    __slots__ = ("three_theta", "A", "E", "F", "G", "J", "K", "L", "chord_FK",
+                 "chord_KL", "chord_LE", "fold_BG")
+
+    def __init__(self, three_theta: Angle, A: Point2, E: Point2, F: Point2, G: Point2,
+                 J: Point2, K: Point2, L: Point2, chord_FK: float, chord_KL: float,
+                 chord_LE: float, fold_BG: float) -> None:
+        self.three_theta = three_theta
+        self.A = A
+        self.E = E
+        self.F = F
+        self.G = G
+        self.J = J
+        self.K = K
+        self.L = L
+        self.chord_FK = chord_FK
+        self.chord_KL = chord_KL
+        self.chord_LE = chord_LE
+        self.fold_BG = fold_BG
 
 
 def oracle_theta(three_theta: AngleLike) -> Angle:
@@ -126,7 +130,6 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
     }
 
 
-@dataclass(slots=True)
 class CrossValidationReport(ResidualMap):
     """The locus solver's trisected angle and every route's residual, keyed
     by source.
@@ -137,8 +140,11 @@ class CrossValidationReport(ResidualMap):
     solver and the chord diagram still cover the target.
     """
 
-    theta_locus: Angle
-    residuals: dict[str, float]
+    __slots__ = ("theta_locus", "residuals")
+
+    def __init__(self, theta_locus: Angle, residuals: dict[str, float]) -> None:
+        self.theta_locus = theta_locus
+        self.residuals = residuals
 
 
 def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidationReport:

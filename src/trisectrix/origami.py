@@ -22,14 +22,12 @@ opening counterclockwise from the positive x axis:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .geom import Angle, AngleLike, ORIGIN, Point2, target_angle
+from .geom import Angle, AngleLike, ORIGIN, Point2, Value, target_angle
 from .report import VerificationReport
 
 
-@dataclass(slots=True)
-class AbeConstruction:
+class AbeConstruction(Value):
     """The named point set and trisecting angles of the fold's end state.
 
     ``alpha``, ``beta``, ``gamma`` are the three angles between consecutive
@@ -37,19 +35,25 @@ class AbeConstruction:
     the measured distance O-H (the fold is normalized so it equals 1).
     """
 
-    three_theta: Angle
-    theta: Angle
-    O: Point2
-    D: Point2
-    S: Point2
-    H: Point2
-    C: Point2
-    G: Point2
-    P: Point2
-    alpha: Angle
-    beta: Angle
-    gamma: Angle
-    unit_length: float
+    __slots__ = ("three_theta", "theta", "O", "D", "S", "H", "C", "G", "P", "alpha",
+                 "beta", "gamma", "unit_length")
+
+    def __init__(self, three_theta: Angle, theta: Angle, O: Point2, D: Point2,
+                 S: Point2, H: Point2, C: Point2, G: Point2, P: Point2, alpha: Angle,
+                 beta: Angle, gamma: Angle, unit_length: float) -> None:
+        self.three_theta = three_theta
+        self.theta = theta
+        self.O = O
+        self.D = D
+        self.S = S
+        self.H = H
+        self.C = C
+        self.G = G
+        self.P = P
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.unit_length = unit_length
 
 
 def abe_construct(three_theta: AngleLike) -> AbeConstruction:

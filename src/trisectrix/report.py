@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .geom import Value
 
 
-class ResidualMap:
-    """Queries over a ``residuals`` map of named residuals, mixed into the
+class ResidualMap(Value):
+    """Queries over a ``residuals`` map of named residuals: the base of the
     report types that hold one."""
 
     __slots__ = ()
@@ -25,7 +25,6 @@ class ResidualMap:
         return self.max_residual() <= tol
 
 
-@dataclass(slots=True)
 class VerificationReport(ResidualMap):
     """A map of named residuals, each expected to sit at rounding level.
 
@@ -34,6 +33,10 @@ class VerificationReport(ResidualMap):
     (for example the alternative reading of an ambiguously placed point).
     """
 
-    residuals: dict[str, float]
-    informational: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("residuals", "informational")
+
+    def __init__(self, residuals: dict[str, float],
+                 informational: dict[str, float] | None = None) -> None:
+        self.residuals = residuals
+        self.informational = {} if informational is None else informational
 

@@ -1,6 +1,6 @@
 """Tests for the locus curve and the bisection trisector."""
 
-import dataclasses
+import copy
 import hashlib
 import math
 import random
@@ -532,7 +532,8 @@ class TestVerifyTrisection:
     def test_tampered_theta_is_flagged(self):
         params = LocusParams(1.0)
         r = trisect(Angle.from_degrees(60.0), params)
-        bad = dataclasses.replace(r, theta=Angle(r.theta.radians + 1e-6))
+        bad = copy.copy(r)
+        bad.theta = Angle(r.theta.radians + 1e-6)
         report = verify_trisection(bad, params)
         res = report.residuals["three_theta_vs_target"]
         assert math.isclose(res, 3e-6, rel_tol=1e-4)

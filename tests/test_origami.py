@@ -1,6 +1,6 @@
 """Tests for the origami fold reconstruction and its verifier."""
 
-import dataclasses
+import copy
 import math
 import random
 
@@ -118,7 +118,8 @@ class TestVerify:
 
     def test_perturbed_h_is_flagged(self):
         c = abe_construct(Angle.from_degrees(60.0))
-        bad = dataclasses.replace(c, H=Point2(c.H.x, c.H.y + 1e-3))
+        bad = copy.copy(c)
+        bad.H = Point2(c.H.x, c.H.y + 1e-3)
         report = abe_verify(bad)
         assert not report.passes(1e-12)
         # The injected shift moves the measured first angle by ~1e-3 rad.
@@ -131,8 +132,9 @@ class TestVerify:
         # angle residuals instead of raising.
         c = abe_construct(Angle.from_degrees(60.0))
         p = getattr(c, name)
-        moved = ORIGIN if where == "origin" else Point2(p.x, -p.y)
-        report = abe_verify(dataclasses.replace(c, **{name: moved}))
+        bad = copy.copy(c)
+        setattr(bad, name, ORIGIN if where == "origin" else Point2(p.x, -p.y))
+        report = abe_verify(bad)
         assert not report.passes(1e-12)
         angles = report.residuals["alpha_vs_beta"], report.residuals["beta_vs_gamma"]
         assert max(angles) > 0.1

@@ -5,15 +5,21 @@ import ast
 import collections
 import contextlib
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import trisectrix
 from trisectrix.cli import main
-from trisectrix.geom import Angle, Point2
+from trisectrix.geom import Angle, Point2, Value
 from trisectrix.locus import LocusParams, locus_point, trisect, verify_trisection
 from trisectrix.oracles import chord_diagram, cross_validate
 from trisectrix.origami import abe_construct
+from trisectrix.report import VerificationReport
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = pathlib.Path(trisectrix.__file__).resolve().parent
@@ -61,22 +67,57 @@ def test_readme_command_lines_run_as_written(tmp_path):
         assert main(argv) == 0, " ".join(words)
 
 
-def test_value_types_are_slotted_and_keep_post_init():
-    # Slotted values carry no per-instance __dict__. The construction counts
-    # of the benchmark and of the tests wrap Point2 and Angle __post_init__,
-    # so both classes must define it themselves.
+def _values():
+    """One instance of each of the nine value types."""
     params = LocusParams(1.0)
     result = trisect(1.0, params)
-    values = [
+    return [
         Angle(1.0), Point2(0.0, 1.0), params,
         locus_point(params, 2.0), result, verify_trisection(result, params),
         abe_construct(1.0), chord_diagram(1.0), cross_validate(1.0, 1.0, 1e-10),
     ]
+
+
+def test_value_types_are_slotted_and_keep_post_init():
+    # Slotted values carry no per-instance __dict__. The construction counts
+    # of the benchmark and of the tests wrap Point2 and Angle __post_init__,
+    # so both classes must define it themselves.
+    values = _values()
     assert len({type(v) for v in values}) == 9
     for value in values:
+        assert isinstance(value, Value), type(value).__name__
         assert not hasattr(value, "__dict__"), type(value).__name__
     assert "__post_init__" in Point2.__dict__
     assert "__post_init__" in Angle.__dict__
+
+
+def test_values_are_unhashable_and_equal_field_by_field_within_one_class():
+    for value in _values():
+        cls = type(value)
+        with pytest.raises(TypeError):
+            hash(value)
+        # Every type builds from its fields by keyword, into an equal value.
+        rebuilt = cls(**{name: getattr(value, name) for name in cls.__slots__})
+        assert rebuilt == value and not rebuilt != value, cls.__name__
+    assert Angle(1.0) == Angle(1.0) and Angle(1.0) != Angle(2.0)
+    assert Angle(1.0) != LocusParams(1.0)
+    assert Point2(0.0, 1.0) != (0.0, 1.0)
+    first, second = VerificationReport({"r": 0.0}), VerificationReport({"r": 0.0})
+    first.informational["x"] = 1.0
+    assert second.informational == {}
+
+
+def test_import_loads_no_dataclasses():
+    # The value types are written out by hand so that importing the package
+    # runs no code generation and loads none of dataclasses' dependencies.
+    # -S keeps site-packages hooks from importing these modules themselves.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, trisectrix.cli; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "trisectrix.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis"} == set()
 
 
 def _defined_names(statement):
@@ -142,14 +183,17 @@ def test_every_library_error_has_an_exit_code():
     assert subclasses - caught == set()
 
 
-def _is_dataclass(node):
-    return isinstance(node, ast.ClassDef) and any(
-        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-        for d in node.decorator_list
-    )
+def _slots(node):
+    """The field names a class statement lists in ``__slots__``."""
+    return [
+        name
+        for s in node.body
+        if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "__slots__"
+        for name in ast.literal_eval(s.value)
+    ]
 
 
-def test_every_dataclass_field_is_read_in_the_package():
+def test_every_value_field_is_read_in_the_package():
     # The same rule for the fields of the package's value types: each must be
     # read as an attribute somewhere in the package outside __init__.py. The
     # check goes by name only, so a field that shares its name with an
@@ -161,11 +205,11 @@ def test_every_dataclass_field_is_read_in_the_package():
         if path.name != "__init__.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for node in ast.walk(tree):
-                if _is_dataclass(node):
-                    fields.update((node.name, s.target.id) for s in node.body
-                                  if isinstance(s, ast.AnnAssign))
+                if isinstance(node, ast.ClassDef):
+                    fields.update((node.name, name) for name in _slots(node))
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     reads.add(node.attr)
+    assert len({cls for cls, _ in fields}) == 9
     unread = {f"{cls}.{name}" for cls, name in fields if name not in reads}
     # The benchmark's crosscheck workload reads this one to grade each op.
     assert unread == {"CrossValidationReport.theta_locus"}
