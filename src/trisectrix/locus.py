@@ -28,7 +28,6 @@ iterates and results are those of bisection that evaluates every midpoint.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 
@@ -164,12 +163,12 @@ def locus_point(params: LocusParams, b: float) -> LocusPoint:
     q = Point2(qx, qy)
     dd = a * a + b * b
     return LocusPoint(
-        b=b,
-        q=q,
-        residual_circle1=abs((qx * qx + qy * qy) - dd),
-        residual_circle2=abs((qx - b) * (qx - b) + (qy - a) * (qy - a) - 4.0 * a * a),
-        residual_locus_relation=abs(locus_relation_residual(params, b, q)),
-        q_polar_angle=Angle(math.atan2(qy, qx)),
+        b,
+        q,
+        abs((qx * qx + qy * qy) - dd),
+        abs((qx - b) * (qx - b) + (qy - a) * (qy - a) - 4.0 * a * a),
+        abs(locus_relation_residual(params, b, q)),
+        Angle(math.atan2(qy, qx)),
     )
 
 
@@ -218,6 +217,28 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     return points
 
 
+def _gap(a: float, b: float, target: float) -> float:
+    """f(b) of the bisection: Q's polar angle minus the target, in radians."""
+    qx, qy = _q_coords(a, b)
+    return math.atan2(qy, qx) - target
+
+
+def _result(t3: Angle, a: float, b: float, iterations: int, width: float,
+            f_val: float) -> TrisectionResult:
+    """The trisection at parameter ``b`` with the solver's diagnostics."""
+    qx, qy = _q_coords(a, b)
+    return TrisectionResult(
+        t3,
+        Angle(math.atan2(a, b)),
+        b,
+        math.hypot(a, b),
+        Point2(qx, qy),
+        iterations,
+        width,
+        f_val,
+    )
+
+
 def trisect(
     three_theta: AngleLike,
     params: LocusParams,
@@ -258,23 +279,6 @@ def trisect(
     # cannot straddle the tol boundary.
     stop = 0.5 * tol
 
-    def build(b: float, iterations: int, width: float, f_val: float) -> TrisectionResult:
-        qx, qy = _q_coords(a, b)
-        return TrisectionResult(
-            three_theta=t3,
-            theta=Angle(math.atan2(a, b)),
-            b_star=b,
-            unit_length=math.hypot(a, b),
-            n_point=Point2(qx, qy),
-            iterations=iterations,
-            final_bracket_width=width,
-            angle_residual=f_val,
-        )
-
-    def f(b: float) -> float:
-        qx, qy = _q_coords(a, b)
-        return math.atan2(qy, qx) - target
-
     # By the chord identity f(b) = 3*atan(a/b) - target exactly, so below
     # b_pos every f > stop + _SKIP_MARGIN and above b_neg every
     # f < -(stop + _SKIP_MARGIN); a step there takes its branch without an
@@ -286,9 +290,9 @@ def trisect(
 
     lo = SQRT3 * a
     if lo >= b_pos:
-        f_lo = f(lo)
+        f_lo = _gap(a, lo, target)
         if abs(f_lo) <= stop:
-            return build(lo, 0, 0.0, f_lo)
+            return _result(t3, a, lo, 0, 0.0, f_lo)
 
     hi = lo
     for _ in range(_MAX_DOUBLINGS):
@@ -297,43 +301,51 @@ def trisect(
             continue
         if hi > b_neg:
             break
-        f_hi = f(hi)
+        f_hi = _gap(a, hi, target)
         if abs(f_hi) <= stop:
-            return build(hi, 0, 0.0, f_hi)
+            return _result(t3, a, hi, 0, 0.0, f_hi)
         if f_hi < 0.0:
             break
     else:
         raise MaxIterationsExceeded(
             f"no upper bracket below target {t3.degrees!r} deg within "
             f"{_MAX_DOUBLINGS} doublings",
-            result=build(hi, 0, hi - lo, f(hi)),
+            result=_result(t3, a, hi, 0, hi - lo, _gap(a, hi, target)),
         )
 
-    for iteration in itertools.count(1):
+    # A mid that repeats an endpoint means lo and hi are adjacent floats: the
+    # bracket has collapsed. As lo <= b_neg and hi >= b_pos throughout, a mid
+    # below b_pos can only repeat lo, and one above b_neg only hi.
+    iteration = 0
+    while True:
+        iteration += 1
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # lo and hi are adjacent floats: every later step would repeat
-            # an endpoint whose |f| is already above the stop.
-            f_lo, f_hi = f(lo), f(hi)
-            b, f_b = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-            raise MaxIterationsExceeded(
-                f"bisection bracket collapsed after {iteration - 1} iterations "
-                f"before reaching tol={tol!r} rad (|residual| = {abs(f_b)!r})",
-                result=build(b, iteration - 1, hi - lo, f_b),
-            )
         if mid < b_pos:
+            if mid == lo:
+                break
             lo = mid
             continue
         if mid > b_neg:
+            if mid == hi:
+                break
             hi = mid
             continue
-        f_mid = f(mid)
+        if mid == lo or mid == hi:
+            break
+        f_mid = _gap(a, mid, target)
         if abs(f_mid) <= stop:
-            return build(mid, iteration, hi - lo, f_mid)
+            return _result(t3, a, mid, iteration, hi - lo, f_mid)
         if f_mid > 0.0:
             lo = mid
         else:
             hi = mid
+    f_lo, f_hi = _gap(a, lo, target), _gap(a, hi, target)
+    b, f_b = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    raise MaxIterationsExceeded(
+        f"bisection bracket collapsed after {iteration - 1} iterations "
+        f"before reaching tol={tol!r} rad (|residual| = {abs(f_b)!r})",
+        result=_result(t3, a, b, iteration - 1, hi - lo, f_b),
+    )
 
 
 def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationReport:
@@ -360,4 +372,4 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
         "b_star_normalized": r.b_star / r.unit_length,
         "sin_theta_normalized": a / r.unit_length,
     }
-    return VerificationReport(residuals=residuals, informational=informational)
+    return VerificationReport(residuals, informational)

@@ -91,19 +91,19 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
     lx, ly = s * gx, s * gy
 
     return ChordDiagram(
-        three_theta=t3,
-        A=ORIGIN,
-        E=Point2(fx, 0.0),
-        F=Point2(fx, fy),
-        G=Point2(gx, gy),
-        J=Point2(jx, jy),
-        K=Point2(kx, ky),
-        L=Point2(lx, ly),
-        chord_FK=math.hypot(fx - kx, fy - ky),
-        chord_KL=math.hypot(kx - lx, ky - ly),
-        chord_LE=math.hypot(lx - fx, ly),
-        # Perpendicular distance from G to the base line.
-        fold_BG=abs(gy),
+        t3,
+        ORIGIN,
+        Point2(fx, 0.0),
+        Point2(fx, fy),
+        Point2(gx, gy),
+        Point2(jx, jy),
+        Point2(kx, ky),
+        Point2(lx, ly),
+        math.hypot(fx - kx, fy - ky),
+        math.hypot(kx - lx, ky - ly),
+        math.hypot(lx - fx, ly),
+        # fold_BG, the perpendicular distance from G to the base line.
+        abs(gy),
     )
 
 
@@ -187,7 +187,7 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     for name, value in chord_residuals(chord_diagram(t3)).items():
         residuals[f"chord_{name}"] = value
 
-    report = CrossValidationReport(theta_locus=theta_locus, residuals=residuals)
+    report = CrossValidationReport(theta_locus, residuals)
     for first, x, second, y in pairs:
         gap = abs(x - y)
         if gap > tol:

@@ -80,20 +80,20 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     g = math.atan2(gy, gx)
 
     return AbeConstruction(
-        three_theta=t3,
-        theta=Angle(t),
-        O=ORIGIN,
-        D=Point2(0.0, 2.0 * sin_t),
-        S=Point2(0.0, sin_t),
-        H=Point2(cos_t, sin_t),
-        C=Point2(cx, cy),
-        G=Point2(gx, gy),
-        # The foot of the perpendicular from H onto the base ray.
-        P=Point2(cos_t, 0.0),
-        alpha=Angle(alpha),
-        beta=Angle(g - alpha),
-        gamma=Angle(math.atan2(cy, cx) - g),
-        unit_length=math.hypot(cos_t, sin_t),
+        t3,
+        Angle(t),
+        ORIGIN,
+        Point2(0.0, 2.0 * sin_t),
+        Point2(0.0, sin_t),
+        Point2(cos_t, sin_t),
+        Point2(cx, cy),
+        Point2(gx, gy),
+        # P, the foot of the perpendicular from H onto the base ray.
+        Point2(cos_t, 0.0),
+        Angle(alpha),
+        Angle(g - alpha),
+        Angle(math.atan2(cy, cx) - g),
+        math.hypot(cos_t, sin_t),
     )
 
 
@@ -147,4 +147,4 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     informational = {
         "cp_vs_sin_theta": abs(hypot(cx - px, cy - py) - sin_t),
     }
-    return VerificationReport(residuals=residuals, informational=informational)
+    return VerificationReport(residuals, informational)

@@ -339,8 +339,8 @@ class TestTrisect:
         assert r.iterations <= 55
 
     def test_result_matches_curve_formula_bit_for_bit(self):
-        # The solver inlines _q_coords' formula; its reported crossing and
-        # residual must equal the formula's own values exactly.
+        # The solver evaluates the curve through _q_coords; its reported
+        # crossing and residual must equal the formula's own values exactly.
         for deg in (0.5, 7.0, 33.3, 60.0, 89.9, 90.0):
             target = math.radians(deg)
             for a in (1e-3, 0.3, 1.0, 2.7, 1e4):
@@ -660,6 +660,48 @@ def test_matches_reference_bisection(target, a, tol):
     assert _outcome(trisect, target, params, tol) == _outcome(
         _reference_trisect, target, params, tol
     )
+
+
+# Collapses at tol 1e-17 over the targets k/10 deg, k = 1..900, per fold.
+COLLAPSES_AT_1E_17 = {FOLD_MIN: 152, 1.0: 126, FOLD_MAX: 139}
+
+
+def test_matches_reference_bisection_where_the_bracket_collapses():
+    # A deterministic sweep of the collapse path: at tol 1e-17 one target in
+    # six or seven cannot be reached in double precision, and the solver
+    # must raise with the message, step count and result of the bisection
+    # that evaluates every midpoint.
+    for a, expected in COLLAPSES_AT_1E_17.items():
+        params = LocusParams(a)
+        collapsed = 0
+        for k in range(1, 901):
+            target = math.radians(k / 10.0)
+            outcome = _outcome(trisect, target, params, 1e-17)
+            assert outcome == _outcome(_reference_trisect, target, params, 1e-17), (a, k)
+            collapsed += outcome.startswith("MaxIterationsExceeded: bisection bracket")
+        assert collapsed == expected, a
+
+
+def test_value_constructions_per_solve(monkeypatch):
+    # One Point2 (the crossing) per solve, and one Angle for theta plus one
+    # for a raw-number target; an Angle target is passed through. The
+    # benchmark counts constructions through the same __post_init__ hook.
+    counts = {Point2: 0, Angle: 0}
+    for cls in counts:
+        def counting(self, original=cls.__post_init__, cls=cls):
+            counts[cls] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    params = LocusParams(1.0)
+    for target, angles in ((math.radians(60.0), 2), (Angle(math.radians(60.0)), 1),
+                           (math.radians(7.0), 2), (0.5 * math.pi, 2)):
+        for tol in (1e-12, 1e-17):
+            counts.update({Point2: 0, Angle: 0})
+            try:
+                trisect(target, params, tol=tol)
+            except MaxIterationsExceeded:
+                pass
+            assert counts == {Point2: 1, Angle: angles}, (target, tol)
 
 
 def _solver_grid_lines():
