@@ -14,7 +14,6 @@ from .errors import (
 )
 from .geom import (
     Angle,
-    ORIGIN,
     Point2,
     SQRT3,
     as_angle,
@@ -55,7 +54,6 @@ __all__ = [
     "LocusPoint",
     "MaxIterationsExceeded",
     "MismatchDetected",
-    "ORIGIN",
     "ParameterOutOfRange",
     "Point2",
     "SQRT3",

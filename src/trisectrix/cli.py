@@ -124,13 +124,14 @@ def cmd_trisect(args: argparse.Namespace) -> int:
         "theta_deg": result.theta.degrees,
         "theta_rad": result.theta.radians,
         "b_star": result.b_star,
-        "b_star_normalized": report.informational["b_star_normalized"],
+        # b* in units of the solved unit length: cos(theta) at the crossing.
+        "b_star_normalized": result.b_star / result.unit_length,
         "unit_length": result.unit_length,
         "n_point": {"x": result.n_point.x, "y": result.n_point.y},
         "iterations": result.iterations,
         "final_bracket_width": result.final_bracket_width,
         "angle_residual_rad": result.angle_residual,
-        "sin_theta_normalized": report.informational["sin_theta_normalized"],
+        "sin_theta_normalized": params.a / result.unit_length,
         "fold_a": args.fold,
         "verification": dict(report.residuals),
     }
@@ -166,11 +167,16 @@ def cmd_locus(args: argparse.Namespace) -> int:
 def cmd_origami(args: argparse.Namespace) -> int:
     c = abe_construct(_target(args))
     report = abe_verify(c)
-    points = {
-        name: {"x": p.x, "y": p.y}
-        for name, p in (("O", c.O), ("D", c.D), ("S", c.S), ("H", c.H),
-                        ("C", c.C), ("G", c.G), ("P", c.P))
-    }
+    points = {"O": {"x": 0.0, "y": 0.0}}  # the vertex, at the frame origin
+    for name in "DSHCGP":
+        p = getattr(c, name)
+        points[name] = {"x": p.x, "y": p.y}
+    # Classical presentations of the fold read P two ways. As the foot of the
+    # perpendicular from H, the lengths O-P and H-P are cos t and sin t, which
+    # abe_verify checks. The other reading, "C-P equals sin t", holds for no
+    # point on the base ray, so it is reported here and not checked.
+    cp_vs_sin_theta = abs(math.hypot(c.C.x - c.P.x, c.C.y - c.P.y)
+                          - math.sin(c.theta.radians))
     payload = {
         "three_theta_deg": c.three_theta.degrees,
         "theta_deg": c.theta.degrees,
@@ -180,7 +186,7 @@ def cmd_origami(args: argparse.Namespace) -> int:
         "unit_length": c.unit_length,
         "points": points,
         "residuals": dict(report.residuals),
-        "informational": dict(report.informational),
+        "informational": {"cp_vs_sin_theta": cp_vs_sin_theta},
     }
     _emit(args, payload, lambda: [
         f"fold construction for {payload['three_theta_deg']:.6g} deg",

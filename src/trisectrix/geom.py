@@ -129,9 +129,6 @@ class Point2(Value):
             raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
-ORIGIN = Point2(0.0, 0.0)
-
-
 def distance(p: Point2, q: Point2) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p.x - q.x, p.y - q.y)

@@ -366,10 +366,4 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
         "fold_ratio_vs_sin_theta": abs(a / r.unit_length - math.sin(r.theta.radians)),
         "locus_relation_at_n": abs(locus_relation_residual(params, r.b_star, r.n_point)),
     }
-    informational = {
-        # b* in units of the solved unit length; equals cos(theta) at the
-        # crossing, which is the normalized reading of the parameter range.
-        "b_star_normalized": r.b_star / r.unit_length,
-        "sin_theta_normalized": a / r.unit_length,
-    }
-    return VerificationReport(residuals, informational)
+    return VerificationReport(residuals)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import MismatchDetected
-from .geom import Angle, AngleLike, ORIGIN, Point2, Value, as_angle, target_angle
+from .geom import Angle, AngleLike, Point2, Value, as_angle, target_angle
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
 from .report import ResidualMap
@@ -21,23 +21,23 @@ from .report import ResidualMap
 
 class ChordDiagram(Value):
     """Chord construction for a target angle: the segment from the vertex A
-    to F on the unit circle is a diameter of a half-unit circle centered at
-    J; the trisecting rays cut that circle at K and L, and the arcs F-K,
-    K-L, L-E all subtend equal chords of length sin(three_theta/3).
+    (the frame origin, so not stored) to F on the unit circle is a diameter
+    of a half-unit circle centered at J; the trisecting rays cut that circle
+    at K and L, and the arcs F-K, K-L, L-E all subtend equal chords of length
+    sin(three_theta/3).
 
     E is the foot of F on the base line; G is the unit-circle point at the
     trisected angle, whose height above the base (``fold_BG``) is the crease
     spacing used by the origami fold.
     """
 
-    __slots__ = ("three_theta", "A", "E", "F", "G", "J", "K", "L", "chord_FK",
-                 "chord_KL", "chord_LE", "fold_BG")
+    __slots__ = ("three_theta", "E", "F", "G", "J", "K", "L", "chord_FK", "chord_KL",
+                 "chord_LE", "fold_BG")
 
-    def __init__(self, three_theta: Angle, A: Point2, E: Point2, F: Point2, G: Point2,
-                 J: Point2, K: Point2, L: Point2, chord_FK: float, chord_KL: float,
+    def __init__(self, three_theta: Angle, E: Point2, F: Point2, G: Point2, J: Point2,
+                 K: Point2, L: Point2, chord_FK: float, chord_KL: float,
                  chord_LE: float, fold_BG: float) -> None:
         self.three_theta = three_theta
-        self.A = A
         self.E = E
         self.F = F
         self.G = G
@@ -92,7 +92,6 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
 
     return ChordDiagram(
         t3,
-        ORIGIN,
         Point2(fx, 0.0),
         Point2(fx, fy),
         Point2(gx, gy),
@@ -117,7 +116,7 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
     fx, fy = d.F.x, d.F.y
     hypot = math.hypot
     return {
-        "ja_radius": abs(hypot(jx - d.A.x, jy - d.A.y) - 0.5),
+        "ja_radius": abs(hypot(jx, jy) - 0.5),
         "jf_radius": abs(hypot(jx - fx, jy - fy) - 0.5),
         "je_radius": abs(hypot(jx - d.E.x, jy - d.E.y) - 0.5),
         "jk_radius": abs(hypot(jx - d.K.x, jy - d.K.y) - 0.5),

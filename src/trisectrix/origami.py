@@ -10,7 +10,7 @@ measured from the coordinates (never assumed).
 Point legend, with ``t`` the trisected angle and the given angle ``3t``
 opening counterclockwise from the positive x axis:
 
-    O  corner of the sheet, the angle vertex, at the origin
+    O  corner of the sheet, the angle vertex: the frame origin, not stored
     D  marked point on the y axis at height ``2 sin t`` (second crease height)
     S  midpoint of O and D, on the first crease ``y = sin t``
     H  image of O after the fold: on the first crease, on the unit circle
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .geom import Angle, AngleLike, ORIGIN, Point2, Value, target_angle
+from .geom import Angle, AngleLike, Point2, Value, target_angle
 from .report import VerificationReport
 
 
@@ -35,15 +35,14 @@ class AbeConstruction(Value):
     the measured distance O-H (the fold is normalized so it equals 1).
     """
 
-    __slots__ = ("three_theta", "theta", "O", "D", "S", "H", "C", "G", "P", "alpha",
-                 "beta", "gamma", "unit_length")
+    __slots__ = ("three_theta", "theta", "D", "S", "H", "C", "G", "P", "alpha", "beta",
+                 "gamma", "unit_length")
 
-    def __init__(self, three_theta: Angle, theta: Angle, O: Point2, D: Point2,
-                 S: Point2, H: Point2, C: Point2, G: Point2, P: Point2, alpha: Angle,
+    def __init__(self, three_theta: Angle, theta: Angle, D: Point2, S: Point2,
+                 H: Point2, C: Point2, G: Point2, P: Point2, alpha: Angle,
                  beta: Angle, gamma: Angle, unit_length: float) -> None:
         self.three_theta = three_theta
         self.theta = theta
-        self.O = O
         self.D = D
         self.S = S
         self.H = H
@@ -82,7 +81,6 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     return AbeConstruction(
         t3,
         Angle(t),
-        ORIGIN,
         Point2(0.0, 2.0 * sin_t),
         Point2(0.0, sin_t),
         Point2(cos_t, sin_t),
@@ -105,19 +103,13 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     C moved to the origin or below the base line is flagged the same way,
     and nothing raises. All checked residuals sit at rounding level (<= 1e-12) for
     constructions produced by :func:`abe_construct`, whose H, G and C lie
-    in the upper half-plane.
-
-    Two readings of the point P exist in classical presentations of the
-    fold: with P the foot of the perpendicular from H, the lengths O-P and
-    H-P behave as expected (cos t and sin t), while the alternative reading
-    "C-P equals sin t" does not hold for any point on the base ray. Both are
-    reported; the alternative is informational only.
+    in the upper half-plane. Distances from O, the origin, are the hypot of
+    the point itself.
     """
     t = c.theta.radians
     t3 = c.three_theta.radians
     sin_t, cos_t = math.sin(t), math.cos(t)
 
-    ox, oy = c.O.x, c.O.y
     dx, dy = c.D.x, c.D.y
     sx, sy = c.S.x, c.S.y
     hx, hy = c.H.x, c.H.y
@@ -131,20 +123,17 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     gamma = math.atan2(cy, cx) - g
     hypot = math.hypot
     residuals = {
-        "oh_vs_oc": abs(hypot(ox - hx, oy - hy) - hypot(ox - cx, oy - cy)),
-        "hc_vs_od": abs(hypot(hx - cx, hy - cy) - hypot(ox - dx, oy - dy)),
-        "os_vs_sd": abs(hypot(ox - sx, oy - sy) - hypot(sx - dx, sy - dy)),
+        "oh_vs_oc": abs(hypot(hx, hy) - hypot(cx, cy)),
+        "hc_vs_od": abs(hypot(hx - cx, hy - cy) - hypot(dx, dy)),
+        "os_vs_sd": abs(hypot(sx, sy) - hypot(sx - dx, sy - dy)),
         "hg_vs_gc": abs(hypot(hx - gx, hy - gy) - hypot(gx - cx, gy - cy)),
         "alpha_vs_beta": abs(alpha - beta),
         "beta_vs_gamma": abs(beta - gamma),
-        "op_vs_cos_theta": abs(hypot(ox - px, oy - py) - cos_t),
+        "op_vs_cos_theta": abs(hypot(px, py) - cos_t),
         "hp_vs_sin_theta": abs(hypot(hx - px, hy - py) - sin_t),
         # Perpendicular distance of C from the ray at the full angle.
         "c_on_target_ray": abs(cx * math.sin(t3) - cy * math.cos(t3)),
         "angle_sum_vs_three_theta": abs(alpha + beta + gamma - t3),
         "h_on_first_crease": abs(hy - sin_t),
     }
-    informational = {
-        "cp_vs_sin_theta": abs(hypot(cx - px, cy - py) - sin_t),
-    }
-    return VerificationReport(residuals, informational)
+    return VerificationReport(residuals)

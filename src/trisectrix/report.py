@@ -26,17 +26,11 @@ class ResidualMap(Value):
 
 
 class VerificationReport(ResidualMap):
-    """A map of named residuals, each expected to sit at rounding level.
+    """A map of named residuals, each a checked equality expected to sit at
+    rounding level."""
 
-    ``residuals`` carry the checked equalities; ``informational`` entries are
-    diagnostics that are reported but deliberately not held to a tolerance
-    (for example the alternative reading of an ambiguously placed point).
-    """
+    __slots__ = ("residuals",)
 
-    __slots__ = ("residuals", "informational")
-
-    def __init__(self, residuals: dict[str, float],
-                 informational: dict[str, float] | None = None) -> None:
+    def __init__(self, residuals: dict[str, float]) -> None:
         self.residuals = residuals
-        self.informational = {} if informational is None else informational
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from trisectrix.cli import CSV_HEADER, build_parser, main
 from trisectrix.geom import Angle, Point2, SQRT3
 from trisectrix.locus import LocusParams, TrisectionResult, verify_trisection
+from trisectrix.origami import abe_construct
 
 
 def run(capsys, *argv):
@@ -35,6 +36,21 @@ class TestTrisectCommand:
         for key in ("three_theta_deg", "iterations", "angle_residual_rad",
                     "verification"):
             assert key in payload
+
+    def test_normalized_parameter_reported(self, capsys):
+        # The command computes both readings from the result it prints.
+        for fold in ("0.01", "1", "7.5", "1e5"):
+            for degrees in ("0.5", "1", "33", "60", "89.9", "90"):
+                code, out, _ = run(capsys, "trisect", "--angle-deg", degrees,
+                                   "--fold", fold)
+                assert code == 0
+                payload = json.loads(out)
+                unit_length = payload["unit_length"]
+                assert payload["b_star_normalized"] == payload["b_star"] / unit_length
+                assert payload["sin_theta_normalized"] == payload["fold_a"] / unit_length
+                assert payload["fold_a"] == float(fold)
+                assert math.isclose(payload["b_star_normalized"],
+                                    math.cos(payload["theta_rad"]), rel_tol=1e-12)
 
     def test_sixty_degrees(self, capsys):
         code, out, _ = run(capsys, "trisect", "--angle-deg", "60", "--fold", "1")
@@ -176,6 +192,21 @@ class TestOrigamiCommand:
             assert abs(payload[key] - 20.0) <= 1e-10
         assert max(abs(v) for v in payload["residuals"].values()) <= 1e-12
         assert "cp_vs_sin_theta" in payload["informational"]
+
+    @pytest.mark.parametrize("degrees", [1.0, 7.5, 10.0, 30.0, 45.0, 60.0, 89.9999])
+    def test_origin_and_alternative_p_reading(self, capsys, degrees):
+        # O is printed at the frame origin, and the unchecked reading
+        # "C-P equals sin(theta)" is computed from the construction's points.
+        code, out, _ = run(capsys, "origami", "--angle-deg", repr(degrees))
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload["points"]) == ["O", "D", "S", "H", "C", "G", "P"]
+        assert payload["points"]["O"] == {"x": 0.0, "y": 0.0}
+        c = abe_construct(Angle.from_degrees(degrees))
+        expected = abs(math.hypot(c.C.x - c.P.x, c.C.y - c.P.y) - math.sin(c.theta.radians))
+        assert payload["informational"] == {"cp_vs_sin_theta": expected}
+        # The gap is 2 sin(theta) to first order: above 0.1 from 10 degrees.
+        assert expected > (0.1 if degrees >= 10.0 else 0.0)
 
     def test_quarter_turn_exits_3(self, capsys):
         code, _, _ = run(capsys, "origami", "--angle-deg", "90")

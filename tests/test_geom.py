@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from trisectrix.errors import AngleOutOfRange
 from trisectrix.geom import (
     Angle,
-    ORIGIN,
     Point2,
     as_angle,
     distance,
@@ -145,7 +144,8 @@ class TestDistance:
     @pytest.mark.parametrize("theta_deg", [0.0, 17.0, 45.0, 90.0, 133.0, 270.0])
     def test_unit_circle(self, theta_deg):
         t = math.radians(theta_deg)
-        assert distance(ORIGIN, Point2(math.cos(t), math.sin(t))) == pytest.approx(
+        origin = Point2(0.0, 0.0)
+        assert distance(origin, Point2(math.cos(t), math.sin(t))) == pytest.approx(
             1.0, abs=1e-15
         )
 

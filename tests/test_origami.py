@@ -7,7 +7,7 @@ import random
 import pytest
 
 from trisectrix.errors import AngleOutOfRange
-from trisectrix.geom import ORIGIN, Angle, Point2, distance
+from trisectrix.geom import Angle, Point2, distance
 from trisectrix.origami import abe_construct, abe_verify
 
 # Frozen with math.sin/math.cos at the stated arguments.
@@ -15,6 +15,9 @@ SIN_20 = 0.3420201433256687
 COS_20 = 0.9396926207859084
 TWO_SIN_20 = 0.6840402866513374
 SIN_10 = 0.17364817766693033
+
+# O, the corner of the sheet and the angle vertex.
+ORIGIN = Point2(0.0, 0.0)
 
 
 class TestConstruct:
@@ -49,7 +52,7 @@ class TestConstruct:
     def test_thirty_degrees_equal_segments(self):
         c = abe_construct(Angle.from_degrees(30.0))
         for length in (
-            distance(c.O, c.S),
+            distance(ORIGIN, c.S),
             distance(c.S, c.D),
             distance(c.H, c.G),
             distance(c.G, c.C),
@@ -63,14 +66,14 @@ class TestConstruct:
         c = abe_construct(Angle(math.pi / 2.0 - delta))
         hc = distance(c.H, c.C)
         assert abs(hc - 2.0 * math.sin(c.theta.radians)) <= 1e-12
-        assert abs(hc - distance(c.O, c.D)) <= 1e-12
+        assert abs(hc - distance(ORIGIN, c.D)) <= 1e-12
         assert abs(hc - 1.0) <= 1e-5
 
     def test_unit_length_is_one(self):
         for deg in (5.0, 30.0, 60.0, 89.0):
             c = abe_construct(Angle.from_degrees(deg))
             assert abs(c.unit_length - 1.0) <= 1e-12
-            assert abs(distance(c.O, c.C) - 1.0) <= 1e-12
+            assert abs(distance(ORIGIN, c.C) - 1.0) <= 1e-12
 
 
 class TestProperties:
@@ -90,7 +93,7 @@ class TestProperties:
             c = abe_construct(Angle(t3))
             expected = 2.0 * math.sin(t3 / 3.0)
             assert abs(distance(c.H, c.C) - expected) <= 1e-12
-            assert abs(distance(c.O, c.D) - expected) <= 1e-12
+            assert abs(distance(ORIGIN, c.D) - expected) <= 1e-12
 
     def test_g_defines_middle_ray(self):
         # The midpoint of the fold chord sits on the ray at two thirds of the
@@ -100,7 +103,7 @@ class TestProperties:
             t3 = rng.uniform(0.001, math.pi / 2.0 - 0.001)
             c = abe_construct(Angle(t3))
             assert abs(math.atan2(c.G.y, c.G.x) - 2.0 * t3 / 3.0) <= 1e-12
-            assert abs(distance(c.O, c.G) - math.cos(t3 / 3.0)) <= 1e-12
+            assert abs(distance(ORIGIN, c.G) - math.cos(t3 / 3.0)) <= 1e-12
 
     def test_h_stays_on_first_crease(self):
         rng = random.Random(0x07)
@@ -140,12 +143,14 @@ class TestVerify:
         assert max(angles) > 0.1
 
     def test_alternative_p_reading_reported_not_enforced(self):
-        # "C-P equals sin(theta)" has no solution with P on the base ray; the
-        # discrepancy is reported as informational instead of being checked.
-        report = abe_verify(abe_construct(Angle.from_degrees(60.0)))
+        # "C-P equals sin(theta)" has no solution with P on the base ray, so
+        # the verifier does not check it; the origami command reports it.
+        c = abe_construct(Angle.from_degrees(60.0))
+        report = abe_verify(c)
         assert report.residuals["op_vs_cos_theta"] <= 1e-12
         assert report.residuals["hp_vs_sin_theta"] <= 1e-12
-        assert report.informational["cp_vs_sin_theta"] > 0.1
+        assert "cp_vs_sin_theta" not in report.residuals
+        assert abs(distance(c.C, c.P) - math.sin(c.theta.radians)) > 0.1
 
     def test_report_shape(self):
         report = abe_verify(abe_construct(Angle.from_degrees(45.0)))
@@ -155,6 +160,4 @@ class TestVerify:
             "hp_vs_sin_theta", "c_on_target_ray",
             "angle_sum_vs_three_theta", "h_on_first_crease",
         }
-        assert expected_keys <= set(report.residuals)
-        assert "cp_vs_sin_theta" in report.informational
-        assert not set(report.informational) & set(report.residuals)
+        assert set(report.residuals) == expected_keys

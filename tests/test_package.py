@@ -18,8 +18,8 @@ import trisectrix
 from trisectrix.cli import main
 from trisectrix.geom import Angle, Point2, Value
 from trisectrix.locus import LocusParams, locus_point, trisect, verify_trisection
-from trisectrix.oracles import chord_diagram, cross_validate
-from trisectrix.origami import abe_construct
+from trisectrix.oracles import chord_diagram, chord_residuals, cross_validate
+from trisectrix.origami import abe_construct, abe_verify
 from trisectrix.report import VerificationReport
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -103,9 +103,53 @@ def test_values_are_unhashable_and_equal_field_by_field_within_one_class():
     assert Angle(1.0) == Angle(1.0) and Angle(1.0) != Angle(2.0)
     assert Angle(1.0) != LocusParams(1.0)
     assert Point2(0.0, 1.0) != (0.0, 1.0)
-    first, second = VerificationReport({"r": 0.0}), VerificationReport({"r": 0.0})
-    first.informational["x"] = 1.0
-    assert second.informational == {}
+    # A report holds only its checked residuals.
+    assert VerificationReport.__slots__ == ("residuals",)
+
+
+def _mutable_parts(values):
+    """Every Point2, Angle and dict reachable from ``values`` through the
+    slots of the value types, by id."""
+    found = {}
+    stack = list(values)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (Point2, Angle, dict)):
+            found[id(value)] = value
+        if isinstance(value, Value):
+            stack += [getattr(value, name) for name in type(value).__slots__]
+        elif isinstance(value, dict):
+            stack += value.values()
+    return found
+
+
+def _route_outputs(t3):
+    """Each route's value for a raw-float target, and the reprs of those
+    values and of their verification."""
+    params = LocusParams(1.0)
+    result = trisect(t3, params)
+    fold, diagram = abe_construct(t3), chord_diagram(t3)
+    report = cross_validate(t3, 1.0, 1e-10)
+    assert report.passes(1e-10)
+    values = [result, fold, diagram, report]
+    checks = [verify_trisection(result, params), abe_verify(fold),
+              chord_residuals(diagram)]
+    return values, [repr(v) for v in values + checks]
+
+
+def test_values_from_separate_calls_share_no_mutable_part():
+    # Values are mutable, so two calls must never hand out one object: a
+    # point moved in one result would otherwise move in every later one.
+    first, _ = _route_outputs(1.0)
+    second, second_reprs = _route_outputs(0.5)
+    first_parts = _mutable_parts(first)
+    assert len(first_parts) > 20
+    assert not first_parts.keys() & _mutable_parts(second).keys()
+    for part in first_parts.values():
+        if isinstance(part, Point2):
+            part.x += 0.25
+    assert [repr(v) for v in second] == second_reprs[:len(second)]
+    assert _route_outputs(0.5)[1] == second_reprs
 
 
 def test_import_loads_no_dataclasses():
