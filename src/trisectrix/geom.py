@@ -97,7 +97,9 @@ AngleLike = Union[Angle, float, int]
 
 
 def as_angle(value: AngleLike) -> Angle:
-    """Coerce a raw radian value (or pass an Angle through) to an Angle."""
+    """Coerce a raw radian value to an Angle, or pass an Angle through. Its
+    only callers, ``oracle_theta`` and ``triple_angle_residual``, return
+    fresh values, so no result holds the Angle passed through."""
     if isinstance(value, Angle):
         return value
     return Angle(as_float(value))
@@ -107,11 +109,12 @@ def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> An
     """``value`` as an Angle if it lies in (0, pi/2], or in (0, pi/2) without
     ``quarter_turn``; otherwise AngleOutOfRange, its message ``domain``
     followed by the value in degrees. A raw number is checked as given, so
-    450 degrees is out of range, not 90."""
+    450 degrees is out of range, not 90. The Angle is always a new one, so
+    no result shares the caller's."""
     r = value.radians if isinstance(value, Angle) else as_float(value)
     if not (0.0 < r < 0.5 * math.pi or (quarter_turn and r == 0.5 * math.pi)):
         raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
-    return value if isinstance(value, Angle) else Angle(r)
+    return Angle(r)
 
 
 class Point2(Value):

@@ -91,7 +91,8 @@ class TestDomainTypes:
 class TestTargetAngle:
     def test_checks_the_value_as_given(self):
         a = Angle(0.5)
-        assert target_angle(a, "d") is a
+        copy = target_angle(a, "d")
+        assert copy == a and copy is not a
         assert target_angle(1, "d") == Angle(1.0)
         assert target_angle(0.5 * math.pi, "d").radians == 0.5 * math.pi
         with pytest.raises(AngleOutOfRange, match=r"^d, got 450$"):

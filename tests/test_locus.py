@@ -1,13 +1,15 @@
 """Tests for the locus curve and the bisection trisector."""
 
 import copy
-import hashlib
 import math
 import random
+import re
 from decimal import Decimal, getcontext, localcontext
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+import pins
 
 from trisectrix.errors import (
     AngleOutOfRange,
@@ -675,7 +677,7 @@ def test_matches_reference_bisection_where_the_bracket_collapses():
 
 def test_value_constructions_per_solve(monkeypatch):
     # One Point2 (the crossing) per solve, and one Angle for theta plus one
-    # for a raw-number target; an Angle target is passed through. The
+    # for the target, a copy when the target is an Angle already. The
     # benchmark counts constructions through the same __post_init__ hook.
     counts = {Point2: 0, Angle: 0}
     for cls in counts:
@@ -684,7 +686,7 @@ def test_value_constructions_per_solve(monkeypatch):
             original(self)
         monkeypatch.setattr(cls, "__post_init__", counting)
     params = LocusParams(1.0)
-    for target, angles in ((math.radians(60.0), 2), (Angle(math.radians(60.0)), 1),
+    for target, angles in ((math.radians(60.0), 2), (Angle(math.radians(60.0)), 2),
                            (math.radians(7.0), 2), (0.5 * math.pi, 2)):
         for tol in (1e-12, 1e-17):
             counts.update({Point2: 0, Angle: 0})
@@ -695,7 +697,11 @@ def test_value_constructions_per_solve(monkeypatch):
             assert counts == {Point2: 1, Angle: angles}, (target, tol)
 
 
-def _solver_grid_lines():
+def solver_grid():
+    """Each solve over the skip path's edges, labelled by its inputs: targets
+    at and just below 90 degrees and down to the smallest subnormal, the
+    fold range's ends, and tols from subnormal to huge. Its output is the
+    result or error, then the verification report, one line each."""
     half_pi = 0.5 * math.pi
     below = [half_pi]
     for _ in range(3):
@@ -713,26 +719,37 @@ def _solver_grid_lines():
                     r = trisect(target, params, tol=tol)
                 except TrisectrixError as exc:
                     r = exc.result
-                    yield f"{type(exc).__name__}: {exc} -> {r!r}"
+                    line = f"{type(exc).__name__}: {exc} -> {r!r}"
                 else:
-                    yield repr(r)
-                yield repr(verify_trisection(r, params))
-
-
-# SHA-256 of the 462 lines of _solver_grid_lines(), taken from the solver
-# when it still had a step budget, at a budget of 2000 steps (budgets 55,
-# 60 and 200 gave the same digest, 53 did not). When
-# VerificationReport.informational was deleted, it was re-taken on the code
-# before that deletion with the field left out of its reprs.
-SOLVER_GRID_DIGEST = "5e69ba7e83870befa427b0a89a61bac1dac60c246b342ef892f1ccc5b11a1f60"
+                    line = repr(r)
+                yield (f"a={a!r} target={target!r} tol={tol!r}",
+                       f"{line}\n{verify_trisection(r, params)!r}\n")
 
 
 def test_solver_outputs_bit_identical():
-    # Results, errors and verification reports over the skip path's edges:
-    # targets at and just below 90 degrees and down to the smallest
-    # subnormal, the fold range's ends, and tols from subnormal to huge.
-    h = hashlib.sha256()
-    for line in _solver_grid_lines():
-        h.update(line.encode())
-        h.update(b"\n")
-    assert h.hexdigest() == SOLVER_GRID_DIGEST
+    pins.check("solver", solver_grid())
+
+
+def _last_digit_changed(text):
+    """``text`` with the last digit of its first float changed."""
+    end = re.search(r"\d\.\d+", text).end()
+    return f"{text[:end - 1]}{(int(text[end - 1]) + 1) % 10}{text[end:]}"
+
+
+def test_pin_mismatch_prints_the_label_and_its_output():
+    grid = list(solver_grid())
+    label, output = grid[100]
+    changed = _last_digit_changed(output)
+    grid[100] = (label, changed)
+    with pytest.raises(AssertionError) as failure:
+        pins.check("solver", grid)
+    assert f"{label}: now\n{changed}" in str(failure.value)
+    assert "1 of 231 outputs differ" in str(failure.value)
+
+
+def test_pin_mismatch_names_a_missing_label():
+    grid = list(solver_grid())
+    label, _ = grid.pop(7)
+    with pytest.raises(AssertionError) as failure:
+        pins.check("solver", grid)
+    assert f"missing labels: [{label!r}]" in str(failure.value)

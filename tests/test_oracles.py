@@ -1,11 +1,12 @@
 """Tests for the independent verifiers and the cross-validation driver."""
 
-import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import pins
 
 from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
 from trisectrix.geom import Angle, Point2, as_angle, distance
@@ -174,11 +175,13 @@ class TestCrossValidate:
 
     def test_value_constructions_per_call(self, monkeypatch):
         # Each public value is built once: a sub-90 degree target given as a
-        # raw float builds at most 13 Point2 and 7 Angle values.
+        # raw float builds at most 13 Point2 and exactly 9 Angle values, two
+        # of them the copies of the target that abe_construct and
+        # chord_diagram make.
         counts = _count_constructions(monkeypatch)
         cross_validate(math.radians(60.0), 1.0, 1e-12)
         assert counts[Point2] <= 13
-        assert counts[Angle] <= 7
+        assert counts[Angle] == 9
 
     def test_value_constructions_per_solve(self, monkeypatch):
         # The benchmark's solve op, LocusParams + trisect + verify_trisection
@@ -188,18 +191,6 @@ class TestCrossValidate:
         params = LocusParams(1.0)
         verify_trisection(trisect(math.radians(60.0), params), params)
         assert counts == {Point2: 1, Angle: 2}
-
-
-# SHA-256 over the repr of every route's output on the inputs of
-# _pinned_outputs. It was first taken before the routes were rewritten on
-# plain floats. When ChordDiagram.B and six CrossValidationReport fields
-# (three_theta, fold_a, tol, theta_oracle, theta_origami, skipped) were
-# deleted, it was re-taken on the code before that deletion with those
-# fields left out of its reprs, and so again when ChordDiagram.A,
-# AbeConstruction.O and VerificationReport.informational were deleted. Any
-# change to an output bit, a residual name or order, or an exception's type
-# or message changes it.
-PINNED_DIGEST = "67e5b202030ad54625d38d2ee6be66ff6f184777d4ff9b8bb3d6e8eb9de95bdf"
 
 
 @given(x=st.floats())
@@ -230,31 +221,29 @@ def _outcome(fn, *args) -> str:
         return f"{type(exc).__name__}: {exc} | {attached!r}"
 
 
-def _pinned_outputs():
+def route_grid():
     """About 300 targets (every integer degree, exact 90 included, plus
     seeded uniform draws over (0, 90]), half as raw radians and half as
-    Angles, each through the origami and chord routes and through
-    cross_validate at three folds and two tols. The tol of 3e-17 sits below
-    rounding, so the mismatch and bracket-collapse errors are pinned too."""
+    Angles, each labelled by its degrees and form. Its output is one line
+    for each route: origami, chord and cross_validate at three folds and
+    two tols. The tol of 3e-17 sits below rounding, so the mismatch and
+    bracket-collapse errors are pinned too."""
     rng = random.Random(0x9E3779B9)
     degrees = [float(d) for d in range(1, 91)]
     degrees += [90.0 * (1.0 - rng.random()) for _ in range(210)]
     for i, deg in enumerate(degrees):
         t3 = math.radians(deg) if i % 2 else Angle.from_degrees(deg)
-        yield _outcome(abe_construct, t3)
+        lines = [_outcome(abe_construct, t3)]
         if deg < 90.0:
-            yield _outcome(abe_verify, abe_construct(t3))
+            lines.append(_outcome(abe_verify, abe_construct(t3)))
         diagram = chord_diagram(t3)
-        yield repr(diagram)
-        yield repr(chord_residuals(diagram))
+        lines += [repr(diagram), repr(chord_residuals(diagram))]
         for a in (0.1, 1.0, 7.5):
             for tol in (1e-10, 3e-17):
-                yield _outcome(cross_validate, t3, a, tol)
+                lines.append(_outcome(cross_validate, t3, a, tol))
+        form = "radians" if i % 2 else "Angle"
+        yield f"{deg!r} deg as {form}", "".join(f"{line}\n" for line in lines)
 
 
 def test_route_outputs_bit_identical():
-    h = hashlib.sha256()
-    for line in _pinned_outputs():
-        h.update(line.encode())
-        h.update(b"\n")
-    assert h.hexdigest() == PINNED_DIGEST
+    pins.check("routes", route_grid())

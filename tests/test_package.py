@@ -124,7 +124,7 @@ def _mutable_parts(values):
 
 
 def _route_outputs(t3):
-    """Each route's value for a raw-float target, and the reprs of those
+    """Each route's value for the target ``t3``, and the reprs of those
     values and of their verification."""
     params = LocusParams(1.0)
     result = trisect(t3, params)
@@ -138,18 +138,25 @@ def _route_outputs(t3):
 
 
 def test_values_from_separate_calls_share_no_mutable_part():
-    # Values are mutable, so two calls must never hand out one object: a
-    # point moved in one result would otherwise move in every later one.
-    first, _ = _route_outputs(1.0)
-    second, second_reprs = _route_outputs(0.5)
-    first_parts = _mutable_parts(first)
-    assert len(first_parts) > 20
-    assert not first_parts.keys() & _mutable_parts(second).keys()
-    for part in first_parts.values():
-        if isinstance(part, Point2):
-            part.x += 0.25
-    assert [repr(v) for v in second] == second_reprs[:len(second)]
-    assert _route_outputs(0.5)[1] == second_reprs
+    # Values are mutable, so no two calls may hand out one object, and no
+    # result may hold the caller's own Angle: a point moved or an angle set
+    # in one result would otherwise change the caller's and every other.
+    for target in (1.0, Angle(1.0)):
+        first, _ = _route_outputs(target)
+        second, second_reprs = _route_outputs(target)
+        parts = [_mutable_parts([value]) for value in first + second]
+        assert sum(map(len, parts)) > 40
+        for i, mine in enumerate(parts):
+            assert id(target) not in mine
+            for theirs in parts[i + 1:]:
+                assert not mine.keys() & theirs.keys()
+        for part in _mutable_parts(first).values():
+            if isinstance(part, Point2):
+                part.x += 0.25
+            elif isinstance(part, Angle):
+                part.radians = 2.0
+        assert [repr(v) for v in second] == second_reprs[:len(second)]
+        assert _route_outputs(target)[1] == second_reprs
 
 
 def test_import_loads_no_dataclasses():
