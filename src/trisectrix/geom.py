@@ -9,17 +9,23 @@ for golden-file stability.
 from __future__ import annotations
 
 import math
+from math import isfinite
 from typing import Union
 
 from .errors import AngleOutOfRange
 
 TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
 SQRT3 = math.sqrt(3.0)
 
 
 def as_float(value: float) -> float:
     """``float(value)``, reading an int beyond the float range as the
-    infinity of its sign, so a range check rejects it as it rejects inf."""
+    infinity of its sign, so a range check rejects it as it rejects inf.
+    Text is not a number: a str, bytes or bytearray raises TypeError, where
+    ``float`` would parse it."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:
@@ -110,9 +116,15 @@ def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> An
     ``quarter_turn``; otherwise AngleOutOfRange, its message ``domain``
     followed by the value in degrees. A raw number is checked as given, so
     450 degrees is out of range, not 90. The Angle is always a new one, so
-    no result shares the caller's."""
-    r = value.radians if isinstance(value, Angle) else as_float(value)
-    if not (0.0 < r < 0.5 * math.pi or (quarter_turn and r == 0.5 * math.pi)):
+    no result shares the caller's. A plain float is taken as it is, the
+    solver's common case; any other number goes through ``as_float``."""
+    if type(value) is float:
+        r = value
+    elif isinstance(value, Angle):
+        r = value.radians
+    else:
+        r = as_float(value)
+    if not (0.0 < r < _HALF_PI or (quarter_turn and r == _HALF_PI)):
         raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
     return Angle(r)
 
@@ -128,7 +140,7 @@ class Point2(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (isfinite(self.x) and isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 

@@ -28,11 +28,12 @@ iterates and results are those of bisection that evaluates every midpoint.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
 from .errors import MaxIterationsExceeded, ParameterOutOfRange
-from .geom import SQRT3, Angle, AngleLike, Point2, Value, as_float, target_angle
+from .geom import _HALF_PI, SQRT3, Angle, AngleLike, Point2, Value, as_float, target_angle
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
@@ -71,18 +72,20 @@ FOLD_MAX = (sys.float_info.max / (2.0 * _B_RATIO_MAX * _B_RATIO_MAX)) ** (1.0 / 
 class LocusParams(Value):
     """Curve parameters: ``a`` is the fold spacing, the radius of circle 2
     being ``2a``. Raises ValueError unless ``a`` is positive and finite, and
-    ParameterOutOfRange outside [FOLD_MIN, FOLD_MAX]."""
+    ParameterOutOfRange outside [FOLD_MIN, FOLD_MAX]. A fold that is not a
+    float goes through ``as_float``, so text raises its TypeError."""
 
     __slots__ = ("a",)
 
     def __init__(self, a: float) -> None:
         self.a = a
-        if not FOLD_MIN <= a <= FOLD_MAX:
+        if not (type(a) is float and FOLD_MIN <= a <= FOLD_MAX):
             if not (math.isfinite(as_float(a)) and a > 0.0):
                 raise ValueError(f"fold spacing a must be finite and positive, got {a!r}")
-            raise ParameterOutOfRange(
-                f"fold spacing a must lie in [{FOLD_MIN:.3g}, {FOLD_MAX:.3g}], got {a!r}"
-            )
+            if not FOLD_MIN <= a <= FOLD_MAX:
+                raise ParameterOutOfRange(
+                    f"fold spacing a must lie in [{FOLD_MIN:.3g}, {FOLD_MAX:.3g}], got {a!r}"
+                )
 
 
 class LocusPoint(Value):
@@ -141,7 +144,9 @@ def _q_coords(a: float, b: float) -> tuple[float, float]:
     Q = J + 2a*(-sin 2d, cos 2d). Using 2ab/(a^2+b^2) and
     (b^2-a^2)/(a^2+b^2) for the double angle keeps every term free of
     cancellation, so both circle equations and the linear relation hold to
-    machine precision at any b/a ratio.
+    machine precision at any b/a ratio. The solver's ``_gap`` and ``_result``
+    write these two expressions in place, saving a call per evaluation; a
+    property test holds them bit-identical to this function.
     """
     dd = a * a + b * b
     qx = b - 4.0 * a * a * b / dd
@@ -218,21 +223,23 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
 
 
 def _gap(a: float, b: float, target: float) -> float:
-    """f(b) of the bisection: Q's polar angle minus the target, in radians."""
-    qx, qy = _q_coords(a, b)
-    return math.atan2(qy, qx) - target
+    """f(b) of the bisection: Q's polar angle minus the target, in radians,
+    with Q by the formula of ``_q_coords``."""
+    dd = a * a + b * b
+    return math.atan2(a + 2.0 * a * (b * b - a * a) / dd, b - 4.0 * a * a * b / dd) - target
 
 
 def _result(t3: Angle, a: float, b: float, iterations: int, width: float,
             f_val: float) -> TrisectionResult:
-    """The trisection at parameter ``b`` with the solver's diagnostics."""
-    qx, qy = _q_coords(a, b)
+    """The trisection at parameter ``b`` with the solver's diagnostics, its
+    crossing N by the formula of ``_q_coords``."""
+    dd = a * a + b * b
     return TrisectionResult(
         t3,
         Angle(math.atan2(a, b)),
         b,
         math.hypot(a, b),
-        Point2(qx, qy),
+        Point2(b - 4.0 * a * a * b / dd, a + 2.0 * a * (b * b - a * a) / dd),
         iterations,
         width,
         f_val,
@@ -270,8 +277,9 @@ def trisect(
     """
     t3 = target_angle(three_theta, "trisection target must lie in (0, 90] degrees")
     target = t3.radians
-    if not (math.isfinite(as_float(tol)) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (type(tol) is float and 0.0 < tol < math.inf):
+        if not (math.isfinite(as_float(tol)) and tol > 0.0):
+            raise ValueError(f"tol must be positive, got {tol!r}")
 
     a = params.a
     # Stop at half of tol so residuals re-measured downstream from the
@@ -284,7 +292,7 @@ def trisect(
     # f < -(stop + _SKIP_MARGIN); a step there takes its branch without an
     # evaluation. Neither end exists once its angle leaves (0, pi/2).
     upper = target + stop + _SKIP_MARGIN
-    b_pos = a / math.tan(upper / 3.0) if upper < 0.5 * math.pi else 0.0
+    b_pos = a / math.tan(upper / 3.0) if upper < _HALF_PI else 0.0
     lower = target - stop - _SKIP_MARGIN
     b_neg = a / math.tan(lower / 3.0) if lower > 0.0 else math.inf
 
@@ -315,30 +323,28 @@ def trisect(
 
     # A mid that repeats an endpoint means lo and hi are adjacent floats: the
     # bracket has collapsed. As lo <= b_neg and hi >= b_pos throughout, a mid
-    # below b_pos can only repeat lo, and one above b_neg only hi.
-    iteration = 0
-    while True:
-        iteration += 1
+    # below b_pos can only repeat lo, and one above b_neg only hi. The loop
+    # has no step bound: the bracket halves until tol or collapse.
+    for iteration in itertools.count(1):
         mid = 0.5 * (lo + hi)
         if mid < b_pos:
             if mid == lo:
                 break
             lo = mid
-            continue
-        if mid > b_neg:
+        elif mid > b_neg:
             if mid == hi:
                 break
             hi = mid
-            continue
-        if mid == lo or mid == hi:
+        elif mid == lo or mid == hi:
             break
-        f_mid = _gap(a, mid, target)
-        if abs(f_mid) <= stop:
-            return _result(t3, a, mid, iteration, hi - lo, f_mid)
-        if f_mid > 0.0:
-            lo = mid
         else:
-            hi = mid
+            f_mid = _gap(a, mid, target)
+            if abs(f_mid) <= stop:
+                return _result(t3, a, mid, iteration, hi - lo, f_mid)
+            if f_mid > 0.0:
+                lo = mid
+            else:
+                hi = mid
     f_lo, f_hi = _gap(a, lo, target), _gap(a, hi, target)
     b, f_b = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     raise MaxIterationsExceeded(
@@ -357,13 +363,15 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
     results produced by :func:`trisect`.
     """
     a = params.a
+    b = r.b_star
     n = r.n_point
     residuals = {
         "three_theta_vs_target": abs(3.0 * r.theta.radians - r.three_theta.radians),
         # |NJ| with J = (b*, a), and |ON|.
-        "jn_vs_2a": abs(math.hypot(n.x - r.b_star, n.y - a) - 2.0 * a),
+        "jn_vs_2a": abs(math.hypot(n.x - b, n.y - a) - 2.0 * a),
         "on_vs_unit_length": abs(math.hypot(n.x, n.y) - r.unit_length),
         "fold_ratio_vs_sin_theta": abs(a / r.unit_length - math.sin(r.theta.radians)),
-        "locus_relation_at_n": abs(locus_relation_residual(params, r.b_star, r.n_point)),
+        # locus_relation_residual's expression, written in place.
+        "locus_relation_at_n": abs(b * n.x + a * n.y - (b * b - a * a)),
     }
     return VerificationReport(residuals)

@@ -135,6 +135,16 @@ def test_int_beyond_float_range_raises_as_infinity(entry, sign):
         assert info.type is error
 
 
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+def test_text_is_not_a_number(entry):
+    # float() would parse text, reading "0.5" as an angle; every entry point
+    # that takes a number raises TypeError naming the text's type instead.
+    call, _ = NUMERIC_ENTRY_POINTS[entry]
+    for text in ("0.5", "1.0", " 1.0 ", b"1.0", bytearray(b"1.0")):
+        with pytest.raises(TypeError, match=rf"^expected a number, got {type(text).__name__}$"):
+            call(text)
+
+
 class TestDistance:
     def test_three_four_five(self):
         assert distance(Point2(0.0, 0.0), Point2(3.0, 4.0)) == 5.0

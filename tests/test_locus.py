@@ -1,9 +1,12 @@
 """Tests for the locus curve and the bisection trisector."""
 
+import collections
 import copy
 import math
+import os
 import random
 import re
+import sys
 from decimal import Decimal, getcontext, localcontext
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pins
 
+import trisectrix
 from trisectrix.errors import (
     AngleOutOfRange,
     MaxIterationsExceeded,
@@ -24,14 +28,17 @@ from trisectrix.geom import (
     distance,
     wrap_signed,
 )
-from trisectrix.geom import as_angle
+from trisectrix.geom import as_angle, target_angle
 from trisectrix.locus import (
+    _B_RATIO_MAX,
     _MAX_DOUBLINGS,
     FOLD_MAX,
     FOLD_MIN,
     LocusParams,
     TrisectionResult,
+    _gap,
     _q_coords,
+    _result,
     locus_point,
     locus_relation_residual,
     sample_locus,
@@ -342,8 +349,9 @@ class TestTrisect:
         assert r.iterations <= 55
 
     def test_result_matches_curve_formula_bit_for_bit(self):
-        # The solver evaluates the curve through _q_coords; its reported
-        # crossing and residual must equal the formula's own values exactly.
+        # The solver writes the curve formula of _q_coords in place; its
+        # reported crossing and residual must equal the formula's own values
+        # exactly.
         for deg in (0.5, 7.0, 33.3, 60.0, 89.9, 90.0):
             target = math.radians(deg)
             for a in (1e-3, 0.3, 1.0, 2.7, 1e4):
@@ -695,6 +703,111 @@ def test_value_constructions_per_solve(monkeypatch):
             except MaxIterationsExceeded:
                 pass
             assert counts == {Point2: 1, Angle: angles}, (target, tol)
+
+
+log_folds = st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX))
+targets = st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
+
+
+class _Float(float):
+    """A float that is not ``type(x) is float``, so the solver converts it
+    through ``as_float`` instead of taking it as it is."""
+
+
+@given(
+    log_a=log_folds,
+    log_ratio=st.floats(min_value=math.log(SQRT3), max_value=math.log(_B_RATIO_MAX)),
+    target=targets,
+)
+@settings(deadline=None, max_examples=500)
+def test_formulas_written_in_place_match_their_functions(log_a, log_ratio, target):
+    # _gap and _result write the expressions of _q_coords in place, and
+    # verify_trisection that of locus_relation_residual, each saving a call;
+    # over the fold range and the whole doubling bracket b/a in
+    # [sqrt(3), 2**64 * sqrt(3)], every value must stay the same bit for bit.
+    a = min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX)
+    b = a * min(max(math.exp(log_ratio), SQRT3), _B_RATIO_MAX)
+    qx, qy = _q_coords(a, b)
+    f = _gap(a, b, target)
+    assert f.hex() == (math.atan2(qy, qx) - target).hex()
+    r = _result(Angle(target), a, b, 0, 0.0, f)
+    assert repr(r.n_point) == repr(Point2(qx, qy))
+    params = LocusParams(a)
+    at_n = verify_trisection(r, params).residuals["locus_relation_at_n"]
+    assert at_n.hex() == abs(locus_relation_residual(params, b, r.n_point)).hex()
+
+
+@given(
+    target=targets,
+    log_a=log_folds,
+    tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@settings(deadline=None, max_examples=400)
+def test_float_fast_path_matches_the_as_float_path(target, log_a, tol):
+    # A float target and tol are taken as they are; a float subclass goes
+    # through as_float and the checks. Both must give the same outcome.
+    params = LocusParams(min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX))
+    assert _outcome(trisect, target, params, tol) == _outcome(
+        trisect, _Float(target), params, _Float(tol)
+    )
+
+
+def _target_outcome(value, quarter_turn):
+    try:
+        return repr(target_angle(value, "d", quarter_turn))
+    except AngleOutOfRange as exc:
+        return f"AngleOutOfRange: {exc}"
+
+
+@given(x=st.floats())
+@settings(deadline=None, max_examples=500)
+def test_target_angle_float_fast_path_matches_the_as_float_path(x):
+    # The same for the target check alone, NaN and the infinities included,
+    # at both target domains.
+    for quarter_turn in (True, False):
+        assert _target_outcome(x, quarter_turn) == _target_outcome(_Float(x), quarter_turn)
+
+
+def test_int_targets_keep_their_result_and_error():
+    # An int is no float, so it goes through as_float: 1 solves as 1.0, and
+    # 10**400 is read as inf and rejected as inf is.
+    params = LocusParams(1.0)
+    assert repr(trisect(1, params)) == repr(trisect(1.0, params))
+    for target in (10**400, math.inf):
+        with pytest.raises(AngleOutOfRange,
+                           match=r"^trisection target must lie in \(0, 90\] degrees, got inf$"):
+            trisect(target, params)
+
+
+# Python-level calls into the package over the grid below: per op one
+# LocusParams, trisect and verify_trisection, with no call that only forwards
+# to other code.
+SOLVE_GRID_CALLS = 11653
+
+
+def test_python_calls_per_solve():
+    # The solve path holds no comprehension or generator, so the count is the
+    # same on every supported Python; the benchmark's Point2 and Angle counts
+    # hook the __post_init__ calls counted here.
+    package = os.path.dirname(trisectrix.__file__) + os.sep
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for degrees in range(1, 91):
+            for a in (0.1, 1.0, 10.0):
+                for tol in (1e-6, 1e-9, 1e-12):
+                    params = LocusParams(a)
+                    verify_trisection(trisect(math.radians(degrees), params, tol), params)
+    finally:
+        sys.setprofile(previous)
+    assert not calls.keys() & {"_q_coords", "as_float", "locus_relation_residual"}
+    assert sum(calls.values()) == SOLVE_GRID_CALLS, calls
 
 
 def solver_grid():
