@@ -228,8 +228,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for name, (value, deg) in sorted(worst.items())
         },
     }
-    # The text ranks ``worst`` itself: residuals that tie keep the report's
-    # order, which the payload's sorted names would lose.
+    # The text ranks ``worst`` itself: residuals that tie keep the fixed key
+    # order of cross_validate's report, which the payload's sorted names
+    # would lose.
     _emit(args, payload, lambda: [
         f"cross-check sweep: 1..90 deg, fold a={args.fold!r}, tol={args.tol!r}",
         *(f"  {name:32s} {value:.3e}  (at {deg} deg)"

@@ -73,19 +73,22 @@ class LocusParams(Value):
     """Curve parameters: ``a`` is the fold spacing, the radius of circle 2
     being ``2a``. Raises ValueError unless ``a`` is positive and finite, and
     ParameterOutOfRange outside [FOLD_MIN, FOLD_MAX]. A fold that is not a
-    float goes through ``as_float``, so text raises its TypeError."""
+    float goes through ``as_float`` and is stored converted, so text raises
+    its TypeError and a ``Decimal`` or ``Fraction`` fold solves as its float."""
 
     __slots__ = ("a",)
 
     def __init__(self, a: float) -> None:
         self.a = a
         if not (type(a) is float and FOLD_MIN <= a <= FOLD_MAX):
-            if not (math.isfinite(as_float(a)) and a > 0.0):
+            fold = as_float(a)
+            if not (math.isfinite(fold) and fold > 0.0):
                 raise ValueError(f"fold spacing a must be finite and positive, got {a!r}")
-            if not FOLD_MIN <= a <= FOLD_MAX:
+            if not FOLD_MIN <= fold <= FOLD_MAX:
                 raise ParameterOutOfRange(
                     f"fold spacing a must lie in [{FOLD_MIN:.3g}, {FOLD_MAX:.3g}], got {a!r}"
                 )
+            self.a = fold
 
 
 class LocusPoint(Value):
@@ -160,8 +163,11 @@ def locus_point(params: LocusParams, b: float) -> LocusPoint:
     The counterclockwise branch is returned: the one that starts at
     (0, 2a) when b = sqrt(3)*a and sweeps down toward the base ray as b
     grows. Raises ParameterOutOfRange below the start of the curve, where
-    the construction leaves its working regime.
+    the construction leaves its working regime. A ``b`` that is not a float
+    goes through ``as_float``.
     """
+    if type(b) is not float:
+        b = as_float(b)
     a = params.a
     _check_b(a, b)
     qx, qy = _q_coords(a, b)
@@ -193,9 +199,11 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
 
     Endpoints are included exactly; the list ascends in b. Sampling is
     deterministic: the same arguments always produce bit-identical points.
+    Bounds that are not floats go through ``as_float``.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n!r}")
+    b_min, b_max = as_float(b_min), as_float(b_max)
     a = params.a
     _check_b(a, b_min)
     # b_max is the largest sample, and the curve's largest products are
@@ -269,7 +277,9 @@ def trisect(
     ``tol`` bounds Q's polar angle, not theta: theta = atan2(a, b*) carries
     its own rounding, so |3*theta - target| is guaranteed only to
     max(tol, 1e-12). Below about 1e-16 rad a returned result can fail
-    ``verify_trisection(...).passes(tol)``.
+    ``verify_trisection(...).passes(tol)``. A ``tol`` that is not a float
+    goes through ``as_float``, so a ``Decimal`` or ``Fraction`` solves as
+    its float.
 
     Raises AngleOutOfRange for targets outside (0, 90] degrees, and
     MaxIterationsExceeded (best result attached) if 64 doublings find no upper
@@ -278,8 +288,9 @@ def trisect(
     t3 = target_angle(three_theta, "trisection target must lie in (0, 90] degrees")
     target = t3.radians
     if not (type(tol) is float and 0.0 < tol < math.inf):
-        if not (math.isfinite(as_float(tol)) and tol > 0.0):
-            raise ValueError(f"tol must be positive, got {tol!r}")
+        given, tol = tol, as_float(tol)
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be positive, got {given!r}")
 
     a = params.a
     # Stop at half of tol so residuals re-measured downstream from the

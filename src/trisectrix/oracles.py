@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import MismatchDetected
-from .geom import Angle, AngleLike, Point2, Value, as_angle, target_angle
+from .geom import _HALF_PI, Angle, AngleLike, Point2, Value, as_angle, target_angle
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
 from .report import ResidualMap
@@ -146,6 +146,27 @@ class CrossValidationReport(ResidualMap):
         self.residuals = residuals
 
 
+# Report keys of each route's residuals, in the order the route returns
+# them: the route's own names with its prefix added once, here, so that
+# cross_validate builds no key string per call. zip pairs them with the
+# route's values by position, so a route that adds, drops or renames a
+# residual must change its tuple too; a test holds the two to one order.
+_TRISECTION_KEYS = tuple("trisection_" + n for n in (
+    "three_theta_vs_target", "jn_vs_2a", "on_vs_unit_length",
+    "fold_ratio_vs_sin_theta", "locus_relation_at_n",
+))
+_ORIGAMI_KEYS = tuple("origami_" + n for n in (
+    "oh_vs_oc", "hc_vs_od", "os_vs_sd", "hg_vs_gc", "alpha_vs_beta", "beta_vs_gamma",
+    "op_vs_cos_theta", "hp_vs_sin_theta", "c_on_target_ray",
+    "angle_sum_vs_three_theta", "h_on_first_crease",
+))
+_CHORD_KEYS = tuple("chord_" + n for n in (
+    "ja_radius", "jf_radius", "je_radius", "jk_radius", "jl_radius",
+    "fk_vs_sin_theta", "kl_vs_sin_theta", "le_vs_sin_theta", "bg_vs_sin_theta",
+    "gf_vs_2sin_theta",
+))
+
+
 def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidationReport:
     """Trisect the same target through every available route and compare.
 
@@ -153,46 +174,56 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     oracle, the triple-angle identity, and the chord diagram, then collects
     their residuals into one flat report. Raises MismatchDetected (report
     attached) if any two of the trisected-angle estimates disagree by more
-    than ``tol``; domain and convergence errors from the individual routes
-    propagate unchanged.
+    than ``tol``, comparing locus with oracle, then locus with origami, then
+    oracle with origami; domain and convergence errors from the individual
+    routes propagate unchanged.
+
+    The report's keys come in a fixed order: ``theta_locus_vs_oracle``,
+    ``triple_angle_identity`` and ``triple_angle_locus``; ``trisection_``
+    and each ``verify_trisection`` key; below 90 degrees,
+    ``theta_origami_vs_oracle``, ``theta_locus_vs_origami``, then
+    ``origami_`` and each ``abe_verify`` key; last ``chord_`` and each
+    ``chord_residuals`` key, each route's keys in the route's own order.
     """
     params = LocusParams(a)
     # trisect checks the target domain; the routes below reuse its Angle.
-    result = trisect(three_theta, params, tol=tol)
+    result = trisect(three_theta, params, tol)
     t3 = result.three_theta
     theta_locus = result.theta
     theta_oracle = oracle_theta(t3)
     locus, oracle = theta_locus.radians, theta_oracle.radians
+    gap = abs(locus - oracle)
 
     residuals: dict[str, float] = {
-        "theta_locus_vs_oracle": abs(locus - oracle),
+        "theta_locus_vs_oracle": gap,
         "triple_angle_identity": triple_angle_residual(theta_oracle, t3),
         "triple_angle_locus": triple_angle_residual(theta_locus, t3),
     }
-    for name, value in verify_trisection(result, params).residuals.items():
-        residuals[f"trisection_{name}"] = value
-
-    # The estimates compared pairwise, in this order.
-    pairs = [("locus", locus, "oracle", oracle)]
-    if t3.radians < 0.5 * math.pi:
+    residuals.update(zip(_TRISECTION_KEYS, verify_trisection(result, params).residuals.values()))
+    if t3.radians < _HALF_PI:
         construction = abe_construct(t3)
         origami = construction.alpha.radians
-        residuals["theta_origami_vs_oracle"] = abs(origami - oracle)
-        residuals["theta_locus_vs_origami"] = abs(locus - origami)
-        for name, value in abe_verify(construction).residuals.items():
-            residuals[f"origami_{name}"] = value
-        pairs += [("locus", locus, "origami", origami),
-                  ("oracle", oracle, "origami", origami)]
-    for name, value in chord_residuals(chord_diagram(t3)).items():
-        residuals[f"chord_{name}"] = value
+        origami_gap = abs(origami - oracle)
+        cross_gap = abs(locus - origami)
+        residuals["theta_origami_vs_oracle"] = origami_gap
+        residuals["theta_locus_vs_origami"] = cross_gap
+        residuals.update(zip(_ORIGAMI_KEYS, abe_verify(construction).residuals.values()))
+    else:
+        # No fold estimate at 90 degrees; tol > 0, so these never mismatch.
+        origami_gap = cross_gap = 0.0
+    residuals.update(zip(_CHORD_KEYS, chord_residuals(chord_diagram(t3)).values()))
 
     report = CrossValidationReport(theta_locus, residuals)
-    for first, x, second, y in pairs:
-        gap = abs(x - y)
-        if gap > tol:
-            raise MismatchDetected(
-                f"trisected-angle estimates {first} and {second} differ by "
-                f"{gap!r} rad (> tol {tol!r}) at target {t3.degrees:.6g} deg",
-                report=report,
-            )
-    return report
+    if gap > tol:
+        first, second = "locus", "oracle"
+    elif cross_gap > tol:
+        first, second, gap = "locus", "origami", cross_gap
+    elif origami_gap > tol:
+        first, second, gap = "oracle", "origami", origami_gap
+    else:
+        return report
+    raise MismatchDetected(
+        f"trisected-angle estimates {first} and {second} differ by "
+        f"{gap!r} rad (> tol {tol!r}) at target {t3.degrees:.6g} deg",
+        report=report,
+    )

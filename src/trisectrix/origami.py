@@ -65,7 +65,7 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     t3 = target_angle(
         three_theta,
         "origami construction requires an angle in (0, 90) degrees exclusive",
-        quarter_turn=False,
+        False,
     )
     t3_rad = t3.radians
     t = t3_rad / 3.0

@@ -1,11 +1,13 @@
 """Tests for the planar primitives: angles, the target domain and distances."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trisectrix.errors import AngleOutOfRange
+from trisectrix.errors import AngleOutOfRange, ParameterOutOfRange, TrisectrixError
 from trisectrix.geom import (
     Angle,
     Point2,
@@ -13,7 +15,7 @@ from trisectrix.geom import (
     distance,
     target_angle,
 )
-from trisectrix.locus import LocusParams, trisect
+from trisectrix.locus import LocusParams, locus_point, sample_locus, trisect
 from trisectrix.oracles import (
     chord_diagram,
     cross_validate,
@@ -105,7 +107,8 @@ class TestTargetAngle:
             target_angle(Angle(0.0), "d")
 
 
-# Each entry point that converts a number, with the error an infinity there raises.
+# Each entry point that converts a number, with the error an infinity or a
+# NaN there raises.
 NUMERIC_ENTRY_POINTS = {
     "Angle": (Angle, ValueError),
     "LocusParams": (LocusParams, ValueError),
@@ -116,6 +119,9 @@ NUMERIC_ENTRY_POINTS = {
     "cross_validate target": (lambda v: cross_validate(v, 1.0, 1e-10), AngleOutOfRange),
     "cross_validate a": (lambda v: cross_validate(1.0, v, 1e-10), ValueError),
     "cross_validate tol": (lambda v: cross_validate(1.0, 1.0, v), ValueError),
+    "locus_point b": (lambda v: locus_point(LocusParams(1.0), v), ParameterOutOfRange),
+    "sample_locus b_max": (lambda v: sample_locus(LocusParams(1.0), 2.0, v, 3),
+                           ParameterOutOfRange),
     "oracle_theta": (oracle_theta, ValueError),
     "triple_angle_residual theta": (lambda v: triple_angle_residual(v, 1.0), ValueError),
     "triple_angle_residual three_theta": (lambda v: triple_angle_residual(0.3, v),
@@ -130,6 +136,29 @@ def test_int_beyond_float_range_raises_as_infinity(entry, sign):
     # not with float()'s OverflowError.
     call, error = NUMERIC_ENTRY_POINTS[entry]
     for value in (sign * math.inf, sign * 10**400):
+        with pytest.raises(error) as info:
+            call(value)
+        assert info.type is error
+
+
+def _numeric_outcome(call, value) -> str:
+    try:
+        return repr(call(value))
+    except (TrisectrixError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+def test_decimal_and_fraction_act_as_their_float(entry):
+    # A Decimal or Fraction is converted once, so the routes' float
+    # arithmetic never meets it: each gives the float call's result, or its
+    # error type. A NaN or infinite Decimal raises the entry's documented
+    # error, not the TypeError of mixing Decimal with float.
+    call, error = NUMERIC_ENTRY_POINTS[entry]
+    for value in (Decimal("0.5"), Decimal("1"), Decimal("2.5"), Decimal("1e-10"),
+                  Fraction(1, 3), Fraction(7, 2)):
+        assert _numeric_outcome(call, value) == _numeric_outcome(call, float(value)), value
+    for value in (Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity")):
         with pytest.raises(error) as info:
             call(value)
         assert info.type is error

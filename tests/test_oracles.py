@@ -173,6 +173,47 @@ class TestCrossValidate:
             1e-6, rel=1e-3
         )
 
+    @pytest.mark.parametrize("degrees", [60.0, 90.0])
+    def test_calls_each_route_once(self, monkeypatch, degrees):
+        # The benchmark's per-layer spans wrap these names in the oracles
+        # module; each must be called through it, once per call, and the
+        # fold routes not at all at 90 degrees.
+        import trisectrix.oracles as oracles
+
+        calls = {}
+        for name in ("trisect", "verify_trisection", "abe_construct", "abe_verify",
+                     "chord_diagram", "chord_residuals"):
+            original = getattr(oracles, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(oracles, name, counted)
+        cross_validate(math.radians(degrees), 1.0, 1e-12)
+        expected = {"trisect": 1, "verify_trisection": 1, "chord_diagram": 1,
+                    "chord_residuals": 1}
+        if degrees < 90.0:
+            expected.update(abe_construct=1, abe_verify=1)
+        assert calls == expected
+
+    @pytest.mark.parametrize("degrees", [60.0, 90.0])
+    def test_report_key_order(self, degrees):
+        # The oracle and triple-angle keys, then each route's own keys in its
+        # own order under its prefix; the fold's only below 90 degrees.
+        t3 = math.radians(degrees)
+        params = LocusParams(1.0)
+        expected = ["theta_locus_vs_oracle", "triple_angle_identity", "triple_angle_locus"]
+        expected += ["trisection_" + name
+                     for name in verify_trisection(trisect(t3, params), params).residuals]
+        if degrees < 90.0:
+            expected += ["theta_origami_vs_oracle", "theta_locus_vs_origami"]
+            expected += ["origami_" + name
+                         for name in abe_verify(abe_construct(t3)).residuals]
+        expected += ["chord_" + name for name in chord_residuals(chord_diagram(t3))]
+        report = cross_validate(t3, 1.0, 1e-12)
+        assert tuple(report.residuals) == tuple(expected)
+
     def test_value_constructions_per_call(self, monkeypatch):
         # Each public value is built once: a sub-90 degree target given as a
         # raw float builds at most 13 Point2 and exactly 9 Angle values, two
