@@ -62,7 +62,8 @@ _POSITIVE = _checked(float, "positive", lambda v: math.isfinite(v) and v > 0.0)
 
 # The flags besides --format and --output, each with its type, check and default.
 _FLAGS = {
-    "--angle-deg": dict(type=float, help="target angle in degrees, in (0, 90]"),
+    "--angle-deg": dict(type=float, required=True,
+                        help="target angle in degrees, in (0, 90]"),
     "--fold": dict(type=_POSITIVE, default=1.0,
                    help="fold spacing a in construction units (default 1)"),
     "--tol": dict(type=_POSITIVE, default=DEFAULT_TOL,
@@ -78,21 +79,11 @@ _FLAGS = {
 def _target(args: argparse.Namespace) -> Angle:
     """``--angle-deg`` as an Angle. The degrees are checked here so that
     450 is a domain error (exit 3), not Angle's ValueError (exit 2)."""
-    if args.angle_deg is None:
-        raise ValueError(f"{args.subcommand!r} requires --angle-deg")
     if not 0.0 < args.angle_deg <= 90.0:
         raise AngleOutOfRange(
             f"--angle-deg must lie in (0, 90] degrees, got {args.angle_deg!r}"
         )
     return Angle.from_degrees(args.angle_deg)
-
-
-def _b_range(args: argparse.Namespace) -> tuple[float, float]:
-    """``--b-min`` and ``--b-max``, by default the curve start sqrt(3)*a and 10*a."""
-    a = args.fold
-    b_min = SQRT3 * a if args.b_min is None else args.b_min
-    b_max = 10.0 * a if args.b_max is None else args.b_max
-    return b_min, b_max
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -151,7 +142,9 @@ def cmd_trisect(args: argparse.Namespace) -> int:
 def cmd_locus(args: argparse.Namespace) -> int:
     a = args.fold
     params = LocusParams(a)
-    points = sample_locus(params, *_b_range(args), args.samples)
+    b_min = SQRT3 * a if args.b_min is None else args.b_min
+    b_max = 10.0 * a if args.b_max is None else args.b_max
+    points = sample_locus(params, b_min, b_max, args.samples)
     lines = [CSV_HEADER]
     for pt in points:
         j_angle_deg = math.degrees(math.atan2(a, pt.b))
@@ -242,17 +235,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    if args.angle_deg is not None and (args.b_min is not None or args.b_max is not None):
-        raise ValueError("--angle-deg sets the drawn range: drop --b-min and --b-max")
     params = LocusParams(args.fold)
-    b_min, b_max = _b_range(args)
-    result = None
-    if args.angle_deg is not None:
-        result = trisect(_target(args), params, tol=args.tol)
-        b_max = max(1.3 * result.b_star, 2.0 * b_min)
-    points = sample_locus(params, b_min, b_max, args.samples)
-    svg = render_svg(params, points, result=result)
-    _write_output(svg, args.output)
+    result = trisect(_target(args), params)
+    _write_output(render_svg(params, result, args.samples), args.output)
     return EXIT_OK
 
 
@@ -286,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("verify", cmd_verify, "cross-check a 1..90 degree sweep",
                 ("--fold", "--tol"), ("text", "json"))
     add_command("render", cmd_render, "emit an SVG construction diagram",
-                ("--angle-deg", "--fold", "--tol", "--samples", "--b-min", "--b-max"),
-                samples=128)
+                ("--angle-deg", "--fold", "--samples"), samples=128)
     return parser
 
 

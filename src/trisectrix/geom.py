@@ -21,15 +21,20 @@ SQRT3 = math.sqrt(3.0)
 
 def as_float(value: float) -> float:
     """``float(value)``, reading an int beyond the float range as the
-    infinity of its sign, so a range check rejects it as it rejects inf.
-    Text is not a number: a str, bytes or bytearray raises TypeError, where
-    ``float`` would parse it."""
+    infinity of its sign, so a range check rejects it as it rejects inf, and
+    a signalling NaN (``Decimal("sNaN")``, which ``float`` refuses) as NaN,
+    so the caller's NaN check names the parameter. Text is not a number: a
+    str, bytes or bytearray raises TypeError, where ``float`` would parse it."""
     if isinstance(value, (str, bytes, bytearray)):
         raise TypeError(f"expected a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except ValueError:
+        if getattr(value, "is_snan", bool)():
+            return math.nan
+        raise
 
 
 class Value:

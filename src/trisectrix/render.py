@@ -1,4 +1,4 @@
-"""Deterministic SVG diagrams of the locus construction.
+"""Deterministic SVG diagrams of the solved locus construction.
 
 The emitted document is a pure function of its inputs: fixed element order
 (axes, fold lines, the two circles, the locus polyline, rays, then labeled
@@ -11,9 +11,9 @@ Every diagram is drawn on the same canvas, with every layer.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
-from .locus import LocusParams, LocusPoint, TrisectionResult
+from .geom import SQRT3
+from .locus import LocusParams, TrisectionResult, sample_locus
 
 WIDTH_PX = 800
 HEIGHT_PX = 600
@@ -25,50 +25,35 @@ def _n(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_svg(
-    params: LocusParams,
-    locus_points: Sequence[LocusPoint],
-    result: Optional[TrisectionResult] = None,
-) -> str:
-    """Render the construction for one fold spacing as a standalone SVG.
+def render_svg(params: LocusParams, result: TrisectionResult, samples: int) -> str:
+    """Render the solved construction for one fold spacing as a standalone SVG.
 
-    With a solved ``result`` the circles sit at the crossing parameter, the
-    target ray is drawn, and the crossing point is labeled N; without one
-    the circles sit at the first sampled parameter and the intersection
-    point is labeled Q.
+    The locus is drawn through ``samples`` points (at least 2) spaced evenly
+    from its start sqrt(3)*a to max(1.3*b*, 2*sqrt(3)*a), so the crossing at
+    b* lies inside the drawn range. The circles sit at the crossing
+    parameter b*, the target ray is drawn, and the crossing point is
+    labeled N.
     """
-    if len(locus_points) < 2:
-        raise ValueError("need at least two locus samples to render")
-
     a = params.a
-    if result is not None:
-        b_draw = result.b_star
-        q_draw = result.n_point
-        q_label = "N"
-    else:
-        b_draw = locus_points[0].b
-        q_draw = locus_points[0].q
-        q_label = "Q"
+    b_star, n = result.b_star, result.n_point
+    b_min = SQRT3 * a
+    locus_points = sample_locus(params, b_min, max(1.3 * b_star, 2.0 * b_min), samples)
 
-    jx, jy = b_draw, a
-    r1 = math.hypot(a, b_draw)
+    jx, jy = b_star, a
+    r1 = math.hypot(a, b_star)
     r2 = 2.0 * a
 
     # The bounding box, from points listed in a fixed order: min and max
     # keep the first of equal values, so the sign of a zero bound is stable.
-    xs = [0.0, 0.0, b_draw, -r1, r1, jx - r2, jx + r2]
+    xs = [0.0, 0.0, b_star, -r1, r1, jx - r2, jx + r2]
     ys = [0.0, 2.0 * a, 0.0, -r1, r1, jy - r2, jy + r2]
     xs += [pt.q.x for pt in locus_points]
     ys += [pt.q.y for pt in locus_points]
-    xs.append(q_draw.x)
-    ys.append(q_draw.y)
-    ob_end = None
-    if result is not None:
-        reach = 1.15 * result.unit_length
-        t3 = result.three_theta.radians
-        ob_end = (reach * math.cos(t3), reach * math.sin(t3))
-        xs.append(ob_end[0])
-        ys.append(ob_end[1])
+    reach = 1.15 * result.unit_length
+    t3 = result.three_theta.radians
+    ob_x, ob_y = reach * math.cos(t3), reach * math.sin(t3)
+    xs += [n.x, ob_x]
+    ys += [n.y, ob_y]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
 
     # Both sides are positive: the box holds (0, 0), (0, 2a) and (b, 0).
@@ -126,8 +111,7 @@ def render_svg(
     )
 
     line(0.0, 0.0, xmax, 0.0, "#444444", 0.8 * stroke)
-    if ob_end is not None:
-        line(0.0, 0.0, ob_end[0], ob_end[1], "#444444", 0.8 * stroke)
+    line(0.0, 0.0, ob_x, ob_y, "#444444", 0.8 * stroke)
     line(0.0, 0.0, jx, jy, "#444444", 0.8 * stroke)
 
     named = [
@@ -135,8 +119,8 @@ def render_svg(
         ("C", 0.0, a),
         ("D", 0.0, 2.0 * a),
         ("J", jx, jy),
-        ("K", b_draw, 0.0),
-        (q_label, q_draw.x, q_draw.y),
+        ("K", b_star, 0.0),
+        ("N", n.x, n.y),
     ]
     for _, px, py in named:
         out.append(

@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from trisectrix.cli import CSV_HEADER, build_parser, main
 from trisectrix.geom import Angle, Point2, SQRT3
-from trisectrix.locus import LocusParams, TrisectionResult, verify_trisection
+from trisectrix.locus import (
+    FOLD_MAX,
+    FOLD_MIN,
+    LocusParams,
+    TrisectionResult,
+    verify_trisection,
+)
 from trisectrix.origami import abe_construct
 
 
@@ -251,12 +257,6 @@ class TestRenderCommand:
         assert svg.count("<polyline ") == 1
         assert ">N</text>" in svg
 
-    def test_unsolved_diagram_labels_q(self, capsys, tmp_path):
-        path = tmp_path / "fig.svg"
-        assert main(["render", "--fold", "1", "--output", str(path)]) == 0
-        svg = path.read_text()
-        assert ">Q</text>" in svg and ">N</text>" not in svg
-
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         args = ["render", "--angle-deg", "30", "--fold", "0.5", "--samples", "64"]
@@ -264,15 +264,24 @@ class TestRenderCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_far_end_of_doubling_bracket(self, capsys):
-        # b* near the solver's largest bracket end 2**64 * sqrt(3) * a, so
-        # the drawn range 1.3 * b* goes past it; its products stay finite.
-        far = 2.0 ** 64 * SQRT3
-        degrees = math.degrees(3.0 * math.atan(1.0 / (0.99 * far)))
-        code, out, _ = run(capsys, "render", f"--angle-deg={degrees!r}", "--fold", "1",
-                           "--tol", "1e-40", "--samples", "9")
+    @pytest.mark.parametrize("fold", [FOLD_MIN, FOLD_MAX])
+    def test_smallest_angle_at_fold_extremes(self, capsys, fold):
+        # The smallest positive angle puts b* at its largest, about 7.6e12 * a
+        # at tol 1e-12, and the drawn range 1.3 * b* with it; at either end
+        # of the fold range the diagram's numbers stay finite.
+        code, out, _ = run(capsys, "render", "--angle-deg", "5e-322",
+                           f"--fold={fold!r}", "--samples", "2")
         assert code == 0
-        assert "<svg " in out and ">N</text>" in out
+        assert ">N</text>" in out
+        box = re.search(r'viewBox="([^"]*)"', out).group(1).split()
+        assert len(box) == 4 and all(math.isfinite(float(v)) for v in box)
+
+    def test_missing_angle_exits_2(self, capsys):
+        code, out, err = run(capsys, "render", "--fold", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: trisectrix render [-h] --angle-deg ")
+        assert "the following arguments are required: --angle-deg" in err
 
 
 # Exactly the flags each subcommand reads.
@@ -281,8 +290,7 @@ FLAGS = {
     "locus": {"--fold", "--samples", "--b-min", "--b-max", "--output"},
     "origami": {"--angle-deg", "--format", "--output"},
     "verify": {"--fold", "--tol", "--format", "--output"},
-    "render": {"--angle-deg", "--fold", "--tol", "--samples", "--b-min", "--b-max",
-               "--output"},
+    "render": {"--angle-deg", "--fold", "--samples", "--output"},
 }
 # Canvas and layer flags: render draws on one fixed canvas, so no command takes them.
 CANVAS_FLAGS = {"--width", "--height", "--margin", "--stroke-width", "--no-circles",
@@ -300,7 +308,7 @@ class TestFlagSurface:
     # A command line each subcommand runs to exit 0, and a value for each flag
     # (None for a switch). --format takes the one choice locus and render had.
     BASE = {"trisect": ["--angle-deg", "60"], "locus": [], "origami": ["--angle-deg", "60"],
-            "verify": ["--tol", "1e-10"], "render": []}
+            "verify": ["--tol", "1e-10"], "render": ["--angle-deg", "60"]}
     VALUES = {"--angle-deg": "30", "--fold": "2", "--tol": "1e-10", "--max-iter": "5",
               "--samples": "16", "--b-min": "2", "--b-max": "3", "--width": "800",
               "--height": "600", "--margin": "48", "--stroke-width": "1.5",
@@ -314,8 +322,8 @@ class TestFlagSurface:
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"} \
             == FLAGS[command]
 
-    def test_twenty_four_flags_in_all(self):
-        assert sum(len(flags) for flags in FLAGS.values()) == 24
+    def test_twenty_one_flags_in_all(self):
+        assert sum(len(flags) for flags in FLAGS.values()) == 21
 
     @pytest.mark.parametrize("command,flag", UNREAD)
     def test_unread_flag_exits_2(self, capsys, command, flag):
@@ -341,26 +349,28 @@ class TestFlagSurface:
     @pytest.mark.parametrize("command", ["locus", "render"])
     def test_samples_above_bound_exits_2(self, capsys, command):
         # Peak memory grows with the count, so a huge one is refused, not run.
-        code, out, err = run(capsys, command, "--samples", "100001")
+        code, out, err = run(capsys, command, *self.BASE[command], "--samples", "100001")
         assert code == 2
         assert out == ""
-        assert "--samples" in err
+        assert "argument --samples: must be in [2, 100000]" in err
 
     @pytest.mark.parametrize("command", ["locus", "render"])
     def test_samples_bound_parses(self, command):
         # Parsed only: drawing 100000 samples takes about a second.
-        args = build_parser().parse_args([command, "--samples", "100000"])
+        args = build_parser().parse_args([command, *self.BASE[command],
+                                          "--samples", "100000"])
         assert args.samples == 100000
 
     @pytest.mark.parametrize("b_range", [["--b-min", "2"], ["--b-max", "3"],
                                          ["--b-min", "0.5", "--b-max", "2"]])
     def test_render_angle_with_b_range_exits_2(self, capsys, b_range):
-        # The solved diagram picks its own range, so a given one would be
-        # silently ignored.
+        # The diagram's range comes from the solve, so render takes no range
+        # flag, alone or with the other.
         code, out, err = run(capsys, "render", "--angle-deg", "60", *b_range)
         assert code == 2
         assert out == ""
-        assert "argument error" in err and "--b-min" in err and "--b-max" in err
+        assert err.startswith("usage: trisectrix render ")
+        assert "unrecognized arguments: " + " ".join(b_range) in err
 
 
 class TestExitCodes:
@@ -408,17 +418,16 @@ class TestTotality:
             assert code == 0
 
     @given(
-        command=st.sampled_from(["locus", "render"]),
         b_max=st.floats(allow_nan=False, allow_infinity=False),
         fold=st.floats(allow_nan=False, allow_infinity=False),
     )
     @settings(deadline=None, max_examples=300)
-    def test_any_finite_b_max_and_fold(self, command, b_max, fold):
+    def test_any_finite_b_max_and_fold(self, b_max, fold):
         # Every finite --b-max and --fold ends in a documented code, and an
         # argument error never reports a NaN made along the way.
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, f"--fold={fold!r}", f"--b-max={b_max!r}",
+            code = main(["locus", f"--fold={fold!r}", f"--b-max={b_max!r}",
                          "--samples", "8"])
         assert code in (0, 2, 3)
         if code == 2:

@@ -153,15 +153,18 @@ def test_decimal_and_fraction_act_as_their_float(entry):
     # A Decimal or Fraction is converted once, so the routes' float
     # arithmetic never meets it: each gives the float call's result, or its
     # error type. A NaN or infinite Decimal raises the entry's documented
-    # error, not the TypeError of mixing Decimal with float.
+    # error, not the TypeError of mixing Decimal with float; a signalling NaN
+    # gets the entry's own message, not float()'s refusal to convert it.
     call, error = NUMERIC_ENTRY_POINTS[entry]
     for value in (Decimal("0.5"), Decimal("1"), Decimal("2.5"), Decimal("1e-10"),
                   Fraction(1, 3), Fraction(7, 2)):
         assert _numeric_outcome(call, value) == _numeric_outcome(call, float(value)), value
-    for value in (Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity")):
+    for value in (Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"),
+                  Decimal("-Infinity")):
         with pytest.raises(error) as info:
             call(value)
         assert info.type is error
+        assert "signaling NaN" not in str(info.value)
 
 
 @pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))

@@ -8,46 +8,42 @@ import pytest
 
 import pins
 
-from trisectrix.geom import Angle, SQRT3
-from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, sample_locus, trisect
+from trisectrix.geom import Angle
+from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, trisect
 from trisectrix.render import render_svg
 
 PARAMS = LocusParams(1.0)
-POINTS = sample_locus(PARAMS, SQRT3, 4.0, 64)
 RESULT = trisect(Angle.from_degrees(75.0), PARAMS)
 
 
 class TestRenderSvg:
     def test_structure_two_circles_one_polyline(self):
-        svg = render_svg(PARAMS, POINTS, result=RESULT)
+        svg = render_svg(PARAMS, RESULT, 64)
         assert svg.count("<circle ") == 2
         assert svg.count("<polyline ") == 1
 
     def test_well_formed_xml(self):
-        svg = render_svg(PARAMS, POINTS, result=RESULT)
+        svg = render_svg(PARAMS, RESULT, 64)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "viewBox" in root.attrib
 
     def test_byte_identical_across_runs(self):
-        first = render_svg(PARAMS, POINTS, result=RESULT)
-        second = render_svg(PARAMS, POINTS, result=RESULT)
+        first = render_svg(PARAMS, RESULT, 64)
+        second = render_svg(PARAMS, RESULT, 64)
         assert first == second
 
-    def test_crossing_label_present_only_with_solve(self):
-        with_solve = render_svg(PARAMS, POINTS, result=RESULT)
-        without_solve = render_svg(PARAMS, POINTS, result=None)
-        assert ">N</text>" in with_solve
-        assert ">Q</text>" not in with_solve
-        assert ">Q</text>" in without_solve
-        assert ">N</text>" not in without_solve
+    def test_crossing_labelled_n(self):
+        svg = render_svg(PARAMS, RESULT, 64)
+        assert ">N</text>" in svg
+        assert ">Q</text>" not in svg
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
-            render_svg(PARAMS, POINTS[:1], result=None)
+            render_svg(PARAMS, RESULT, 1)
 
     def test_fixed_element_order(self):
-        svg = render_svg(PARAMS, POINTS, result=RESULT)
+        svg = render_svg(PARAMS, RESULT, 64)
         first_line = svg.index("<line ")
         first_circle = svg.index("<circle ")
         polyline = svg.index("<polyline ")
@@ -56,15 +52,10 @@ class TestRenderSvg:
 
 
 def diagram(fold, degrees, samples):
-    """``render_svg`` over the range ``trisectrix render`` picks: sqrt(3)*a to
-    10*a, or with a target up to max(1.3*b*, 2*sqrt(3)*a), solved at tol 1e-12."""
+    """The diagram ``trisectrix render`` draws: ``render_svg`` of the solve
+    at the default tol."""
     params = LocusParams(fold)
-    b_min, b_max = SQRT3 * fold, 10.0 * fold
-    result = None
-    if degrees is not None:
-        result = trisect(Angle.from_degrees(degrees), params, tol=1e-12)
-        b_max = max(1.3 * result.b_star, 2.0 * b_min)
-    return render_svg(params, sample_locus(params, b_min, b_max, samples), result=result)
+    return render_svg(params, trisect(Angle.from_degrees(degrees), params), samples)
 
 
 def view_box(svg):
@@ -72,11 +63,11 @@ def view_box(svg):
 
 
 def svg_grid():
-    """440 diagrams in fold, target, sample-count order, each labelled by
+    """400 diagrams in fold, target, sample-count order, each labelled by
     those three inputs."""
     grid = itertools.product(
         (1e-9, 1e-3, 0.1, 0.37, 1.0, 2.5, 10.0, 1e5, 1e40, 1e89),
-        (None, 1e-6, 0.5, 1.0, 7.3, 30.0, 45.0, 60.0, 75.0, 89.9, 90.0),
+        (1e-6, 0.5, 1.0, 7.3, 30.0, 45.0, 60.0, 75.0, 89.9, 90.0),
         (2, 3, 17, 128),
     )
     for fold, degrees, samples in grid:
