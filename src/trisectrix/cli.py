@@ -1,6 +1,8 @@
 """Command-line interface: verified trisections, locus tables, diagrams.
 
-Degrees at this boundary, radians everywhere inside. All emitters are
+Degrees at this boundary, radians everywhere inside. Each command writes one
+format: ``trisect`` and ``origami`` JSON, ``locus`` CSV over [sqrt(3)*a, 10*a],
+``render`` SVG; only ``verify`` chooses between text and JSON. All emitters are
 deterministic; numbers are serialized with Python's shortest round-trip
 representation (at most 17 significant digits) so output files are stable
 golden-test targets.
@@ -60,7 +62,7 @@ def _checked(convert: Callable[[str], float], rule: str,
 
 _POSITIVE = _checked(float, "positive", lambda v: math.isfinite(v) and v > 0.0)
 
-# The flags besides --format and --output, each with its type, check and default.
+# The flags besides --output, each with its type, check and default.
 _FLAGS = {
     "--angle-deg": dict(type=float, required=True,
                         help="target angle in degrees, in (0, 90]"),
@@ -71,8 +73,8 @@ _FLAGS = {
     # A sample costs about 800 B of peak memory: 100000 of them peak near 100 MB.
     "--samples": dict(type=_checked(int, "in [2, 100000]", lambda v: 2 <= v <= 100_000),
                       help="locus sample count, 2 to 100000 (default %(default)s)"),
-    "--b-min": dict(type=float, help="lowest locus parameter (default sqrt(3)*a)"),
-    "--b-max": dict(type=float, help="highest locus parameter (default 10*a)"),
+    "--format": dict(default="text", choices=("text", "json"),
+                     help="output format (default %(default)s)"),
 }
 
 
@@ -92,16 +94,6 @@ def _write_output(text: str, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _emit(args: argparse.Namespace, payload: dict,
-          text_lines: Callable[[], list[str]]) -> None:
-    """Write ``payload`` as JSON, or as the lines of ``text_lines()`` for --format text."""
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "\n".join(text_lines()) + "\n"
-    _write_output(text, args.output)
 
 
 def cmd_trisect(args: argparse.Namespace) -> int:
@@ -126,25 +118,13 @@ def cmd_trisect(args: argparse.Namespace) -> int:
         "fold_a": args.fold,
         "verification": dict(report.residuals),
     }
-    _emit(args, payload, lambda: [
-        f"target angle : {payload['three_theta_deg']:.6g} deg",
-        f"trisected    : {payload['theta_deg']!r} deg",
-        f"b*           : {payload['b_star']!r}",
-        f"unit length  : {payload['unit_length']!r}",
-        f"N            : ({payload['n_point']['x']!r}, {payload['n_point']['y']!r})",
-        f"iterations   : {payload['iterations']}",
-        f"residual     : {payload['angle_residual_rad']!r} rad",
-        f"worst check  : {report.max_residual()!r}",
-    ])
+    _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
 def cmd_locus(args: argparse.Namespace) -> int:
     a = args.fold
-    params = LocusParams(a)
-    b_min = SQRT3 * a if args.b_min is None else args.b_min
-    b_max = 10.0 * a if args.b_max is None else args.b_max
-    points = sample_locus(params, b_min, b_max, args.samples)
+    points = sample_locus(LocusParams(a), SQRT3 * a, 10.0 * a, args.samples)
     lines = [CSV_HEADER]
     for pt in points:
         j_angle_deg = math.degrees(math.atan2(a, pt.b))
@@ -181,12 +161,7 @@ def cmd_origami(args: argparse.Namespace) -> int:
         "residuals": dict(report.residuals),
         "informational": {"cp_vs_sin_theta": cp_vs_sin_theta},
     }
-    _emit(args, payload, lambda: [
-        f"fold construction for {payload['three_theta_deg']:.6g} deg",
-        *(f"  {name} = ({p['x']!r}, {p['y']!r})" for name, p in points.items()),
-        f"  alpha = beta = gamma = {payload['alpha_deg']!r} deg, "
-        f"worst residual {report.max_residual()!r}",
-    ])
+    _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -221,16 +196,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for name, (value, deg) in sorted(worst.items())
         },
     }
-    # The text ranks ``worst`` itself: residuals that tie keep the fixed key
-    # order of cross_validate's report, which the payload's sorted names
-    # would lose.
-    _emit(args, payload, lambda: [
-        f"cross-check sweep: 1..90 deg, fold a={args.fold!r}, tol={args.tol!r}",
-        *(f"  {name:32s} {value:.3e}  (at {deg} deg)"
-          for name, (value, deg) in sorted(worst.items(), key=lambda kv: -kv[1][0])),
-        *(f"  FAIL {failure}" for failure in failures),
-        f"result: {'PASS' if ok else 'FAIL'} ({checked}/90 angles checked)",
-    ])
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
+    else:
+        # The text ranks ``worst`` itself: residuals that tie keep the fixed
+        # key order of cross_validate's report, which the payload's sorted
+        # names would lose.
+        text = "\n".join([
+            f"cross-check sweep: 1..90 deg, fold a={args.fold!r}, tol={args.tol!r}",
+            *(f"  {name:32s} {value:.3e}  (at {deg} deg)"
+              for name, (value, deg) in sorted(worst.items(), key=lambda kv: -kv[1][0])),
+            *(f"  FAIL {failure}" for failure in failures),
+            f"result: {'PASS' if ok else 'FAIL'} ({checked}/90 angles checked)",
+        ])
+    _write_output(text + "\n", args.output)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -250,26 +229,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_command(name: str, command: Callable[[argparse.Namespace], int], help: str,
-                    flags: Sequence[str], formats: Sequence[str] = (),
-                    **defaults) -> None:
+                    flags: Sequence[str], **defaults) -> None:
         p = sub.add_parser(name, help=help)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        if formats:
-            p.add_argument("--format", default=formats[0], choices=formats,
-                           help=f"output format (default {formats[0]})")
         p.add_argument("--output", help="output path (default: standard output)")
         # main reports a flag the command does not take with its own usage.
         p.set_defaults(command=command, parser=p, **defaults)
 
     add_command("trisect", cmd_trisect, "solve one trisection, emit JSON",
-                ("--angle-deg", "--fold", "--tol"), ("json", "text"))
+                ("--angle-deg", "--fold", "--tol"))
     add_command("locus", cmd_locus, "emit a CSV table of locus samples",
-                ("--fold", "--samples", "--b-min", "--b-max"), samples=100)
-    add_command("origami", cmd_origami, "emit the fold construction",
-                ("--angle-deg",), ("json", "text"))
+                ("--fold", "--samples"), samples=100)
+    add_command("origami", cmd_origami, "emit the fold construction as JSON",
+                ("--angle-deg",))
     add_command("verify", cmd_verify, "cross-check a 1..90 degree sweep",
-                ("--fold", "--tol"), ("text", "json"))
+                ("--fold", "--tol", "--format"))
     add_command("render", cmd_render, "emit an SVG construction diagram",
                 ("--angle-deg", "--fold", "--samples"), samples=128)
     return parser

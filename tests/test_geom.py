@@ -14,6 +14,7 @@ from trisectrix.geom import (
     as_angle,
     distance,
     target_angle,
+    wrap_signed,
 )
 from trisectrix.locus import LocusParams, locus_point, sample_locus, trisect
 from trisectrix.oracles import (
@@ -175,6 +176,17 @@ def test_text_is_not_a_number(entry):
     for text in ("0.5", "1.0", " 1.0 ", b"1.0", bytearray(b"1.0")):
         with pytest.raises(TypeError, match=rf"^expected a number, got {type(text).__name__}$"):
             call(text)
+
+
+class TestWrapSigned:
+    @pytest.mark.parametrize("radians,wrapped", [
+        (3.1, 3.1), (math.pi, math.pi), (-math.pi, math.pi),
+        (math.nextafter(math.pi, 4.0), -3.1415926535897927),
+        (TWO_PI, 0.0), (3.0 * math.pi, math.pi), (-3.1, -3.1),
+    ])
+    def test_wraps_into_half_open_turn(self, radians, wrapped):
+        # (-pi, pi]: pi stays, -pi becomes pi, and only values past pi wrap.
+        assert wrap_signed(radians) == wrapped
 
 
 class TestDistance:

@@ -151,6 +151,14 @@ class TestLocusPoint:
             locus_point(LocusParams(1.0), 1.0)
         with pytest.raises(ParameterOutOfRange):
             locus_point(LocusParams(1.0), float("nan"))
+        with pytest.raises(ParameterOutOfRange):
+            locus_point(LocusParams(1.0), SQRT3 * (1.0 - 1e-11))
+        # A b a rounding error below sqrt(3)*a is within the slack and
+        # accepted: Q sits a hair left of the y axis.
+        b = SQRT3 * (1.0 - 1e-13)
+        lp = locus_point(LocusParams(1.0), b)
+        assert -1e-12 < lp.q.x < 0.0
+        assert sample_locus(LocusParams(1.0), b, 10.0, 2)[0].q == lp.q
 
     def test_crossing_point_matches_triple_angle(self):
         # a = sin(t), b = cos(t) puts Q at (cos 3t, sin 3t).
@@ -253,6 +261,54 @@ class TestSampleLocus:
         for b_max in (math.inf, -math.inf, math.nan):
             with pytest.raises(ParameterOutOfRange, match="b_max"):
                 sample_locus(LocusParams(1.0), SQRT3, b_max, 5)
+
+    def test_infinite_b_max_rejected(self):
+        # An infinite b_max is a domain error that names b_max and reports
+        # no NaN made along the way.
+        for b_max in (math.inf, -math.inf):
+            with pytest.raises(ParameterOutOfRange, match="b_max") as info:
+                sample_locus(LocusParams(1.0), SQRT3, b_max, 5)
+            assert "nan" not in str(info.value)
+
+    def test_b_min_below_curve_start_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            sample_locus(LocusParams(1.0), 1.0, 10.0, 5)
+
+    @pytest.mark.parametrize("b_max", [1e300, 1e200, 9.480751908109177e+153])
+    def test_overflowing_b_max_rejected(self, b_max):
+        # b*b or 2a*(b*b - a*a) overflows: a domain error naming b_max, not
+        # a NaN coordinate.
+        with pytest.raises(ParameterOutOfRange, match="b_max") as info:
+            sample_locus(LocusParams(1.0), SQRT3, b_max, 3)
+        assert "nan" not in str(info.value)
+
+    def test_largest_finite_b_max_accepted(self):
+        # The float below the first rejected b_max at fold 1 still gives
+        # finite points.
+        pts = sample_locus(LocusParams(1.0), SQRT3, 9.480751908109176e+153, 3)
+        assert all(math.isfinite(v) for p in pts
+                   for v in (p.b, p.q.x, p.q.y, p.residual_circle1, p.residual_circle2,
+                             p.residual_locus_relation, p.q_polar_angle.radians))
+
+    @given(
+        b_max=st.floats(allow_nan=False, allow_infinity=False),
+        fold=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_any_finite_b_max_and_fold(self, b_max, fold):
+        # Every finite b_max and fold, sampled from the curve start, gives
+        # finite points or a domain error, and a ValueError never reports a
+        # NaN made along the way.
+        try:
+            pts = sample_locus(LocusParams(fold), SQRT3 * fold, b_max, 8)
+        except ParameterOutOfRange:
+            return
+        except ValueError as exc:
+            assert "nan" not in str(exc)
+            return
+        assert all(math.isfinite(v) for p in pts
+                   for v in (p.q.x, p.q.y, p.residual_circle1, p.residual_circle2,
+                             p.residual_locus_relation))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
