@@ -8,7 +8,8 @@ representation (at most 17 significant digits) so output files are stable
 golden-test targets.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 domain
-error, 4 convergence error, 5 I/O error.
+error, 4 convergence error, 5 I/O error. The library checks ``--fold`` and
+``--tol``: its ValueError is an argument error, reported without a usage line.
 """
 
 from __future__ import annotations
@@ -47,31 +48,27 @@ EXIT_IO = 5
 CSV_HEADER = "b,x,y,q_angle_deg,j_angle_deg,residual_c1,residual_c2,residual_relation"
 
 
-def _checked(convert: Callable[[str], float], rule: str,
-             ok: Callable[[float], bool]) -> Callable[[str], float]:
-    """An argparse type: ``convert`` the text, then reject a value that is not ``ok``."""
-    def parse(text: str) -> float:
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse's "invalid float value: 'x'"
-    return parse
+def _samples(text: str) -> int:
+    """The argparse type of ``--samples``: an int in [2, 100000]. A sample
+    costs about 800 B of peak memory: 100000 of them peak near 100 MB."""
+    value = int(text)
+    if not 2 <= value <= 100_000:
+        raise argparse.ArgumentTypeError(f"must be in [2, 100000], got {value!r}")
+    return value
 
 
-_POSITIVE = _checked(float, "positive", lambda v: math.isfinite(v) and v > 0.0)
+_samples.__name__ = "int"  # argparse's "invalid int value: 'x'"
 
-# The flags besides --output, each with its type, check and default.
+# The flags besides --output, each with its type and default. LocusParams and
+# trisect check --fold and --tol, so only --samples is checked here.
 _FLAGS = {
     "--angle-deg": dict(type=float, required=True,
                         help="target angle in degrees, in (0, 90]"),
-    "--fold": dict(type=_POSITIVE, default=1.0,
+    "--fold": dict(type=float, default=1.0,
                    help="fold spacing a in construction units (default 1)"),
-    "--tol": dict(type=_POSITIVE, default=DEFAULT_TOL,
+    "--tol": dict(type=float, default=DEFAULT_TOL,
                   help="solver tolerance in radians (default 1e-12)"),
-    # A sample costs about 800 B of peak memory: 100000 of them peak near 100 MB.
-    "--samples": dict(type=_checked(int, "in [2, 100000]", lambda v: 2 <= v <= 100_000),
+    "--samples": dict(type=_samples,
                       help="locus sample count, 2 to 100000 (default %(default)s)"),
     "--format": dict(default="text", choices=("text", "json"),
                      help="output format (default %(default)s)"),
@@ -89,7 +86,7 @@ def _target(args: argparse.Namespace) -> Angle:
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -257,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_ARGS
+        return exc.code
 
     try:
         return args.command(args)

@@ -208,10 +208,10 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     _check_b(a, b_min)
     # b_max is the largest sample, and the curve's largest products are
     # b*b and 2a*(b*b - a*a) (_q_coords); every other product of a point
-    # stays below them for b >= sqrt(3)*a. Both are checked as computed, so
-    # every b_max whose points were finite is still accepted.
-    bb = b_max * b_max
-    if not (math.isfinite(bb) and math.isfinite(2.0 * a * (bb - a * a))):
+    # stays below them for b >= sqrt(3)*a. The second is inf or NaN whenever
+    # the first is, so checking it as computed accepts every b_max whose
+    # points were finite.
+    if not math.isfinite(2.0 * a * (b_max * b_max - a * a)):
         limit = math.sqrt(sys.float_info.max / max(2.0 * a, 1.0))
         raise ParameterOutOfRange(
             f"b_max must be finite and at most about {limit:.3g} at fold "
@@ -332,19 +332,17 @@ def trisect(
             result=_result(t3, a, hi, 0, hi - lo, _gap(a, hi, target)),
         )
 
-    # A mid that repeats an endpoint means lo and hi are adjacent floats: the
-    # bracket has collapsed. As lo <= b_neg and hi >= b_pos throughout, a mid
-    # below b_pos can only repeat lo, and one above b_neg only hi. The loop
-    # has no step bound: the bracket halves until tol or collapse.
+    # An endpoint moves only to a skipped mid on its own side, or to an
+    # evaluated mid in [b_pos, b_neg] whose f has the endpoint's sign. By the
+    # _SKIP_MARGIN bound, hi thus stays over ~1e-12 rad of angle (over 6e-13*b,
+    # far more than an ulp) above b_pos and lo as far below b_neg, so only an
+    # evaluated mid can repeat an endpoint: the bracket has collapsed. The
+    # loop has no step bound: the bracket halves until tol or collapse.
     for iteration in itertools.count(1):
         mid = 0.5 * (lo + hi)
         if mid < b_pos:
-            if mid == lo:
-                break
             lo = mid
         elif mid > b_neg:
-            if mid == hi:
-                break
             hi = mid
         elif mid == lo or mid == hi:
             break

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trisectrix.cli import CSV_HEADER, build_parser, main
+from trisectrix.errors import MaxIterationsExceeded, MismatchDetected
 from trisectrix.geom import Angle, Point2, SQRT3
 from trisectrix.locus import (
     FOLD_MAX,
@@ -19,6 +20,7 @@ from trisectrix.locus import (
     TrisectionResult,
     verify_trisection,
 )
+from trisectrix.oracles import cross_validate
 from trisectrix.origami import abe_construct
 
 
@@ -92,10 +94,6 @@ class TestTrisectCommand:
 
     def test_bad_fold_exits_2(self, capsys):
         code, _, _ = run(capsys, "trisect", "--angle-deg", "60", "--fold", "-1")
-        assert code == 2
-
-    def test_wrong_format_exits_2(self, capsys):
-        code, _, _ = run(capsys, "trisect", "--angle-deg", "60", "--format", "csv")
         assert code == 2
 
     def test_unknown_flag_exits_2(self, capsys):
@@ -205,6 +203,56 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--tol", "1e-16")
         assert code == 1
         assert "FAIL" in out
+
+    def test_failing_sweep_report(self, capsys):
+        # At tol 1e-17 some angles raise, the others are checked and fail
+        # on a residual: the report counts, ranks and lists each of them, as
+        # recomputed here with cross_validate.
+        failures, reports = [], {}
+        for deg in range(1, 91):
+            try:
+                report = cross_validate(Angle.from_degrees(deg), 1.0, 1e-17)
+            except (MismatchDetected, MaxIterationsExceeded) as exc:
+                failures.append(f"{deg} deg: {exc}")
+                continue
+            reports[deg] = report
+            if not report.passes(1e-17):
+                name, value = report.worst()
+                failures.append(f"{deg} deg: residual {name} = {value!r} exceeds tol")
+        raised = 90 - len(reports)
+        assert 0 < raised < 90
+        code, out, _ = run(capsys, "verify", "--tol", "1e-17", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["angles_checked"] == len(reports)
+        assert payload["passed"] is False
+        assert payload["failures"] == failures
+        assert sum(" exceeds tol" in f for f in failures) == len(reports)
+        names = {name for r in reports.values() for name in r.residuals}
+        assert set(payload["worst_residuals"]) == names
+        for name in names:
+            # The largest magnitude over the checked angles that report it
+            # (no fold residual at 90 degrees), at the first angle to reach it.
+            value, deg = max((abs(r.residuals[name]), -deg) for deg, r in reports.items()
+                             if name in r.residuals)
+            assert payload["worst_residuals"][name] == {"value": value, "at_deg": -deg}
+
+        code, text, _ = run(capsys, "verify", "--tol", "1e-17")
+        assert code == 1
+        lines = text.rstrip("\n").split("\n")
+        assert lines[0] == "cross-check sweep: 1..90 deg, fold a=1.0, tol=1e-17"
+        assert lines[-len(failures) - 1:-1] == [f"  FAIL {f}" for f in failures]
+        assert lines[-1] == f"result: FAIL ({len(reports)}/90 angles checked)"
+        ranked = [float(line.split()[1]) for line in lines[1:-len(failures) - 1]]
+        assert len(ranked) == len(names) and ranked == sorted(ranked, reverse=True)
+
+    def test_wrong_format_exits_2(self, capsys):
+        # verify is the one command with a --format choice.
+        code, out, err = run(capsys, "verify", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: trisectrix verify ")
+        assert "invalid choice" in err
 
 
 class TestRenderCommand:
@@ -317,6 +365,31 @@ class TestFlagSurface:
         assert code == 2
         assert out == ""
         assert "argument --samples: must be in [2, 100000]" in err
+
+    @pytest.mark.parametrize("command", ["locus", "render"])
+    def test_samples_not_an_int_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, *self.BASE[command], "--samples", "x")
+        assert code == 2
+        assert out == ""
+        assert "argument --samples: invalid int value: 'x'" in err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        (command, flag, value)
+        for command, flags in sorted(FLAGS.items())
+        for flag, values in (("--fold", ("0", "-1", "inf", "nan")),
+                             ("--tol", ("0", "-1", "inf", "nan")))
+        if flag in flags
+        for value in values
+    ])
+    def test_fold_or_tol_not_positive_and_finite_exits_2(self, capsys, command, flag, value):
+        # The library checks both and main reports its ValueError, naming
+        # the parameter, with no traceback.
+        code, out, err = run(capsys, command, *self.BASE[command], f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        name = {"--fold": "fold spacing a", "--tol": "tol"}[flag]
+        assert err.startswith(f"trisectrix: argument error: {name} must be ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["locus", "render"])
     def test_samples_bound_parses(self, command):

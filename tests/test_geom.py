@@ -12,6 +12,7 @@ from trisectrix.geom import (
     Angle,
     Point2,
     as_angle,
+    as_float,
     distance,
     target_angle,
     wrap_signed,
@@ -166,6 +167,24 @@ def test_decimal_and_fraction_act_as_their_float(entry):
             call(value)
         assert info.type is error
         assert "signaling NaN" not in str(info.value)
+
+
+def test_int_beyond_float_range_reads_as_its_signed_infinity():
+    assert as_float(10**400) == math.inf
+    assert as_float(-10**400) == -math.inf
+
+
+class _Unconvertible:
+    def __float__(self):
+        raise ValueError("no float for this value")
+
+
+def test_conversion_error_reaches_the_caller():
+    # Only a signalling NaN is read as NaN; any other ValueError of float()
+    # reaches the caller unchanged.
+    for call in (LocusParams, lambda tol: trisect(1.0, LocusParams(1.0), tol)):
+        with pytest.raises(ValueError, match="^no float for this value$"):
+            call(_Unconvertible())
 
 
 @pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))

@@ -10,7 +10,7 @@ import sys
 from decimal import Decimal, getcontext, localcontext
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pins
 
@@ -271,8 +271,10 @@ class TestSampleLocus:
             assert "nan" not in str(info.value)
 
     def test_b_min_below_curve_start_rejected(self):
-        with pytest.raises(ParameterOutOfRange):
-            sample_locus(LocusParams(1.0), 1.0, 10.0, 5)
+        # b_min is checked first, so it is named even when b_max overflows.
+        for b_max in (10.0, 1e300):
+            with pytest.raises(ParameterOutOfRange, match=r"^parameter b must be .*, got 1\.0$"):
+                sample_locus(LocusParams(1.0), 1.0, b_max, 5)
 
     @pytest.mark.parametrize("b_max", [1e300, 1e200, 9.480751908109177e+153])
     def test_overflowing_b_max_rejected(self, b_max):
@@ -706,11 +708,23 @@ def _outcome(solve, target, params, tol):
     return repr(r)
 
 
+def _doubled_bracket_examples(test):
+    # Each target puts the k-th doubled bracket end hi = sqrt(3)*2**k just
+    # past the crossing, 0.5e-12 rad beyond the stop at tol 1e-9: hi is
+    # evaluated, its f is negative, and the bisection starts from it. The
+    # random draws never land there.
+    for k in (1, 2, 3, 5, 8):
+        target = 3.0 * math.atan(1.0 / (SQRT3 * 2**k)) + 0.5e-9 + 0.5e-12
+        test = example(target=target, a=1.0, tol=1e-9)(test)
+    return test
+
+
 @given(
     target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
     a=st.floats(min_value=FOLD_MIN, max_value=FOLD_MAX),
     tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
 )
+@_doubled_bracket_examples
 @settings(deadline=None, max_examples=400)
 def test_matches_reference_bisection(target, a, tol):
     params = LocusParams(a)

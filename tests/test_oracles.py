@@ -173,6 +173,40 @@ class TestCrossValidate:
             1e-6, rel=1e-3
         )
 
+    @pytest.mark.parametrize("oracle_skew,origami_skew,tol,pair,key", [
+        # The oracle alone is off: locus-oracle is checked first.
+        (1e-6, 0.0, 1e-10, "locus and oracle", "theta_locus_vs_oracle"),
+        # The fold alone is off: locus agrees with oracle, not with origami.
+        (0.0, 1e-6, 1e-10, "locus and origami", "theta_locus_vs_origami"),
+        # Oracle +eps and origami -eps with tol in [eps, 2*eps): each is
+        # within tol of the locus, but not of each other.
+        (1e-6, -1e-6, 1.5e-6, "oracle and origami", "theta_origami_vs_oracle"),
+    ])
+    def test_mismatch_names_the_pair_that_disagrees(self, monkeypatch, oracle_skew,
+                                                    origami_skew, tol, pair, key):
+        import trisectrix.oracles as oracles
+
+        oracle, construct = oracles.oracle_theta, oracles.abe_construct
+
+        def skewed_oracle(three_theta):
+            return Angle(oracle(three_theta).radians + oracle_skew)
+
+        def skewed_construct(three_theta):
+            c = construct(three_theta)
+            c.alpha = Angle(c.alpha.radians + origami_skew)
+            return c
+
+        monkeypatch.setattr(oracles, "oracle_theta", skewed_oracle)
+        monkeypatch.setattr(oracles, "abe_construct", skewed_construct)
+        with pytest.raises(MismatchDetected) as excinfo:
+            cross_validate(Angle.from_degrees(60.0), 1.0, tol)
+        gap = excinfo.value.report.residuals[key]
+        assert gap > tol
+        assert str(excinfo.value) == (
+            f"trisected-angle estimates {pair} differ by {gap!r} rad "
+            f"(> tol {tol!r}) at target 60 deg"
+        )
+
     @pytest.mark.parametrize("degrees", [60.0, 90.0])
     def test_calls_each_route_once(self, monkeypatch, degrees):
         # The benchmark's per-layer spans wrap these names in the oracles
