@@ -153,7 +153,7 @@ def cmd_origami(args: argparse.Namespace) -> int:
         "alpha_deg": c.alpha.degrees,
         "beta_deg": c.beta.degrees,
         "gamma_deg": c.gamma.degrees,
-        "unit_length": c.unit_length,
+        "unit_length": math.hypot(c.H.x, c.H.y),
         "points": points,
         "residuals": dict(report.residuals),
         "informational": {"cp_vs_sin_theta": cp_vs_sin_theta},

@@ -37,6 +37,17 @@ def as_float(value: float) -> float:
         raise
 
 
+def as_positive(value: float, name: str) -> float:
+    """``as_float(value)`` if that is finite and positive, else ValueError
+    "<name> must be finite and positive, got <value>". The slow path of the
+    fold and tol checks, which take a float already in range as it is; one
+    check, so their messages cannot drift apart."""
+    number = as_float(value)
+    if not (math.isfinite(number) and number > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
 class Value:
     """Base of the library's value types. A subclass names its fields in
     ``__slots__`` and sets them in ``__init__``; this supplies the repr and a

@@ -33,7 +33,8 @@ import math
 import sys
 
 from .errors import MaxIterationsExceeded, ParameterOutOfRange
-from .geom import _HALF_PI, SQRT3, Angle, AngleLike, Point2, Value, as_float, target_angle
+from .geom import (_HALF_PI, SQRT3, Angle, AngleLike, Point2, Value, as_float, as_positive,
+                   target_angle)
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
@@ -81,9 +82,7 @@ class LocusParams(Value):
     def __init__(self, a: float) -> None:
         self.a = a
         if not (type(a) is float and FOLD_MIN <= a <= FOLD_MAX):
-            fold = as_float(a)
-            if not (math.isfinite(fold) and fold > 0.0):
-                raise ValueError(f"fold spacing a must be finite and positive, got {a!r}")
+            fold = as_positive(a, "fold spacing a")
             if not FOLD_MIN <= fold <= FOLD_MAX:
                 raise ParameterOutOfRange(
                     f"fold spacing a must lie in [{FOLD_MIN:.3g}, {FOLD_MAX:.3g}], got {a!r}"
@@ -147,9 +146,8 @@ def _q_coords(a: float, b: float) -> tuple[float, float]:
     Q = J + 2a*(-sin 2d, cos 2d). Using 2ab/(a^2+b^2) and
     (b^2-a^2)/(a^2+b^2) for the double angle keeps every term free of
     cancellation, so both circle equations and the linear relation hold to
-    machine precision at any b/a ratio. The solver's ``_gap`` and ``_result``
-    write these two expressions in place, saving a call per evaluation; a
-    property test holds them bit-identical to this function.
+    machine precision at any b/a ratio. Every point of the curve, the
+    solver's included, comes from here.
     """
     dd = a * a + b * b
     qx = b - 4.0 * a * a * b / dd
@@ -230,24 +228,16 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     return points
 
 
-def _gap(a: float, b: float, target: float) -> float:
-    """f(b) of the bisection: Q's polar angle minus the target, in radians,
-    with Q by the formula of ``_q_coords``."""
-    dd = a * a + b * b
-    return math.atan2(a + 2.0 * a * (b * b - a * a) / dd, b - 4.0 * a * a * b / dd) - target
-
-
-def _result(t3: Angle, a: float, b: float, iterations: int, width: float,
-            f_val: float) -> TrisectionResult:
-    """The trisection at parameter ``b`` with the solver's diagnostics, its
-    crossing N by the formula of ``_q_coords``."""
-    dd = a * a + b * b
+def _result(t3: Angle, a: float, b: float, qx: float, qy: float, iterations: int,
+            width: float, f_val: float) -> TrisectionResult:
+    """The trisection at parameter ``b`` with the solver's diagnostics: its
+    crossing N is the point (qx, qy) the solver evaluated there."""
     return TrisectionResult(
         t3,
         Angle(math.atan2(a, b)),
         b,
         math.hypot(a, b),
-        Point2(b - 4.0 * a * a * b / dd, a + 2.0 * a * (b * b - a * a) / dd),
+        Point2(qx, qy),
         iterations,
         width,
         f_val,
@@ -288,9 +278,7 @@ def trisect(
     t3 = target_angle(three_theta, "trisection target must lie in (0, 90] degrees")
     target = t3.radians
     if not (type(tol) is float and 0.0 < tol < math.inf):
-        given, tol = tol, as_float(tol)
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"tol must be positive, got {given!r}")
+        tol = as_positive(tol, "tol")
 
     a = params.a
     # Stop at half of tol so residuals re-measured downstream from the
@@ -309,9 +297,10 @@ def trisect(
 
     lo = SQRT3 * a
     if lo >= b_pos:
-        f_lo = _gap(a, lo, target)
+        qx, qy = _q_coords(a, lo)
+        f_lo = math.atan2(qy, qx) - target
         if abs(f_lo) <= stop:
-            return _result(t3, a, lo, 0, 0.0, f_lo)
+            return _result(t3, a, lo, qx, qy, 0, 0.0, f_lo)
 
     hi = lo
     for _ in range(_MAX_DOUBLINGS):
@@ -320,16 +309,18 @@ def trisect(
             continue
         if hi > b_neg:
             break
-        f_hi = _gap(a, hi, target)
+        qx, qy = _q_coords(a, hi)
+        f_hi = math.atan2(qy, qx) - target
         if abs(f_hi) <= stop:
-            return _result(t3, a, hi, 0, 0.0, f_hi)
+            return _result(t3, a, hi, qx, qy, 0, 0.0, f_hi)
         if f_hi < 0.0:
             break
     else:
+        qx, qy = _q_coords(a, hi)
         raise MaxIterationsExceeded(
             f"no upper bracket below target {t3.degrees!r} deg within "
             f"{_MAX_DOUBLINGS} doublings",
-            result=_result(t3, a, hi, 0, hi - lo, _gap(a, hi, target)),
+            result=_result(t3, a, hi, qx, qy, 0, hi - lo, math.atan2(qy, qx) - target),
         )
 
     # An endpoint moves only to a skipped mid on its own side, or to an
@@ -347,19 +338,22 @@ def trisect(
         elif mid == lo or mid == hi:
             break
         else:
-            f_mid = _gap(a, mid, target)
+            qx, qy = _q_coords(a, mid)
+            f_mid = math.atan2(qy, qx) - target
             if abs(f_mid) <= stop:
-                return _result(t3, a, mid, iteration, hi - lo, f_mid)
+                return _result(t3, a, mid, qx, qy, iteration, hi - lo, f_mid)
             if f_mid > 0.0:
                 lo = mid
             else:
                 hi = mid
-    f_lo, f_hi = _gap(a, lo, target), _gap(a, hi, target)
-    b, f_b = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    lx, ly = _q_coords(a, lo)
+    hx, hy = _q_coords(a, hi)
+    f_lo, f_hi = math.atan2(ly, lx) - target, math.atan2(hy, hx) - target
+    b, qx, qy, f_b = (lo, lx, ly, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, hx, hy, f_hi)
     raise MaxIterationsExceeded(
         f"bisection bracket collapsed after {iteration - 1} iterations "
         f"before reaching tol={tol!r} rad (|residual| = {abs(f_b)!r})",
-        result=_result(t3, a, b, iteration - 1, hi - lo, f_b),
+        result=_result(t3, a, b, qx, qy, iteration - 1, hi - lo, f_b),
     )
 
 
@@ -380,7 +374,6 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
         "jn_vs_2a": abs(math.hypot(n.x - b, n.y - a) - 2.0 * a),
         "on_vs_unit_length": abs(math.hypot(n.x, n.y) - r.unit_length),
         "fold_ratio_vs_sin_theta": abs(a / r.unit_length - math.sin(r.theta.radians)),
-        # locus_relation_residual's expression, written in place.
-        "locus_relation_at_n": abs(b * n.x + a * n.y - (b * b - a * a)),
+        "locus_relation_at_n": abs(locus_relation_residual(params, b, n)),
     }
     return VerificationReport(residuals)

@@ -27,16 +27,15 @@ class ChordDiagram(Value):
     sin(three_theta/3).
 
     E is the foot of F on the base line; G is the unit-circle point at the
-    trisected angle, whose height above the base (``fold_BG``) is the crease
-    spacing used by the origami fold.
+    trisected angle, whose height above the base is the crease spacing used
+    by the origami fold. The diagram stores only points: every length is
+    measured from them by :func:`chord_residuals`.
     """
 
-    __slots__ = ("three_theta", "E", "F", "G", "J", "K", "L", "chord_FK", "chord_KL",
-                 "chord_LE", "fold_BG")
+    __slots__ = ("three_theta", "E", "F", "G", "J", "K", "L")
 
     def __init__(self, three_theta: Angle, E: Point2, F: Point2, G: Point2, J: Point2,
-                 K: Point2, L: Point2, chord_FK: float, chord_KL: float,
-                 chord_LE: float, fold_BG: float) -> None:
+                 K: Point2, L: Point2) -> None:
         self.three_theta = three_theta
         self.E = E
         self.F = F
@@ -44,10 +43,6 @@ class ChordDiagram(Value):
         self.J = J
         self.K = K
         self.L = L
-        self.chord_FK = chord_FK
-        self.chord_KL = chord_KL
-        self.chord_LE = chord_LE
-        self.fold_BG = fold_BG
 
 
 def oracle_theta(three_theta: AngleLike) -> Angle:
@@ -98,33 +93,32 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
         Point2(jx, jy),
         Point2(kx, ky),
         Point2(lx, ly),
-        math.hypot(fx - kx, fy - ky),
-        math.hypot(kx - lx, ky - ly),
-        math.hypot(lx - fx, ly),
-        # fold_BG, the perpendicular distance from G to the base line.
-        abs(gy),
     )
 
 
 def chord_residuals(d: ChordDiagram) -> dict[str, float]:
-    """Residuals of the diagram against its closed forms: all five marked
-    points at distance 1/2 from J, the three chords and the crease spacing
-    at sin(theta), and |GF| at 2 sin(theta)."""
+    """Residuals of the diagram against its closed forms, all measured from
+    its points: all five marked points at distance 1/2 from J, the three
+    chords FK, KL, LE and the crease spacing (G's height above the base
+    line) at sin(theta), and |GF| at 2 sin(theta)."""
     t = d.three_theta.radians / 3.0
     sin_t = math.sin(t)
     jx, jy = d.J.x, d.J.y
+    ex, ey = d.E.x, d.E.y
     fx, fy = d.F.x, d.F.y
+    kx, ky = d.K.x, d.K.y
+    lx, ly = d.L.x, d.L.y
     hypot = math.hypot
     return {
         "ja_radius": abs(hypot(jx, jy) - 0.5),
         "jf_radius": abs(hypot(jx - fx, jy - fy) - 0.5),
-        "je_radius": abs(hypot(jx - d.E.x, jy - d.E.y) - 0.5),
-        "jk_radius": abs(hypot(jx - d.K.x, jy - d.K.y) - 0.5),
-        "jl_radius": abs(hypot(jx - d.L.x, jy - d.L.y) - 0.5),
-        "fk_vs_sin_theta": abs(d.chord_FK - sin_t),
-        "kl_vs_sin_theta": abs(d.chord_KL - sin_t),
-        "le_vs_sin_theta": abs(d.chord_LE - sin_t),
-        "bg_vs_sin_theta": abs(d.fold_BG - sin_t),
+        "je_radius": abs(hypot(jx - ex, jy - ey) - 0.5),
+        "jk_radius": abs(hypot(jx - kx, jy - ky) - 0.5),
+        "jl_radius": abs(hypot(jx - lx, jy - ly) - 0.5),
+        "fk_vs_sin_theta": abs(hypot(fx - kx, fy - ky) - sin_t),
+        "kl_vs_sin_theta": abs(hypot(kx - lx, ky - ly) - sin_t),
+        "le_vs_sin_theta": abs(hypot(lx - ex, ly - ey) - sin_t),
+        "bg_vs_sin_theta": abs(abs(d.G.y) - sin_t),
         "gf_vs_2sin_theta": abs(hypot(d.G.x - fx, d.G.y - fy) - 2.0 * sin_t),
     }
 
@@ -146,25 +140,15 @@ class CrossValidationReport(ResidualMap):
         self.residuals = residuals
 
 
-# Report keys of each route's residuals, in the order the route returns
-# them: the route's own names with its prefix added once, here, so that
-# cross_validate builds no key string per call. zip pairs them with the
-# route's values by position, so a route that adds, drops or renames a
-# residual must change its tuple too; a test holds the two to one order.
-_TRISECTION_KEYS = tuple("trisection_" + n for n in (
-    "three_theta_vs_target", "jn_vs_2a", "on_vs_unit_length",
-    "fold_ratio_vs_sin_theta", "locus_relation_at_n",
-))
-_ORIGAMI_KEYS = tuple("origami_" + n for n in (
-    "oh_vs_oc", "hc_vs_od", "os_vs_sd", "hg_vs_gc", "alpha_vs_beta", "beta_vs_gamma",
-    "op_vs_cos_theta", "hp_vs_sin_theta", "c_on_target_ray",
-    "angle_sum_vs_three_theta", "h_on_first_crease",
-))
-_CHORD_KEYS = tuple("chord_" + n for n in (
-    "ja_radius", "jf_radius", "je_radius", "jk_radius", "jl_radius",
-    "fk_vs_sin_theta", "kl_vs_sin_theta", "le_vs_sin_theta", "bg_vs_sin_theta",
-    "gf_vs_2sin_theta",
-))
+# Report keys of each route's residuals: the names one call of the route
+# returns, in its order, with the route's prefix added once, here, so that
+# cross_validate builds no key string per call. Every call of a route
+# returns the same names in the same order, so zip pairs these keys with
+# any later call's values.
+_TRISECTION_KEYS = tuple("trisection_" + name for name in verify_trisection(
+    trisect(1.0, LocusParams(1.0)), LocusParams(1.0)).residuals)
+_ORIGAMI_KEYS = tuple("origami_" + name for name in abe_verify(abe_construct(1.0)).residuals)
+_CHORD_KEYS = tuple("chord_" + name for name in chord_residuals(chord_diagram(1.0)))
 
 
 def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidationReport:

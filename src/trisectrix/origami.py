@@ -31,16 +31,17 @@ class AbeConstruction(Value):
     """The named point set and trisecting angles of the fold's end state.
 
     ``alpha``, ``beta``, ``gamma`` are the three angles between consecutive
-    trisecting rays, measured from the constructed points. ``unit_length`` is
-    the measured distance O-H (the fold is normalized so it equals 1).
+    trisecting rays, measured from the constructed points. The fold is
+    normalized so that H and C lie on the unit circle; no length is stored,
+    and :func:`abe_verify` measures each from the points.
     """
 
     __slots__ = ("three_theta", "theta", "D", "S", "H", "C", "G", "P", "alpha", "beta",
-                 "gamma", "unit_length")
+                 "gamma")
 
     def __init__(self, three_theta: Angle, theta: Angle, D: Point2, S: Point2,
                  H: Point2, C: Point2, G: Point2, P: Point2, alpha: Angle,
-                 beta: Angle, gamma: Angle, unit_length: float) -> None:
+                 beta: Angle, gamma: Angle) -> None:
         self.three_theta = three_theta
         self.theta = theta
         self.D = D
@@ -52,7 +53,6 @@ class AbeConstruction(Value):
         self.alpha = alpha
         self.beta = beta
         self.gamma = gamma
-        self.unit_length = unit_length
 
 
 def abe_construct(three_theta: AngleLike) -> AbeConstruction:
@@ -91,7 +91,6 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
         Angle(alpha),
         Angle(g - alpha),
         Angle(math.atan2(cy, cx) - g),
-        math.hypot(cos_t, sin_t),
     )
 
 

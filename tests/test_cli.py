@@ -178,6 +178,18 @@ class TestOrigamiCommand:
         # The gap is 2 sin(theta) to first order: above 0.1 from 10 degrees.
         assert expected > (0.1 if degrees >= 10.0 else 0.0)
 
+    def test_unit_length_is_one(self, capsys):
+        # The command measures unit_length as |OH| from the printed H; the
+        # fold puts H and C on the unit circle.
+        for deg in ("5", "30", "60", "89"):
+            code, out, _ = run(capsys, "origami", "--angle-deg", deg)
+            assert code == 0
+            payload = json.loads(out)
+            h, c = payload["points"]["H"], payload["points"]["C"]
+            assert payload["unit_length"] == math.hypot(h["x"], h["y"])
+            assert abs(payload["unit_length"] - 1.0) <= 1e-12
+            assert abs(math.hypot(c["x"], c["y"]) - 1.0) <= 1e-12
+
     def test_quarter_turn_exits_3(self, capsys):
         code, _, _ = run(capsys, "origami", "--angle-deg", "90")
         assert code == 3
@@ -388,8 +400,8 @@ class TestFlagSurface:
         assert code == 2
         assert out == ""
         name = {"--fold": "fold spacing a", "--tol": "tol"}[flag]
-        assert err.startswith(f"trisectrix: argument error: {name} must be ")
-        assert "Traceback" not in err
+        assert err == (f"trisectrix: argument error: {name} must be finite and "
+                       f"positive, got {float(value)!r}\n")
 
     @pytest.mark.parametrize("command", ["locus", "render"])
     def test_samples_bound_parses(self, command):

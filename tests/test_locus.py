@@ -30,15 +30,12 @@ from trisectrix.geom import (
 )
 from trisectrix.geom import as_angle, target_angle
 from trisectrix.locus import (
-    _B_RATIO_MAX,
     _MAX_DOUBLINGS,
     FOLD_MAX,
     FOLD_MIN,
     LocusParams,
     TrisectionResult,
-    _gap,
     _q_coords,
-    _result,
     locus_point,
     locus_relation_residual,
     sample_locus,
@@ -407,9 +404,8 @@ class TestTrisect:
         assert r.iterations <= 55
 
     def test_result_matches_curve_formula_bit_for_bit(self):
-        # The solver writes the curve formula of _q_coords in place; its
-        # reported crossing and residual must equal the formula's own values
-        # exactly.
+        # The solver's reported crossing and residual must equal the values
+        # of the curve formula, _q_coords, exactly.
         for deg in (0.5, 7.0, 33.3, 60.0, 89.9, 90.0):
             target = math.radians(deg)
             for a in (1e-3, 0.3, 1.0, 2.7, 1e4):
@@ -785,29 +781,6 @@ class _Float(float):
 
 
 @given(
-    log_a=log_folds,
-    log_ratio=st.floats(min_value=math.log(SQRT3), max_value=math.log(_B_RATIO_MAX)),
-    target=targets,
-)
-@settings(deadline=None, max_examples=500)
-def test_formulas_written_in_place_match_their_functions(log_a, log_ratio, target):
-    # _gap and _result write the expressions of _q_coords in place, and
-    # verify_trisection that of locus_relation_residual, each saving a call;
-    # over the fold range and the whole doubling bracket b/a in
-    # [sqrt(3), 2**64 * sqrt(3)], every value must stay the same bit for bit.
-    a = min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX)
-    b = a * min(max(math.exp(log_ratio), SQRT3), _B_RATIO_MAX)
-    qx, qy = _q_coords(a, b)
-    f = _gap(a, b, target)
-    assert f.hex() == (math.atan2(qy, qx) - target).hex()
-    r = _result(Angle(target), a, b, 0, 0.0, f)
-    assert repr(r.n_point) == repr(Point2(qx, qy))
-    params = LocusParams(a)
-    at_n = verify_trisection(r, params).residuals["locus_relation_at_n"]
-    assert at_n.hex() == abs(locus_relation_residual(params, b, r.n_point)).hex()
-
-
-@given(
     target=targets,
     log_a=log_folds,
     tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -850,9 +823,10 @@ def test_int_targets_keep_their_result_and_error():
 
 
 # Python-level calls into the package over the grid below: per op one
-# LocusParams, trisect and verify_trisection, with no call that only forwards
-# to other code.
-SOLVE_GRID_CALLS = 11653
+# LocusParams, trisect, verify_trisection and locus_relation_residual, and
+# one _q_coords per curve evaluation, with no call that only forwards to
+# other code.
+SOLVE_GRID_CALLS = 12463
 
 
 def test_python_calls_per_solve():
@@ -876,7 +850,7 @@ def test_python_calls_per_solve():
                     verify_trisection(trisect(math.radians(degrees), params, tol), params)
     finally:
         sys.setprofile(previous)
-    assert not calls.keys() & {"_q_coords", "as_float", "locus_relation_residual"}
+    assert "as_float" not in calls
     assert sum(calls.values()) == SOLVE_GRID_CALLS, calls
 
 

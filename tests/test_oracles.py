@@ -1,5 +1,6 @@
 """Tests for the independent verifiers and the cross-validation driver."""
 
+import copy
 import math
 import random
 
@@ -22,6 +23,11 @@ from trisectrix.origami import abe_construct, abe_verify
 
 SIN_20 = 0.3420201433256687
 TWO_SIN_20 = 0.6840402866513374
+
+
+def _chords(d):
+    """The chords FK, KL and LE of a chord diagram, measured from its points."""
+    return distance(d.F, d.K), distance(d.K, d.L), distance(d.L, d.E)
 
 
 def _count_constructions(monkeypatch) -> dict:
@@ -77,13 +83,13 @@ class TestTripleAngleResidual:
 class TestChordDiagram:
     def test_quarter_turn_chords(self):
         d = chord_diagram(Angle.from_degrees(90.0))
-        for chord in (d.chord_FK, d.chord_KL, d.chord_LE):
+        for chord in _chords(d):
             assert abs(chord - 0.5) <= 1e-12
-        assert abs(d.fold_BG - 0.5) <= 1e-12
+        assert abs(d.G.y - 0.5) <= 1e-12
 
     def test_sixty_degree_chords(self):
         d = chord_diagram(Angle.from_degrees(60.0))
-        for chord in (d.chord_FK, d.chord_KL, d.chord_LE):
+        for chord in _chords(d):
             assert abs(chord - SIN_20) <= 1e-12
         assert abs(distance(d.G, d.F) - TWO_SIN_20) <= 1e-12
 
@@ -112,8 +118,28 @@ class TestChordDiagram:
     def test_inscribed_chords_match_sine(self, t3):
         d = chord_diagram(Angle(t3))
         expected = 2.0 * 0.5 * math.sin(t3 / 3.0)
-        for chord in (d.chord_FK, d.chord_KL, d.chord_LE):
+        for chord in _chords(d):
             assert abs(chord - expected) <= 1e-12
+
+    @pytest.mark.parametrize("point,flagged", [
+        ("E", ["le_vs_sin_theta"]),
+        ("F", ["fk_vs_sin_theta"]),
+        ("G", ["bg_vs_sin_theta"]),
+        ("K", ["kl_vs_sin_theta"]),
+        ("L", ["le_vs_sin_theta", "kl_vs_sin_theta"]),
+    ])
+    def test_moved_point_flags_its_lengths(self, point, flagged):
+        # Each length is measured from the points, so moving a point by a
+        # relative 1e-9 flags the lengths it ends. Away from 90 degrees,
+        # where E closes onto the vertex, every one moves by over 1e-11.
+        for degrees in (30.0, 60.0, 75.0):
+            d = chord_diagram(Angle.from_degrees(degrees))
+            p = getattr(d, point)
+            moved = copy.copy(d)
+            setattr(moved, point, Point2(p.x * (1.0 + 1e-9), p.y * (1.0 + 1e-9)))
+            residuals = chord_residuals(moved)
+            for name in flagged:
+                assert residuals[name] > 1e-12, (degrees, name)
 
     def test_residual_map_for_random_angles(self):
         rng = random.Random(0xC0DE)

@@ -69,12 +69,6 @@ class TestConstruct:
         assert abs(hc - distance(ORIGIN, c.D)) <= 1e-12
         assert abs(hc - 1.0) <= 1e-5
 
-    def test_unit_length_is_one(self):
-        for deg in (5.0, 30.0, 60.0, 89.0):
-            c = abe_construct(Angle.from_degrees(deg))
-            assert abs(c.unit_length - 1.0) <= 1e-12
-            assert abs(distance(ORIGIN, c.C) - 1.0) <= 1e-12
-
 
 class TestProperties:
     def test_equal_thirds_for_random_angles(self):

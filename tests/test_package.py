@@ -270,10 +270,9 @@ def test_every_value_field_is_read_in_the_package():
 def test_library_builds_values_positionally():
     # Keyword arguments to a class call go through a kwargs dict into
     # __init__: on CPython 3.11 that made building a TrisectionResult cost
-    # 918 ns against 297 ns positionally (AbeConstruction 995 vs 397,
-    # ChordDiagram 954 vs 352, VerificationReport 515 vs 283). The solver
-    # builds one result per solve, so the package passes value fields by
-    # position; callers outside it may still use keywords.
+    # 918 ns against 297 ns positionally (VerificationReport 515 vs 283).
+    # The solver builds one result per solve, so the package passes value
+    # fields by position; callers outside it may still use keywords.
     values = {
         name
         for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
