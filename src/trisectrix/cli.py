@@ -35,7 +35,7 @@ from .locus import (
     verify_trisection,
 )
 from .oracles import cross_validate
-from .origami import abe_construct, abe_verify
+from .origami import abe_construct, abe_verify, fold_angles
 from .render import render_svg
 
 EXIT_OK = 0
@@ -145,14 +145,15 @@ def cmd_origami(args: argparse.Namespace) -> int:
     # perpendicular from H, the lengths O-P and H-P are cos t and sin t, which
     # abe_verify checks. The other reading, "C-P equals sin t", holds for no
     # point on the base ray, so it is reported here and not checked.
-    cp_vs_sin_theta = abs(math.hypot(c.C.x - c.P.x, c.C.y - c.P.y)
-                          - math.sin(c.theta.radians))
+    theta = c.three_theta.radians / 3.0
+    cp_vs_sin_theta = abs(math.hypot(c.C.x - c.P.x, c.C.y - c.P.y) - math.sin(theta))
+    alpha, beta, gamma = fold_angles(c)
     payload = {
         "three_theta_deg": c.three_theta.degrees,
-        "theta_deg": c.theta.degrees,
-        "alpha_deg": c.alpha.degrees,
-        "beta_deg": c.beta.degrees,
-        "gamma_deg": c.gamma.degrees,
+        "theta_deg": math.degrees(theta),
+        "alpha_deg": math.degrees(alpha),
+        "beta_deg": math.degrees(beta),
+        "gamma_deg": math.degrees(gamma),
         "unit_length": math.hypot(c.H.x, c.H.y),
         "points": points,
         "residuals": dict(report.residuals),

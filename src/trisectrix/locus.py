@@ -130,11 +130,21 @@ class TrisectionResult(Value):
         self.angle_residual = angle_residual
 
 
-def _check_b(a: float, b: float) -> None:
+def _check_b(a: float, b: float, name: str = "b") -> None:
+    """ParameterOutOfRange naming ``name`` unless the curve has a finite
+    point at ``b``. For b >= sqrt(3)*a a point's largest products are b*b
+    and 2a*(b*b - a*a) (_q_coords); the second is inf or NaN whenever the
+    first is, so it alone is checked."""
     lower = SQRT3 * a
-    if not (math.isfinite(b) and b >= lower * (1.0 - _LOWER_BOUND_SLACK)):
+    if not b >= lower * (1.0 - _LOWER_BOUND_SLACK):
         raise ParameterOutOfRange(
-            f"parameter b must be at least sqrt(3)*a = {lower!r}, got {b!r}"
+            f"parameter {name} must be at least sqrt(3)*a = {lower!r}, got {b!r}"
+        )
+    if not math.isfinite(2.0 * a * (b * b - a * a)):
+        limit = math.sqrt(sys.float_info.max / max(2.0 * a, 1.0))
+        raise ParameterOutOfRange(
+            f"parameter {name} must be finite and at most about {limit:.3g} at fold "
+            f"a={a!r}, where the curve's products overflow, got {b!r}"
         )
 
 
@@ -161,8 +171,8 @@ def locus_point(params: LocusParams, b: float) -> LocusPoint:
     The counterclockwise branch is returned: the one that starts at
     (0, 2a) when b = sqrt(3)*a and sweeps down toward the base ray as b
     grows. Raises ParameterOutOfRange below the start of the curve, where
-    the construction leaves its working regime. A ``b`` that is not a float
-    goes through ``as_float``.
+    the construction leaves its working regime, and where the point's
+    products overflow. A ``b`` that is not a float goes through ``as_float``.
     """
     if type(b) is not float:
         b = as_float(b)
@@ -204,17 +214,7 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     b_min, b_max = as_float(b_min), as_float(b_max)
     a = params.a
     _check_b(a, b_min)
-    # b_max is the largest sample, and the curve's largest products are
-    # b*b and 2a*(b*b - a*a) (_q_coords); every other product of a point
-    # stays below them for b >= sqrt(3)*a. The second is inf or NaN whenever
-    # the first is, so checking it as computed accepts every b_max whose
-    # points were finite.
-    if not math.isfinite(2.0 * a * (b_max * b_max - a * a)):
-        limit = math.sqrt(sys.float_info.max / max(2.0 * a, 1.0))
-        raise ParameterOutOfRange(
-            f"b_max must be finite and at most about {limit:.3g} at fold "
-            f"a={a!r}, where the curve's products overflow, got {b_max!r}"
-        )
+    _check_b(a, b_max, "b_max")
     if not b_min < b_max:
         raise ParameterOutOfRange(
             f"need b_min < b_max, got b_min={b_min!r}, b_max={b_max!r}"

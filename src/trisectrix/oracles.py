@@ -15,7 +15,7 @@ import math
 from .errors import MismatchDetected
 from .geom import _HALF_PI, Angle, AngleLike, Point2, Value, as_angle, target_angle
 from .locus import LocusParams, trisect, verify_trisection
-from .origami import abe_construct, abe_verify
+from .origami import abe_construct, abe_verify, fold_angles
 from .report import ResidualMap
 
 
@@ -186,7 +186,7 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     residuals.update(zip(_TRISECTION_KEYS, verify_trisection(result, params).residuals.values()))
     if t3.radians < _HALF_PI:
         construction = abe_construct(t3)
-        origami = construction.alpha.radians
+        origami = fold_angles(construction)[0]
         origami_gap = abs(origami - oracle)
         cross_gap = abs(locus - origami)
         residuals["theta_origami_vs_oracle"] = origami_gap

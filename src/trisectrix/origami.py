@@ -28,31 +28,21 @@ from .report import VerificationReport
 
 
 class AbeConstruction(Value):
-    """The named point set and trisecting angles of the fold's end state.
+    """The target angle and the named points of the fold's end state,
+    normalized so that H and C lie on the unit circle. No angle or length is
+    stored: :func:`fold_angles` and :func:`abe_verify` measure them."""
 
-    ``alpha``, ``beta``, ``gamma`` are the three angles between consecutive
-    trisecting rays, measured from the constructed points. The fold is
-    normalized so that H and C lie on the unit circle; no length is stored,
-    and :func:`abe_verify` measures each from the points.
-    """
+    __slots__ = ("three_theta", "D", "S", "H", "C", "G", "P")
 
-    __slots__ = ("three_theta", "theta", "D", "S", "H", "C", "G", "P", "alpha", "beta",
-                 "gamma")
-
-    def __init__(self, three_theta: Angle, theta: Angle, D: Point2, S: Point2,
-                 H: Point2, C: Point2, G: Point2, P: Point2, alpha: Angle,
-                 beta: Angle, gamma: Angle) -> None:
+    def __init__(self, three_theta: Angle, D: Point2, S: Point2, H: Point2, C: Point2,
+                 G: Point2, P: Point2) -> None:
         self.three_theta = three_theta
-        self.theta = theta
         self.D = D
         self.S = S
         self.H = H
         self.C = C
         self.G = G
         self.P = P
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
 
 
 def abe_construct(three_theta: AngleLike) -> AbeConstruction:
@@ -71,42 +61,42 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     t = t3_rad / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
     cx, cy = math.cos(t3_rad), math.sin(t3_rad)
-    gx, gy = 0.5 * (cos_t + cx), 0.5 * (sin_t + cy)
-
-    # H, G and C lie in the upper half-plane, where atan2 is already in
-    # [0, 2*pi): these are their polar angles.
-    alpha = math.atan2(sin_t, cos_t)
-    g = math.atan2(gy, gx)
 
     return AbeConstruction(
         t3,
-        Angle(t),
         Point2(0.0, 2.0 * sin_t),
         Point2(0.0, sin_t),
         Point2(cos_t, sin_t),
         Point2(cx, cy),
-        Point2(gx, gy),
+        Point2(0.5 * (cos_t + cx), 0.5 * (sin_t + cy)),
         # P, the foot of the perpendicular from H onto the base ray.
         Point2(cos_t, 0.0),
-        Angle(alpha),
-        Angle(g - alpha),
-        Angle(math.atan2(cy, cx) - g),
     )
+
+
+def fold_angles(c: AbeConstruction) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) in radians, measured with atan2: the base ray to
+    the ray through H, that ray to G's, and G's to C's. alpha is the fold's
+    trisected angle. Any point is measured, so a moved one shows in
+    :func:`abe_verify`'s angle residuals instead of raising."""
+    alpha = math.atan2(c.H.y, c.H.x)
+    g = math.atan2(c.G.y, c.G.x)
+    return alpha, g - alpha, math.atan2(c.C.y, c.C.x) - g
 
 
 def abe_verify(c: AbeConstruction) -> VerificationReport:
     """Measure every claimed relationship of the fold from the points.
 
-    Angles are re-measured with atan2 rather than read from the stored
-    fields, so a tampered or perturbed construction is flagged. An H, G or
-    C moved to the origin or below the base line is flagged the same way,
-    and nothing raises. All checked residuals sit at rounding level (<= 1e-12) for
-    constructions produced by :func:`abe_construct`, whose H, G and C lie
-    in the upper half-plane. Distances from O, the origin, are the hypot of
-    the point itself.
+    The three angles come from :func:`fold_angles` and theta is the stored
+    target divided by three, so a tampered or perturbed point is flagged.
+    An H, G or C moved to the origin or below the base line is flagged the
+    same way, and nothing raises. All checked residuals sit at rounding
+    level (<= 1e-12) for constructions produced by :func:`abe_construct`,
+    whose H, G and C lie in the upper half-plane. Distances from O, the
+    origin, are the hypot of the point itself.
     """
-    t = c.theta.radians
     t3 = c.three_theta.radians
+    t = t3 / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
 
     dx, dy = c.D.x, c.D.y
@@ -116,10 +106,7 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     gx, gy = c.G.x, c.G.y
     px, py = c.P.x, c.P.y
 
-    alpha = math.atan2(hy, hx)
-    g = math.atan2(gy, gx)
-    beta = g - alpha
-    gamma = math.atan2(cy, cx) - g
+    alpha, beta, gamma = fold_angles(c)
     hypot = math.hypot
     residuals = {
         "oh_vs_oc": abs(hypot(hx, hy) - hypot(cx, cy)),

@@ -40,7 +40,7 @@ def render_svg(params: LocusParams, result: TrisectionResult, samples: int) -> s
     locus_points = sample_locus(params, b_min, max(1.3 * b_star, 2.0 * b_min), samples)
 
     jx, jy = b_star, a
-    r1 = math.hypot(a, b_star)
+    r1 = result.unit_length
     r2 = 2.0 * a
 
     # The bounding box, from points listed in a fixed order: min and max
@@ -49,7 +49,7 @@ def render_svg(params: LocusParams, result: TrisectionResult, samples: int) -> s
     ys = [0.0, 2.0 * a, 0.0, -r1, r1, jy - r2, jy + r2]
     xs += [pt.q.x for pt in locus_points]
     ys += [pt.q.y for pt in locus_points]
-    reach = 1.15 * result.unit_length
+    reach = 1.15 * r1
     t3 = result.three_theta.radians
     ob_x, ob_y = reach * math.cos(t3), reach * math.sin(t3)
     xs += [n.x, ob_x]

@@ -207,6 +207,25 @@ class TestLocusPoint:
         )
         assert distance(lp.q, ccw) <= 1e-11 * max(1.0, r1)
 
+    @given(b=st.floats(allow_nan=False, allow_infinity=False),
+           fold=st.floats(min_value=FOLD_MIN, max_value=FOLD_MAX))
+    @example(b=1e200, fold=1.0)
+    @example(b=1e154, fold=1.0)
+    @settings(deadline=None, max_examples=300)
+    def test_any_finite_b_and_fold(self, b, fold):
+        # Every finite b, at every fold in range, gives a finite point or a
+        # domain error naming b that reports no NaN made along the way: past
+        # about 9.5e153 at fold 1 the curve's products overflow.
+        try:
+            lp = locus_point(LocusParams(fold), b)
+        except ParameterOutOfRange as exc:
+            assert str(exc).startswith("parameter b must be ")
+            assert "nan" not in str(exc)
+            return
+        assert all(math.isfinite(v) for v in (lp.q.x, lp.q.y, lp.residual_circle1,
+                                                lp.residual_circle2,
+                                                lp.residual_locus_relation))
+
     def test_monotone_decreasing_in_b(self):
         params = LocusParams(0.7)
         b_values = [SQRT3 * 0.7 * (1.0 + 0.37 * k) for k in range(40)]

@@ -218,16 +218,22 @@ class TestCrossValidate:
             return Angle(oracle(three_theta).radians + oracle_skew)
 
         def skewed_construct(three_theta):
+            # Rotate H about O: the fold's measured first angle moves by
+            # origami_skew, and abe_verify sees it.
             c = construct(three_theta)
-            c.alpha = Angle(c.alpha.radians + origami_skew)
+            cos_s, sin_s = math.cos(origami_skew), math.sin(origami_skew)
+            c.H = Point2(cos_s * c.H.x - sin_s * c.H.y, sin_s * c.H.x + cos_s * c.H.y)
             return c
 
         monkeypatch.setattr(oracles, "oracle_theta", skewed_oracle)
         monkeypatch.setattr(oracles, "abe_construct", skewed_construct)
         with pytest.raises(MismatchDetected) as excinfo:
             cross_validate(Angle.from_degrees(60.0), 1.0, tol)
-        gap = excinfo.value.report.residuals[key]
+        residuals = excinfo.value.report.residuals
+        gap = residuals[key]
         assert gap > tol
+        if origami_skew:
+            assert residuals["origami_alpha_vs_beta"] > tol
         assert str(excinfo.value) == (
             f"trisected-angle estimates {pair} differ by {gap!r} rad "
             f"(> tol {tol!r}) at target 60 deg"
@@ -276,13 +282,13 @@ class TestCrossValidate:
 
     def test_value_constructions_per_call(self, monkeypatch):
         # Each public value is built once: a sub-90 degree target given as a
-        # raw float builds at most 13 Point2 and exactly 9 Angle values, two
-        # of them the copies of the target that abe_construct and
-        # chord_diagram make.
+        # raw float builds 13 Point2 values (N and each route's six points)
+        # and 5 Angle values: the solve's target and theta, the oracle's
+        # theta, and the copies of the target that abe_construct and
+        # chord_diagram make. The fold's angles are measured as floats.
         counts = _count_constructions(monkeypatch)
         cross_validate(math.radians(60.0), 1.0, 1e-12)
-        assert counts[Point2] <= 13
-        assert counts[Angle] == 9
+        assert counts == {Point2: 13, Angle: 5}
 
     def test_value_constructions_per_solve(self, monkeypatch):
         # The benchmark's solve op, LocusParams + trisect + verify_trisection

@@ -8,7 +8,7 @@ import pytest
 
 from trisectrix.errors import AngleOutOfRange
 from trisectrix.geom import Angle, Point2, distance
-from trisectrix.origami import abe_construct, abe_verify
+from trisectrix.origami import abe_construct, abe_verify, fold_angles
 
 # Frozen with math.sin/math.cos at the stated arguments.
 SIN_20 = 0.3420201433256687
@@ -40,14 +40,21 @@ class TestConstruct:
         c = abe_construct(Angle.from_degrees(89.9999))
         assert abe_verify(c).passes(1e-12)
 
+    def test_stores_only_its_points_and_target(self):
+        # The angles are measured from H, G and C by fold_angles, never
+        # stored, so no stored value can disagree with the points.
+        c = abe_construct(Angle.from_degrees(60.0))
+        assert type(c).__slots__ == ("three_theta", "D", "S", "H", "C", "G", "P")
+        assert all(isinstance(getattr(c, name), Point2) for name in "DSHCGP")
+
     def test_sixty_degrees_coordinates(self):
         c = abe_construct(Angle.from_degrees(60.0))
-        assert c.theta.degrees == pytest.approx(20.0, abs=1e-12)
+        assert math.degrees(c.three_theta.radians / 3.0) == pytest.approx(20.0, abs=1e-12)
         assert abs(c.D.y - TWO_SIN_20) <= 1e-15 and c.D.x == 0.0
         assert abs(c.H.x - COS_20) <= 1e-15
         assert abs(c.H.y - SIN_20) <= 1e-15
-        for part in (c.alpha, c.beta, c.gamma):
-            assert abs(part.radians - math.radians(20.0)) <= 1e-12
+        for part in fold_angles(c):
+            assert abs(part - math.radians(20.0)) <= 1e-12
 
     def test_thirty_degrees_equal_segments(self):
         c = abe_construct(Angle.from_degrees(30.0))
@@ -65,7 +72,7 @@ class TestConstruct:
         delta = 1e-6
         c = abe_construct(Angle(math.pi / 2.0 - delta))
         hc = distance(c.H, c.C)
-        assert abs(hc - 2.0 * math.sin(c.theta.radians)) <= 1e-12
+        assert abs(hc - 2.0 * math.sin(c.three_theta.radians / 3.0)) <= 1e-12
         assert abs(hc - distance(ORIGIN, c.D)) <= 1e-12
         assert abs(hc - 1.0) <= 1e-5
 
@@ -77,8 +84,8 @@ class TestProperties:
             t3 = rng.uniform(0.001, math.pi / 2.0 - 0.001)
             c = abe_construct(Angle(t3))
             third = t3 / 3.0
-            for part in (c.alpha, c.beta, c.gamma):
-                assert abs(part.radians - third) <= 1e-12
+            for part in fold_angles(c):
+                assert abs(part - third) <= 1e-12
 
     def test_chord_equals_marked_segment(self):
         rng = random.Random(0xABE)
@@ -119,8 +126,10 @@ class TestVerify:
         bad.H = Point2(c.H.x, c.H.y + 1e-3)
         report = abe_verify(bad)
         assert not report.passes(1e-12)
-        # The injected shift moves the measured first angle by ~1e-3 rad.
+        # The injected shift moves the measured first angle by ~1e-3 rad,
+        # and H off the first crease by the shift itself.
         assert 1e-4 < report.residuals["alpha_vs_beta"] < 1e-2
+        assert report.residuals["h_on_first_crease"] == pytest.approx(1e-3, rel=1e-9)
 
     @pytest.mark.parametrize("where", ["origin", "below_base_line"])
     @pytest.mark.parametrize("name", ["H", "G", "C"])
@@ -144,7 +153,7 @@ class TestVerify:
         assert report.residuals["op_vs_cos_theta"] <= 1e-12
         assert report.residuals["hp_vs_sin_theta"] <= 1e-12
         assert "cp_vs_sin_theta" not in report.residuals
-        assert abs(distance(c.C, c.P) - math.sin(c.theta.radians)) > 0.1
+        assert abs(distance(c.C, c.P) - math.sin(c.three_theta.radians / 3.0)) > 0.1
 
     def test_report_shape(self):
         report = abe_verify(abe_construct(Angle.from_degrees(45.0)))
