@@ -139,14 +139,14 @@ def cmd_origami(args: argparse.Namespace) -> int:
     report = abe_verify(c)
     points = {"O": {"x": 0.0, "y": 0.0}}  # the vertex, at the frame origin
     for name in "DSHCGP":
-        p = getattr(c, name)
-        points[name] = {"x": p.x, "y": p.y}
+        x, y = getattr(c, name)
+        points[name] = {"x": x, "y": y}
     # Classical presentations of the fold read P two ways. As the foot of the
     # perpendicular from H, the lengths O-P and H-P are cos t and sin t, which
     # abe_verify checks. The other reading, "C-P equals sin t", holds for no
     # point on the base ray, so it is reported here and not checked.
     theta = c.three_theta.radians / 3.0
-    cp_vs_sin_theta = abs(math.hypot(c.C.x - c.P.x, c.C.y - c.P.y) - math.sin(theta))
+    cp_vs_sin_theta = abs(math.dist(c.C, c.P) - math.sin(theta))
     alpha, beta, gamma = fold_angles(c)
     payload = {
         "three_theta_deg": c.three_theta.degrees,
@@ -154,7 +154,7 @@ def cmd_origami(args: argparse.Namespace) -> int:
         "alpha_deg": math.degrees(alpha),
         "beta_deg": math.degrees(beta),
         "gamma_deg": math.degrees(gamma),
-        "unit_length": math.hypot(c.H.x, c.H.y),
+        "unit_length": math.hypot(*c.H),
         "points": points,
         "residuals": dict(report.residuals),
         "informational": {"cp_vs_sin_theta": cp_vs_sin_theta},

@@ -213,7 +213,7 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
         raise ValueError(f"need at least 2 samples, got {n!r}")
     b_min, b_max = as_float(b_min), as_float(b_max)
     a = params.a
-    _check_b(a, b_min)
+    _check_b(a, b_min, "b_min")
     _check_b(a, b_max, "b_max")
     if not b_min < b_max:
         raise ParameterOutOfRange(

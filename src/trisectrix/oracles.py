@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import MismatchDetected
-from .geom import _HALF_PI, Angle, AngleLike, Point2, Value, as_angle, target_angle
+from .geom import _HALF_PI, Angle, AngleLike, Value, as_angle, target_angle
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify, fold_angles
 from .report import ResidualMap
@@ -28,14 +28,16 @@ class ChordDiagram(Value):
 
     E is the foot of F on the base line; G is the unit-circle point at the
     trisected angle, whose height above the base is the crease spacing used
-    by the origami fold. The diagram stores only points: every length is
-    measured from them by :func:`chord_residuals`.
+    by the origami fold. The diagram stores only points, each an ``(x, y)``
+    tuple of floats: every length is measured from them by
+    :func:`chord_residuals`.
     """
 
     __slots__ = ("three_theta", "E", "F", "G", "J", "K", "L")
 
-    def __init__(self, three_theta: Angle, E: Point2, F: Point2, G: Point2, J: Point2,
-                 K: Point2, L: Point2) -> None:
+    def __init__(self, three_theta: Angle, E: tuple[float, float],
+                 F: tuple[float, float], G: tuple[float, float], J: tuple[float, float],
+                 K: tuple[float, float], L: tuple[float, float]) -> None:
         self.three_theta = three_theta
         self.E = E
         self.F = F
@@ -87,27 +89,29 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
 
     return ChordDiagram(
         t3,
-        Point2(fx, 0.0),
-        Point2(fx, fy),
-        Point2(gx, gy),
-        Point2(jx, jy),
-        Point2(kx, ky),
-        Point2(lx, ly),
+        (fx, 0.0),
+        (fx, fy),
+        (gx, gy),
+        (jx, jy),
+        (kx, ky),
+        (lx, ly),
     )
 
 
 def chord_residuals(d: ChordDiagram) -> dict[str, float]:
     """Residuals of the diagram against its closed forms, all measured from
-    its points: all five marked points at distance 1/2 from J, the three
+    its ``(x, y)`` points, so a moved or NaN coordinate shows in a residual
+    that reads it: all five marked points at distance 1/2 from J, the three
     chords FK, KL, LE and the crease spacing (G's height above the base
     line) at sin(theta), and |GF| at 2 sin(theta)."""
     t = d.three_theta.radians / 3.0
     sin_t = math.sin(t)
-    jx, jy = d.J.x, d.J.y
-    ex, ey = d.E.x, d.E.y
-    fx, fy = d.F.x, d.F.y
-    kx, ky = d.K.x, d.K.y
-    lx, ly = d.L.x, d.L.y
+    jx, jy = d.J
+    ex, ey = d.E
+    fx, fy = d.F
+    gx, gy = d.G
+    kx, ky = d.K
+    lx, ly = d.L
     hypot = math.hypot
     return {
         "ja_radius": abs(hypot(jx, jy) - 0.5),
@@ -118,8 +122,8 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
         "fk_vs_sin_theta": abs(hypot(fx - kx, fy - ky) - sin_t),
         "kl_vs_sin_theta": abs(hypot(kx - lx, ky - ly) - sin_t),
         "le_vs_sin_theta": abs(hypot(lx - ex, ly - ey) - sin_t),
-        "bg_vs_sin_theta": abs(abs(d.G.y) - sin_t),
-        "gf_vs_2sin_theta": abs(hypot(d.G.x - fx, d.G.y - fy) - 2.0 * sin_t),
+        "bg_vs_sin_theta": abs(abs(gy) - sin_t),
+        "gf_vs_2sin_theta": abs(hypot(gx - fx, gy - fy) - 2.0 * sin_t),
     }
 
 

@@ -8,7 +8,8 @@ verifies every equal-segment and equal-angle relationship it promises, all
 measured from the coordinates (never assumed).
 
 Point legend, with ``t`` the trisected angle and the given angle ``3t``
-opening counterclockwise from the positive x axis:
+opening counterclockwise from the positive x axis. Each stored point is an
+``(x, y)`` pair of floats:
 
     O  corner of the sheet, the angle vertex: the frame origin, not stored
     D  marked point on the y axis at height ``2 sin t`` (second crease height)
@@ -23,19 +24,23 @@ from __future__ import annotations
 
 import math
 
-from .geom import Angle, AngleLike, Point2, Value, target_angle
+from .geom import Angle, AngleLike, Value, target_angle
 from .report import VerificationReport
 
 
 class AbeConstruction(Value):
     """The target angle and the named points of the fold's end state,
-    normalized so that H and C lie on the unit circle. No angle or length is
-    stored: :func:`fold_angles` and :func:`abe_verify` measure them."""
+    normalized so that H and C lie on the unit circle. Each point is an
+    ``(x, y)`` tuple of floats, unchecked when stored: a NaN coordinate shows
+    as a NaN residual of :func:`abe_verify`, which fails the report. No
+    angle or length is stored: :func:`fold_angles` and :func:`abe_verify`
+    measure them."""
 
     __slots__ = ("three_theta", "D", "S", "H", "C", "G", "P")
 
-    def __init__(self, three_theta: Angle, D: Point2, S: Point2, H: Point2, C: Point2,
-                 G: Point2, P: Point2) -> None:
+    def __init__(self, three_theta: Angle, D: tuple[float, float],
+                 S: tuple[float, float], H: tuple[float, float], C: tuple[float, float],
+                 G: tuple[float, float], P: tuple[float, float]) -> None:
         self.three_theta = three_theta
         self.D = D
         self.S = S
@@ -64,13 +69,13 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
 
     return AbeConstruction(
         t3,
-        Point2(0.0, 2.0 * sin_t),
-        Point2(0.0, sin_t),
-        Point2(cos_t, sin_t),
-        Point2(cx, cy),
-        Point2(0.5 * (cos_t + cx), 0.5 * (sin_t + cy)),
+        (0.0, 2.0 * sin_t),
+        (0.0, sin_t),
+        (cos_t, sin_t),
+        (cx, cy),
+        (0.5 * (cos_t + cx), 0.5 * (sin_t + cy)),
         # P, the foot of the perpendicular from H onto the base ray.
-        Point2(cos_t, 0.0),
+        (cos_t, 0.0),
     )
 
 
@@ -79,9 +84,12 @@ def fold_angles(c: AbeConstruction) -> tuple[float, float, float]:
     the ray through H, that ray to G's, and G's to C's. alpha is the fold's
     trisected angle. Any point is measured, so a moved one shows in
     :func:`abe_verify`'s angle residuals instead of raising."""
-    alpha = math.atan2(c.H.y, c.H.x)
-    g = math.atan2(c.G.y, c.G.x)
-    return alpha, g - alpha, math.atan2(c.C.y, c.C.x) - g
+    hx, hy = c.H
+    gx, gy = c.G
+    cx, cy = c.C
+    alpha = math.atan2(hy, hx)
+    g = math.atan2(gy, gx)
+    return alpha, g - alpha, math.atan2(cy, cx) - g
 
 
 def abe_verify(c: AbeConstruction) -> VerificationReport:
@@ -90,7 +98,8 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     The three angles come from :func:`fold_angles` and theta is the stored
     target divided by three, so a tampered or perturbed point is flagged.
     An H, G or C moved to the origin or below the base line is flagged the
-    same way, and nothing raises. All checked residuals sit at rounding
+    same way, and nothing raises; a NaN coordinate of any point gives a NaN
+    residual, which no tolerance passes. All checked residuals sit at rounding
     level (<= 1e-12) for constructions produced by :func:`abe_construct`,
     whose H, G and C lie in the upper half-plane. Distances from O, the
     origin, are the hypot of the point itself.
@@ -99,12 +108,12 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     t = t3 / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
 
-    dx, dy = c.D.x, c.D.y
-    sx, sy = c.S.x, c.S.y
-    hx, hy = c.H.x, c.H.y
-    cx, cy = c.C.x, c.C.y
-    gx, gy = c.G.x, c.G.y
-    px, py = c.P.x, c.P.y
+    dx, dy = c.D
+    sx, sy = c.S
+    hx, hy = c.H
+    cx, cy = c.C
+    gx, gy = c.G
+    px, py = c.P
 
     alpha, beta, gamma = fold_angles(c)
     hypot = math.hypot

@@ -14,15 +14,28 @@ class ResidualMap(Value):
     residuals: dict[str, float]
 
     def worst(self) -> tuple[str, float]:
-        """Name and magnitude of the largest checked residual."""
-        name = max(self.residuals, key=lambda k: abs(self.residuals[k]))
-        return name, abs(self.residuals[name])
+        """Name and magnitude of the largest checked residual, the first in
+        key order among equal ones. A NaN residual is worse than any number:
+        the first NaN one is named, with magnitude NaN."""
+        name, largest = "", -1.0
+        for key, value in self.residuals.items():
+            value = abs(value)
+            if value > largest:
+                name, largest = key, value
+            elif value != value:
+                return key, value
+        return name, largest
 
     def max_residual(self) -> float:
-        return max(abs(v) for v in self.residuals.values())
+        """The largest residual's magnitude, NaN if any residual is NaN."""
+        return self.worst()[1]
 
     def passes(self, tol: float) -> bool:
-        return self.max_residual() <= tol
+        """Whether every residual is at most ``tol``; a NaN one never is."""
+        for value in self.residuals.values():
+            if not abs(value) <= tol:
+                return False
+        return True
 
 
 class VerificationReport(ResidualMap):

@@ -289,8 +289,15 @@ class TestSampleLocus:
     def test_b_min_below_curve_start_rejected(self):
         # b_min is checked first, so it is named even when b_max overflows.
         for b_max in (10.0, 1e300):
-            with pytest.raises(ParameterOutOfRange, match=r"^parameter b must be .*, got 1\.0$"):
+            with pytest.raises(ParameterOutOfRange,
+                               match=r"^parameter b_min must be .*, got 1\.0$"):
                 sample_locus(LocusParams(1.0), 1.0, b_max, 5)
+
+    def test_overflowing_b_min_rejected_by_its_name(self):
+        # The overflow check names b_min as it names b_max, not "b".
+        with pytest.raises(ParameterOutOfRange,
+                           match=r"^parameter b_min must be finite .*, got 1e\+200$"):
+            sample_locus(LocusParams(1.0), 1e200, 1e201, 3)
 
     @pytest.mark.parametrize("b_max", [1e300, 1e200, 9.480751908109177e+153])
     def test_overflowing_b_max_rejected(self, b_max):
@@ -622,6 +629,20 @@ class TestVerifyTrisection:
         res = report.residuals["three_theta_vs_target"]
         assert math.isclose(res, 3e-6, rel_tol=1e-4)
         assert not report.passes(1e-12)
+
+    def test_nan_unit_length_is_flagged(self):
+        # The unit length enters two residuals after the first, finite one;
+        # each NaN fails the report and is named by worst().
+        params = LocusParams(1.0)
+        bad = copy.copy(trisect(Angle.from_degrees(60.0), params))
+        bad.unit_length = math.nan
+        report = verify_trisection(bad, params)
+        nan_names = [k for k, v in report.residuals.items() if math.isnan(v)]
+        assert nan_names == ["on_vs_unit_length", "fold_ratio_vs_sin_theta"]
+        assert not report.passes(1e-12)
+        assert math.isnan(report.max_residual())
+        name, value = report.worst()
+        assert name == "on_vs_unit_length" and math.isnan(value)
 
 
 def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):

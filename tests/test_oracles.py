@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pins
 
 from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
-from trisectrix.geom import Angle, Point2, as_angle, distance
+from trisectrix.geom import Angle, Point2, as_angle
 from trisectrix.locus import LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
     chord_diagram,
@@ -20,6 +20,7 @@ from trisectrix.oracles import (
     triple_angle_residual,
 )
 from trisectrix.origami import abe_construct, abe_verify
+from trisectrix.report import VerificationReport
 
 SIN_20 = 0.3420201433256687
 TWO_SIN_20 = 0.6840402866513374
@@ -27,7 +28,7 @@ TWO_SIN_20 = 0.6840402866513374
 
 def _chords(d):
     """The chords FK, KL and LE of a chord diagram, measured from its points."""
-    return distance(d.F, d.K), distance(d.K, d.L), distance(d.L, d.E)
+    return math.dist(d.F, d.K), math.dist(d.K, d.L), math.dist(d.L, d.E)
 
 
 def _count_constructions(monkeypatch) -> dict:
@@ -85,13 +86,33 @@ class TestChordDiagram:
         d = chord_diagram(Angle.from_degrees(90.0))
         for chord in _chords(d):
             assert abs(chord - 0.5) <= 1e-12
-        assert abs(d.G.y - 0.5) <= 1e-12
+        assert abs(d.G[1] - 0.5) <= 1e-12
 
     def test_sixty_degree_chords(self):
         d = chord_diagram(Angle.from_degrees(60.0))
         for chord in _chords(d):
             assert abs(chord - SIN_20) <= 1e-12
-        assert abs(distance(d.G, d.F) - TWO_SIN_20) <= 1e-12
+        assert abs(math.dist(d.G, d.F) - TWO_SIN_20) <= 1e-12
+
+    def test_stores_only_its_points_and_target(self):
+        # Every length is measured from the points by chord_residuals.
+        d = chord_diagram(Angle.from_degrees(60.0))
+        assert type(d).__slots__ == ("three_theta", "E", "F", "G", "J", "K", "L")
+        for name in "EFGJKL":
+            point = getattr(d, name)
+            assert type(point) is tuple and len(point) == 2, name
+            assert all(type(coordinate) is float for coordinate in point), name
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("name", list("EFGJKL"))
+    def test_nan_coordinate_is_flagged(self, name, axis):
+        # Every coordinate enters a residual, so a NaN one fails the check.
+        d = chord_diagram(Angle.from_degrees(60.0))
+        point = list(getattr(d, name))
+        point[axis] = math.nan
+        bad = copy.copy(d)
+        setattr(bad, name, tuple(point))
+        assert not VerificationReport(chord_residuals(bad)).passes(1.0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(AngleOutOfRange):
@@ -110,8 +131,8 @@ class TestChordDiagram:
     @settings(deadline=None, max_examples=300)
     def test_marked_points_on_half_circle(self, t3):
         d = chord_diagram(Angle(t3))
-        for p in (Point2(0.0, 0.0), d.E, d.F, d.K, d.L):
-            assert abs(distance(d.J, p) - 0.5) <= 1e-12
+        for p in ((0.0, 0.0), d.E, d.F, d.K, d.L):
+            assert abs(math.dist(d.J, p) - 0.5) <= 1e-12
 
     @given(t3=st.floats(min_value=0.01, max_value=math.pi / 2.0))
     @settings(deadline=None, max_examples=300)
@@ -134,9 +155,9 @@ class TestChordDiagram:
         # where E closes onto the vertex, every one moves by over 1e-11.
         for degrees in (30.0, 60.0, 75.0):
             d = chord_diagram(Angle.from_degrees(degrees))
-            p = getattr(d, point)
+            x, y = getattr(d, point)
             moved = copy.copy(d)
-            setattr(moved, point, Point2(p.x * (1.0 + 1e-9), p.y * (1.0 + 1e-9)))
+            setattr(moved, point, (x * (1.0 + 1e-9), y * (1.0 + 1e-9)))
             residuals = chord_residuals(moved)
             for name in flagged:
                 assert residuals[name] > 1e-12, (degrees, name)
@@ -222,7 +243,8 @@ class TestCrossValidate:
             # origami_skew, and abe_verify sees it.
             c = construct(three_theta)
             cos_s, sin_s = math.cos(origami_skew), math.sin(origami_skew)
-            c.H = Point2(cos_s * c.H.x - sin_s * c.H.y, sin_s * c.H.x + cos_s * c.H.y)
+            hx, hy = c.H
+            c.H = (cos_s * hx - sin_s * hy, sin_s * hx + cos_s * hy)
             return c
 
         monkeypatch.setattr(oracles, "oracle_theta", skewed_oracle)
@@ -282,13 +304,14 @@ class TestCrossValidate:
 
     def test_value_constructions_per_call(self, monkeypatch):
         # Each public value is built once: a sub-90 degree target given as a
-        # raw float builds 13 Point2 values (N and each route's six points)
-        # and 5 Angle values: the solve's target and theta, the oracle's
-        # theta, and the copies of the target that abe_construct and
-        # chord_diagram make. The fold's angles are measured as floats.
+        # raw float builds one Point2 (N; the fold's and the chord diagram's
+        # points are float pairs) and 5 Angle values: the solve's target and
+        # theta, the oracle's theta, and the copies of the target that
+        # abe_construct and chord_diagram make. The fold's angles are
+        # measured as floats.
         counts = _count_constructions(monkeypatch)
         cross_validate(math.radians(60.0), 1.0, 1e-12)
-        assert counts == {Point2: 13, Angle: 5}
+        assert counts == {Point2: 1, Angle: 5}
 
     def test_value_constructions_per_solve(self, monkeypatch):
         # The benchmark's solve op, LocusParams + trisect + verify_trisection

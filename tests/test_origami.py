@@ -7,7 +7,7 @@ import random
 import pytest
 
 from trisectrix.errors import AngleOutOfRange
-from trisectrix.geom import Angle, Point2, distance
+from trisectrix.geom import Angle
 from trisectrix.origami import abe_construct, abe_verify, fold_angles
 
 # Frozen with math.sin/math.cos at the stated arguments.
@@ -17,7 +17,7 @@ TWO_SIN_20 = 0.6840402866513374
 SIN_10 = 0.17364817766693033
 
 # O, the corner of the sheet and the angle vertex.
-ORIGIN = Point2(0.0, 0.0)
+ORIGIN = (0.0, 0.0)
 
 
 class TestConstruct:
@@ -45,24 +45,28 @@ class TestConstruct:
         # stored, so no stored value can disagree with the points.
         c = abe_construct(Angle.from_degrees(60.0))
         assert type(c).__slots__ == ("three_theta", "D", "S", "H", "C", "G", "P")
-        assert all(isinstance(getattr(c, name), Point2) for name in "DSHCGP")
+        for name in "DSHCGP":
+            point = getattr(c, name)
+            assert type(point) is tuple and len(point) == 2, name
+            assert all(type(coordinate) is float for coordinate in point), name
 
     def test_sixty_degrees_coordinates(self):
         c = abe_construct(Angle.from_degrees(60.0))
         assert math.degrees(c.three_theta.radians / 3.0) == pytest.approx(20.0, abs=1e-12)
-        assert abs(c.D.y - TWO_SIN_20) <= 1e-15 and c.D.x == 0.0
-        assert abs(c.H.x - COS_20) <= 1e-15
-        assert abs(c.H.y - SIN_20) <= 1e-15
+        (dx, dy), (hx, hy) = c.D, c.H
+        assert abs(dy - TWO_SIN_20) <= 1e-15 and dx == 0.0
+        assert abs(hx - COS_20) <= 1e-15
+        assert abs(hy - SIN_20) <= 1e-15
         for part in fold_angles(c):
             assert abs(part - math.radians(20.0)) <= 1e-12
 
     def test_thirty_degrees_equal_segments(self):
         c = abe_construct(Angle.from_degrees(30.0))
         for length in (
-            distance(ORIGIN, c.S),
-            distance(c.S, c.D),
-            distance(c.H, c.G),
-            distance(c.G, c.C),
+            math.dist(ORIGIN, c.S),
+            math.dist(c.S, c.D),
+            math.dist(c.H, c.G),
+            math.dist(c.G, c.C),
         ):
             assert abs(length - SIN_10) <= 1e-12
 
@@ -71,9 +75,9 @@ class TestConstruct:
         # 2*sin(30 deg) = 1, the length of the marked segment O-D.
         delta = 1e-6
         c = abe_construct(Angle(math.pi / 2.0 - delta))
-        hc = distance(c.H, c.C)
+        hc = math.dist(c.H, c.C)
         assert abs(hc - 2.0 * math.sin(c.three_theta.radians / 3.0)) <= 1e-12
-        assert abs(hc - distance(ORIGIN, c.D)) <= 1e-12
+        assert abs(hc - math.dist(ORIGIN, c.D)) <= 1e-12
         assert abs(hc - 1.0) <= 1e-5
 
 
@@ -93,8 +97,8 @@ class TestProperties:
             t3 = rng.uniform(0.001, math.pi / 2.0 - 0.001)
             c = abe_construct(Angle(t3))
             expected = 2.0 * math.sin(t3 / 3.0)
-            assert abs(distance(c.H, c.C) - expected) <= 1e-12
-            assert abs(distance(ORIGIN, c.D) - expected) <= 1e-12
+            assert abs(math.dist(c.H, c.C) - expected) <= 1e-12
+            assert abs(math.dist(ORIGIN, c.D) - expected) <= 1e-12
 
     def test_g_defines_middle_ray(self):
         # The midpoint of the fold chord sits on the ray at two thirds of the
@@ -103,15 +107,16 @@ class TestProperties:
         for _ in range(500):
             t3 = rng.uniform(0.001, math.pi / 2.0 - 0.001)
             c = abe_construct(Angle(t3))
-            assert abs(math.atan2(c.G.y, c.G.x) - 2.0 * t3 / 3.0) <= 1e-12
-            assert abs(distance(ORIGIN, c.G) - math.cos(t3 / 3.0)) <= 1e-12
+            gx, gy = c.G
+            assert abs(math.atan2(gy, gx) - 2.0 * t3 / 3.0) <= 1e-12
+            assert abs(math.dist(ORIGIN, c.G) - math.cos(t3 / 3.0)) <= 1e-12
 
     def test_h_stays_on_first_crease(self):
         rng = random.Random(0x07)
         for _ in range(200):
             t3 = rng.uniform(0.001, math.pi / 2.0 - 0.001)
             c = abe_construct(Angle(t3))
-            assert abs(c.H.y - math.sin(t3 / 3.0)) <= 1e-12
+            assert abs(c.H[1] - math.sin(t3 / 3.0)) <= 1e-12
 
 
 class TestVerify:
@@ -123,7 +128,8 @@ class TestVerify:
     def test_perturbed_h_is_flagged(self):
         c = abe_construct(Angle.from_degrees(60.0))
         bad = copy.copy(c)
-        bad.H = Point2(c.H.x, c.H.y + 1e-3)
+        hx, hy = c.H
+        bad.H = (hx, hy + 1e-3)
         report = abe_verify(bad)
         assert not report.passes(1e-12)
         # The injected shift moves the measured first angle by ~1e-3 rad,
@@ -137,13 +143,28 @@ class TestVerify:
         # atan2 measures any point, so such a tampered H, G or C shows in the
         # angle residuals instead of raising.
         c = abe_construct(Angle.from_degrees(60.0))
-        p = getattr(c, name)
+        x, y = getattr(c, name)
         bad = copy.copy(c)
-        setattr(bad, name, ORIGIN if where == "origin" else Point2(p.x, -p.y))
+        setattr(bad, name, ORIGIN if where == "origin" else (x, -y))
         report = abe_verify(bad)
         assert not report.passes(1e-12)
         angles = report.residuals["alpha_vs_beta"], report.residuals["beta_vs_gamma"]
         assert max(angles) > 0.1
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("name", list("DSHCGP"))
+    def test_nan_coordinate_is_flagged(self, name, axis):
+        # Nothing checks a point as it is stored, so a NaN coordinate must
+        # fail the verification that measures it, at any tolerance.
+        c = abe_construct(Angle.from_degrees(60.0))
+        point = list(getattr(c, name))
+        point[axis] = math.nan
+        bad = copy.copy(c)
+        setattr(bad, name, tuple(point))
+        report = abe_verify(bad)
+        assert not report.passes(1.0)
+        assert math.isnan(report.max_residual())
+        assert math.isnan(report.worst()[1])
 
     def test_alternative_p_reading_reported_not_enforced(self):
         # "C-P equals sin(theta)" has no solution with P on the base ray, so
@@ -153,7 +174,7 @@ class TestVerify:
         assert report.residuals["op_vs_cos_theta"] <= 1e-12
         assert report.residuals["hp_vs_sin_theta"] <= 1e-12
         assert "cp_vs_sin_theta" not in report.residuals
-        assert abs(distance(c.C, c.P) - math.sin(c.three_theta.radians / 3.0)) > 0.1
+        assert abs(math.dist(c.C, c.P) - math.sin(c.three_theta.radians / 3.0)) > 0.1
 
     def test_report_shape(self):
         report = abe_verify(abe_construct(Angle.from_degrees(45.0)))

@@ -145,9 +145,10 @@ def test_values_from_separate_calls_share_no_mutable_part():
         first, _ = _route_outputs(target)
         second, second_reprs = _route_outputs(target)
         parts = [_mutable_parts([value]) for value in first + second]
-        # Per call: the result's 3, the fold's 7, the diagram's 7 and the
-        # report's 2 (its theta and its dict).
-        assert sum(map(len, parts)) == 38
+        # Per call: the result's 3, the fold's 1 and the diagram's 1 (each
+        # its target; their points are immutable tuples) and the report's 2
+        # (its theta and its dict).
+        assert sum(map(len, parts)) == 14
         for i, mine in enumerate(parts):
             assert id(target) not in mine
             for theirs in parts[i + 1:]:
