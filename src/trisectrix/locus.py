@@ -158,10 +158,16 @@ def _q_coords(a: float, b: float) -> tuple[float, float]:
     cancellation, so both circle equations and the linear relation hold to
     machine precision at any b/a ratio. Every point of the curve, the
     solver's included, comes from here.
+
+    Only + - * / appear, with no float literal, so rational ``a`` and ``b``
+    (``fractions.Fraction``) give Q exactly, and the paper's identities can
+    be checked with no tolerance. For floats 2a is exact, so (2a)*(2a)
+    rounds the same 4a^2 as 4.0*a*a would.
     """
+    t = a + a
     dd = a * a + b * b
-    qx = b - 4.0 * a * a * b / dd
-    qy = a + 2.0 * a * (b * b - a * a) / dd
+    qx = b - t * t * b / dd
+    qy = a + t * (b * b - a * a) / dd
     return qx, qy
 
 

@@ -2,13 +2,19 @@
 
 A grid is a generator of ``(label, output)`` pairs, one per input, defined
 next to the test that checks it. Its pin file maps each label, in grid
-order, to the output's lines (the solver grid) or to the output's SHA-256
-(the route and SVG grids, whose text runs to megabytes). A mismatch names
-the first differing labels with the current output of each, and any
-missing or extra labels.
+order, to the output's lines (the solver and count grids) or to the
+output's SHA-256 (the route and SVG grids, whose text runs to megabytes). A
+mismatch names the first differing labels with the current output of each,
+and any missing or extra labels.
 
-Regenerate every pin file, only when an output change is intended, from
-the repository root:
+The count grid holds every exact work count the tests gate: bisection
+steps, ``math.atan2`` and per-function Python calls, ``Point2`` and
+``Angle`` builds, bracket collapses and mutable parts, each labelled by the
+inputs it was counted over. It is stored as lines, so a re-pin diff shows
+each count that moved and its new value.
+
+Regenerate every pin file, only when an output or count change is
+intended, from the repository root:
 
     python tests/pins.py
 
@@ -32,10 +38,11 @@ SHOWN = 3
 
 def _grids():
     """Each grid's generator, from the test module that checks it."""
-    from test_locus import solver_grid
+    from test_locus import count_grid, solver_grid
     from test_oracles import route_grid
     from test_render import svg_grid
-    return {"solver": solver_grid, "routes": route_grid, "svg": svg_grid}
+    return {"solver": solver_grid, "counts": count_grid, "routes": route_grid,
+            "svg": svg_grid}
 
 
 def _pinned(grid, outputs):

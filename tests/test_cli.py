@@ -350,7 +350,7 @@ class TestFlagSurface:
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"} \
             == FLAGS[command]
 
-    def test_twenty_one_flags_in_all(self):
+    def test_seventeen_flags_in_all(self):
         assert sum(len(flags) for flags in FLAGS.values()) == 17
 
     @pytest.mark.parametrize("command,flag", UNREAD)

@@ -1,6 +1,7 @@
 """Tests for the locus curve and the bisection trisector."""
 
 import collections
+import contextlib
 import copy
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pins
+from test_package import _mutable_parts, _route_outputs
 
 import trisectrix
 from trisectrix.errors import (
@@ -42,6 +44,7 @@ from trisectrix.locus import (
     trisect,
     verify_trisection,
 )
+from trisectrix.oracles import cross_validate
 
 ORIGIN = Point2(0.0, 0.0)
 
@@ -50,19 +53,6 @@ B_STAR_60 = 2.7474774194546225
 UNIT_60 = 2.9238044001630876
 SIN_20 = 0.3420201433256687
 COS_20 = 0.9396926207859084
-
-# math.atan2 calls over acceptance criterion 1's targets at tol 1e-12, the
-# theta of each result included; evaluating every midpoint takes 45940.
-ATAN2_CALLS = 3307
-
-
-def _criterion_targets():
-    """Acceptance criterion 1's targets: 90 integer degrees, 1000 seeded."""
-    rng = random.Random(0x5B15)
-    targets = [math.radians(d) for d in range(1, 91)]
-    targets += [(1.0 - rng.random()) * (math.pi / 2.0) for _ in range(1000)]
-    return targets
-
 
 def _circle_intersections(c1, r1, c2, r2):
     """Both points where two crossing circles meet, by the radical line.
@@ -274,17 +264,13 @@ class TestSampleLocus:
             sample_locus(LocusParams(1.0), SQRT3, SQRT3, 5)
 
     def test_non_finite_b_max_rejected(self):
+        # A domain error that names b_max. An infinite one reports no NaN
+        # made along the way; a NaN one is echoed as "got nan".
         for b_max in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ParameterOutOfRange, match="b_max"):
-                sample_locus(LocusParams(1.0), SQRT3, b_max, 5)
-
-    def test_infinite_b_max_rejected(self):
-        # An infinite b_max is a domain error that names b_max and reports
-        # no NaN made along the way.
-        for b_max in (math.inf, -math.inf):
             with pytest.raises(ParameterOutOfRange, match="b_max") as info:
                 sample_locus(LocusParams(1.0), SQRT3, b_max, 5)
-            assert "nan" not in str(info.value)
+            if not math.isnan(b_max):
+                assert "nan" not in str(info.value)
 
     def test_b_min_below_curve_start_rejected(self):
         # b_min is checked first, so it is named even when b_max overflows.
@@ -387,24 +373,6 @@ class TestTrisect:
         with pytest.raises(ValueError):
             trisect(Angle.from_degrees(45.0), LocusParams(1.0), tol=0.0)
 
-    def test_collapsed_bracket_stops_early(self):
-        # At tol=1e-17 some targets cannot be reached in double precision;
-        # the solver must stop once the bracket is two adjacent floats and
-        # attach its best result.
-        params = LocusParams(1.0)
-        failed = []
-        for k in range(1, 901):
-            target = math.radians(k / 10.0)
-            try:
-                trisect(Angle(target), params, tol=1e-17)
-            except MaxIterationsExceeded as exc:
-                failed.append(exc.result)
-        assert len(failed) == 126
-        for partial in failed:
-            assert 0 < partial.iterations <= 54
-            assert abs(partial.angle_residual) > 0.5e-17
-            assert 0.0 < partial.final_bracket_width <= math.ulp(partial.b_star)
-
     @given(
         target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
         | st.floats(min_value=math.log(5e-324), max_value=math.log(math.pi / 2.0)).map(
@@ -440,34 +408,6 @@ class TestTrisect:
                     qx, qy = _q_coords(a, r.b_star)
                     assert r.n_point == Point2(qx, qy)
                     assert r.angle_residual == math.atan2(qy, qx) - target
-
-    def test_total_iterations_for_criterion_targets(self):
-        # Deterministic step count over acceptance criterion 1's target set;
-        # a solver change that needs more bisection steps shows here.
-        params = LocusParams(1.0)
-        total = sum(
-            trisect(Angle(t), params, tol=1e-12).iterations for t in _criterion_targets()
-        )
-        assert total == 41435
-
-    def test_atan2_calls_for_criterion_targets(self, monkeypatch):
-        # Deterministic curve-evaluation count over the same target set: the
-        # solver evaluates only the midpoints whose branch the chord identity
-        # cannot decide, plus theta in the result.
-        targets = _criterion_targets()
-        params = LocusParams(1.0)
-        calls = 0
-        atan2 = math.atan2
-
-        def counting_atan2(y, x):
-            nonlocal calls
-            calls += 1
-            return atan2(y, x)
-
-        monkeypatch.setattr(math, "atan2", counting_atan2)
-        for t in targets:
-            trisect(Angle(t), params, tol=1e-12)
-        assert calls == ATAN2_CALLS
 
     def test_matches_division_oracle_for_random_targets(self):
         rng = random.Random(0x7215EC7)
@@ -769,46 +709,24 @@ def test_matches_reference_bisection(target, a, tol):
     )
 
 
-# Collapses at tol 1e-17 over the targets k/10 deg, k = 1..900, per fold.
-COLLAPSES_AT_1E_17 = {FOLD_MIN: 152, 1.0: 126, FOLD_MAX: 139}
-
-
 def test_matches_reference_bisection_where_the_bracket_collapses():
     # A deterministic sweep of the collapse path: at tol 1e-17 one target in
-    # six or seven cannot be reached in double precision, and the solver
-    # must raise with the message, step count and result of the bisection
-    # that evaluates every midpoint.
-    for a, expected in COLLAPSES_AT_1E_17.items():
+    # six or seven cannot be reached in double precision (count_grid pins how
+    # many). The solver stops once the bracket is two adjacent floats, and
+    # raises with the message, step count and result of the reference.
+    for a in (FOLD_MIN, 1.0, FOLD_MAX):
         params = LocusParams(a)
-        collapsed = 0
         for k in range(1, 901):
             target = math.radians(k / 10.0)
             outcome = _outcome(trisect, target, params, 1e-17)
             assert outcome == _outcome(_reference_trisect, target, params, 1e-17), (a, k)
-            collapsed += outcome.startswith("MaxIterationsExceeded: bisection bracket")
-        assert collapsed == expected, a
-
-
-def test_value_constructions_per_solve(monkeypatch):
-    # One Point2 (the crossing) per solve, and one Angle for theta plus one
-    # for the target, a copy when the target is an Angle already. The
-    # benchmark counts constructions through the same __post_init__ hook.
-    counts = {Point2: 0, Angle: 0}
-    for cls in counts:
-        def counting(self, original=cls.__post_init__, cls=cls):
-            counts[cls] += 1
-            original(self)
-        monkeypatch.setattr(cls, "__post_init__", counting)
-    params = LocusParams(1.0)
-    for target, angles in ((math.radians(60.0), 2), (Angle(math.radians(60.0)), 2),
-                           (math.radians(7.0), 2), (0.5 * math.pi, 2)):
-        for tol in (1e-12, 1e-17):
-            counts.update({Point2: 0, Angle: 0})
-            try:
-                trisect(target, params, tol=tol)
-            except MaxIterationsExceeded:
-                pass
-            assert counts == {Point2: 1, Angle: angles}, (target, tol)
+            if outcome.startswith("MaxIterationsExceeded"):
+                with pytest.raises(MaxIterationsExceeded) as info:
+                    trisect(target, params, tol=1e-17)
+                r = info.value.result
+                assert 0 < r.iterations <= 54, (a, k)
+                assert abs(r.angle_residual) > 0.5e-17, (a, k)
+                assert 0.0 < r.final_bracket_width <= math.ulp(r.b_star), (a, k)
 
 
 log_folds = st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX))
@@ -862,38 +780,6 @@ def test_int_targets_keep_their_result_and_error():
             trisect(target, params)
 
 
-# Python-level calls into the package over the grid below: per op one
-# LocusParams, trisect, verify_trisection and locus_relation_residual, and
-# one _q_coords per curve evaluation, with no call that only forwards to
-# other code.
-SOLVE_GRID_CALLS = 12463
-
-
-def test_python_calls_per_solve():
-    # The solve path holds no comprehension or generator, so the count is the
-    # same on every supported Python; the benchmark's Point2 and Angle counts
-    # hook the __post_init__ calls counted here.
-    package = os.path.dirname(trisectrix.__file__) + os.sep
-    calls = collections.Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls[frame.f_code.co_name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        for degrees in range(1, 91):
-            for a in (0.1, 1.0, 10.0):
-                for tol in (1e-6, 1e-9, 1e-12):
-                    params = LocusParams(a)
-                    verify_trisection(trisect(math.radians(degrees), params, tol), params)
-    finally:
-        sys.setprofile(previous)
-    assert "as_float" not in calls
-    assert sum(calls.values()) == SOLVE_GRID_CALLS, calls
-
-
 def solver_grid():
     """Each solve over the skip path's edges, labelled by its inputs: targets
     at and just below 90 degrees and down to the smallest subnormal, the
@@ -927,6 +813,116 @@ def test_solver_outputs_bit_identical():
     pins.check("solver", solver_grid())
 
 
+PACKAGE = os.path.dirname(trisectrix.__file__) + os.sep
+
+# Found by code object: Python 3.10 has no co_qualname to tell them apart.
+POST_INITS = {cls.__post_init__.__code__: f"{cls.__name__}.__post_init__"
+              for cls in (Point2, Angle)}
+
+
+def counted(run):
+    """Run ``run()`` under a profile and count by name each Python call into
+    the package, as ``module.function`` (a ``__post_init__`` by its class,
+    so its count is that class's builds), and each call of ``math.atan2``."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(PACKAGE):
+            module = frame.f_globals["__name__"].rpartition(".")[2]
+            calls[POST_INITS.get(code, f"{module}.{code.co_name}")] += 1
+        elif event == "c_call" and arg is math.atan2:
+            calls["math.atan2"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def _lines(counts):
+    return "".join(f"{name} {n}\n" for name, n in sorted(counts.items()))
+
+
+def _builds(run):
+    calls = counted(run)
+    return _lines({name: calls[name] for name in POST_INITS.values()})
+
+
+def count_grid():
+    """Each exact work count the tests gate, labelled by its inputs. The
+    solve path holds no comprehension or generator, whose frames only some
+    Python versions profile, so every supported Python counts the same."""
+    rng = random.Random(0x5B15)
+    targets = [math.radians(d) for d in range(1, 91)]
+    targets += [(1.0 - rng.random()) * (math.pi / 2.0) for _ in range(1000)]
+    params = LocusParams(1.0)
+    results = []
+    calls = counted(lambda: results.extend(
+        trisect(Angle(t), params, tol=1e-12) for t in targets))
+    # math.atan2 runs at the midpoints whose branch the chord identity cannot
+    # decide, and for each theta; evaluating every midpoint takes 45940.
+    label = "criterion 1's 1090 targets as Angles, fold 1, tol 1e-12"
+    yield f"{label}: bisection steps", f"{sum(r.iterations for r in results)}\n"
+    yield f"{label}: math.atan2 calls", f"{calls['math.atan2']}\n"
+
+    def solve_grid():
+        for degrees in range(1, 91):
+            for a in (0.1, 1.0, 10.0):
+                for tol in (1e-6, 1e-9, 1e-12):
+                    params = LocusParams(a)
+                    verify_trisection(trisect(math.radians(degrees), params, tol), params)
+
+    # Per op one LocusParams, trisect, verify_trisection and
+    # locus_relation_residual, one _q_coords per curve evaluation, and no
+    # call that only forwards to other code.
+    yield ("LocusParams, trisect, verify_trisection at 1..90 deg x folds 0.1, 1, 10 x "
+           "tols 1e-6, 1e-9, 1e-12: calls", _lines(counted(solve_grid)))
+
+    # A solve builds one Point2 (N) and two Angles: theta, and the target,
+    # copied when it is an Angle already.
+    for target, form in ((math.radians(60.0), "60 deg"),
+                         (Angle(math.radians(60.0)), "60 deg as Angle"),
+                         (math.radians(7.0), "7 deg"), (0.5 * math.pi, "90 deg")):
+        for tol in (1e-12, 1e-17):
+            def solve():
+                with contextlib.suppress(MaxIterationsExceeded):
+                    trisect(target, params, tol=tol)
+            yield f"trisect {form}, fold 1, tol {tol!r}: builds", _builds(solve)
+
+    # N, and five Angles: the solve's target and theta, the oracle's theta,
+    # and the target copies of abe_construct and chord_diagram, whose points
+    # are float pairs.
+    yield ("cross_validate 60 deg, fold 1, tol 1e-12: builds",
+           _builds(lambda: cross_validate(math.radians(60.0), 1.0, 1e-12)))
+
+    for a in (FOLD_MIN, 1.0, FOLD_MAX):
+        collapsed = 0
+        for k in range(1, 901):
+            try:
+                trisect(math.radians(k / 10.0), LocusParams(a), tol=1e-17)
+            except MaxIterationsExceeded:
+                collapsed += 1
+        yield (f"trisect k/10 deg for k = 1..900, fold {a!r}, tol 1e-17: collapses",
+               f"{collapsed}\n")
+
+    # Per call: the result's 3, the fold's 1 and the diagram's 1 (each its
+    # target; their points are immutable tuples) and the report's 2 (its
+    # theta and its dict).
+    for target in (1.0, Angle(1.0)):
+        parts = [_mutable_parts([value])
+                 for value in _route_outputs(target)[0] + _route_outputs(target)[0]]
+        yield (f"trisect, abe_construct, chord_diagram, cross_validate of {target!r}, "
+               f"two calls each: mutable parts", f"{sum(map(len, parts))}\n")
+
+
+def test_work_counts_match_their_pins():
+    pins.check("counts", count_grid())
+
+
 def _last_digit_changed(text):
     """``text`` with the last digit of its first float changed."""
     end = re.search(r"\d\.\d+", text).end()
@@ -941,7 +937,7 @@ def test_pin_mismatch_prints_the_label_and_its_output():
     with pytest.raises(AssertionError) as failure:
         pins.check("solver", grid)
     assert f"{label}: now\n{changed}" in str(failure.value)
-    assert "1 of 231 outputs differ" in str(failure.value)
+    assert f"1 of {len(grid)} outputs differ" in str(failure.value)
 
 
 def test_pin_mismatch_names_a_missing_label():

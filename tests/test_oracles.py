@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pins
 
 from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
-from trisectrix.geom import Angle, Point2, as_angle
+from trisectrix.geom import Angle, as_angle
 from trisectrix.locus import LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
     chord_diagram,
@@ -29,21 +29,6 @@ TWO_SIN_20 = 0.6840402866513374
 def _chords(d):
     """The chords FK, KL and LE of a chord diagram, measured from its points."""
     return math.dist(d.F, d.K), math.dist(d.K, d.L), math.dist(d.L, d.E)
-
-
-def _count_constructions(monkeypatch) -> dict:
-    """Count Point2 and Angle constructions through their __post_init__,
-    the hook the benchmark's per-op counts wrap."""
-    counts = {Point2: 0, Angle: 0}
-    for cls in counts:
-        original = cls.__post_init__
-
-        def counted(self, original=original, cls=cls):
-            counts[cls] += 1
-            original(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    return counts
 
 
 class TestOracleTheta:
@@ -301,26 +286,6 @@ class TestCrossValidate:
         expected += ["chord_" + name for name in chord_residuals(chord_diagram(t3))]
         report = cross_validate(t3, 1.0, 1e-12)
         assert tuple(report.residuals) == tuple(expected)
-
-    def test_value_constructions_per_call(self, monkeypatch):
-        # Each public value is built once: a sub-90 degree target given as a
-        # raw float builds one Point2 (N; the fold's and the chord diagram's
-        # points are float pairs) and 5 Angle values: the solve's target and
-        # theta, the oracle's theta, and the copies of the target that
-        # abe_construct and chord_diagram make. The fold's angles are
-        # measured as floats.
-        counts = _count_constructions(monkeypatch)
-        cross_validate(math.radians(60.0), 1.0, 1e-12)
-        assert counts == {Point2: 1, Angle: 5}
-
-    def test_value_constructions_per_solve(self, monkeypatch):
-        # The benchmark's solve op, LocusParams + trisect + verify_trisection
-        # of a raw 60 degree target, builds one Point2 (N) and two Angle
-        # values (the target and theta).
-        counts = _count_constructions(monkeypatch)
-        params = LocusParams(1.0)
-        verify_trisection(trisect(math.radians(60.0), params), params)
-        assert counts == {Point2: 1, Angle: 2}
 
 
 @given(x=st.floats())
