@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import (
     AngleOutOfRange,
@@ -85,7 +85,7 @@ def _target(args: argparse.Namespace) -> Angle:
     return Angle.from_degrees(args.angle_deg)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -145,11 +145,11 @@ def cmd_origami(args: argparse.Namespace) -> int:
     # perpendicular from H, the lengths O-P and H-P are cos t and sin t, which
     # abe_verify checks. The other reading, "C-P equals sin t", holds for no
     # point on the base ray, so it is reported here and not checked.
-    theta = c.three_theta.radians / 3.0
+    theta = c.three_theta / 3.0
     cp_vs_sin_theta = abs(math.dist(c.C, c.P) - math.sin(theta))
     alpha, beta, gamma = fold_angles(c)
     payload = {
-        "three_theta_deg": c.three_theta.degrees,
+        "three_theta_deg": math.degrees(c.three_theta),
         "theta_deg": math.degrees(theta),
         "alpha_deg": math.degrees(alpha),
         "beta_deg": math.degrees(beta),
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)

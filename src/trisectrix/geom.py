@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from math import isfinite
-from typing import Union
 
 from .errors import AngleOutOfRange
 
@@ -115,7 +114,7 @@ class Angle(Value):
         return math.degrees(self.radians)
 
 
-AngleLike = Union[Angle, float, int]
+AngleLike = Angle | float | int
 
 
 def as_angle(value: AngleLike) -> Angle:
@@ -127,13 +126,13 @@ def as_angle(value: AngleLike) -> Angle:
     return Angle(as_float(value))
 
 
-def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> Angle:
-    """``value`` as an Angle if it lies in (0, pi/2], or in (0, pi/2) without
-    ``quarter_turn``; otherwise AngleOutOfRange, its message ``domain``
-    followed by the value in degrees. A raw number is checked as given, so
-    450 degrees is out of range, not 90. The Angle is always a new one, so
-    no result shares the caller's. A plain float is taken as it is, the
-    solver's common case; any other number goes through ``as_float``."""
+def target_radians(value: AngleLike, domain: str, quarter_turn: bool = True) -> float:
+    """``value`` in radians, as a float, if it lies in (0, pi/2], or in
+    (0, pi/2) without ``quarter_turn``; otherwise AngleOutOfRange, its
+    message ``domain`` followed by the value in degrees. A raw number is
+    checked as given, so 450 degrees is out of range, not 90. A plain float
+    is taken as it is, the solver's common case; any other number goes
+    through ``as_float``."""
     if type(value) is float:
         r = value
     elif isinstance(value, Angle):
@@ -142,7 +141,7 @@ def target_angle(value: AngleLike, domain: str, quarter_turn: bool = True) -> An
         r = as_float(value)
     if not (0.0 < r < _HALF_PI or (quarter_turn and r == _HALF_PI)):
         raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
-    return Angle(r)
+    return r
 
 
 class Point2(Value):

@@ -34,7 +34,7 @@ import sys
 
 from .errors import MaxIterationsExceeded, ParameterOutOfRange
 from .geom import (_HALF_PI, SQRT3, Angle, AngleLike, Point2, Value, as_float, as_positive,
-                   target_angle)
+                   target_radians)
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-12
@@ -272,8 +272,10 @@ def trisect(
 
     ``tol`` bounds Q's polar angle, not theta: theta = atan2(a, b*) carries
     its own rounding, so |3*theta - target| is guaranteed only to
-    max(tol, 1e-12). Below about 1e-16 rad a returned result can fail
-    ``verify_trisection(...).passes(tol)``. A ``tol`` that is not a float
+    max(tol, 1e-12). A returned result can fail
+    ``verify_trisection(...).passes(tol)``: below about 1e-16 rad through
+    its angle, and at any tol through its lengths and curve relation, which
+    are absolute (see :func:`verify_trisection`). A ``tol`` that is not a float
     goes through ``as_float``, so a ``Decimal`` or ``Fraction`` solves as
     its float.
 
@@ -281,8 +283,8 @@ def trisect(
     MaxIterationsExceeded (best result attached) if 64 doublings find no upper
     bracket or the bracket shrinks to two adjacent floats before reaching tol.
     """
-    t3 = target_angle(three_theta, "trisection target must lie in (0, 90] degrees")
-    target = t3.radians
+    target = target_radians(three_theta, "trisection target must lie in (0, 90] degrees")
+    t3 = Angle(target)
     if not (type(tol) is float and 0.0 < tol < math.inf):
         tol = as_positive(tol, "tol")
 
@@ -368,8 +370,11 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
 
     Residuals: the tripled angle against the target, the chord |NJ| against
     2a, |ON| against the unit length, the normalized fold spacing against
-    sin(theta), and the curve relation at N. All are <= max(tol, 1e-12) for
-    results produced by :func:`trisect`.
+    sin(theta), and the curve relation at N. For results produced by
+    :func:`trisect` the angle and the ratio are <= max(tol, 1e-12). The two
+    lengths are absolute, their rounding growing with the fold, and the
+    relation's with b*^2, so they can exceed a tol in radians away from
+    fold 1 (at fold 1 and tol 1e-12, the relation reads 3.6e-12 at 1 degree).
     """
     a = params.a
     b = r.b_star

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import MismatchDetected
-from .geom import _HALF_PI, Angle, AngleLike, Value, as_angle, target_angle
+from .geom import _HALF_PI, Angle, AngleLike, Value, as_angle, target_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify, fold_angles
 from .report import ResidualMap
@@ -28,14 +28,15 @@ class ChordDiagram(Value):
 
     E is the foot of F on the base line; G is the unit-circle point at the
     trisected angle, whose height above the base is the crease spacing used
-    by the origami fold. The diagram stores only points, each an ``(x, y)``
-    tuple of floats: every length is measured from them by
+    by the origami fold. The diagram stores its target as the float in
+    radians that the domain check returned, and otherwise only points, each
+    an ``(x, y)`` tuple of floats: every length is measured from them by
     :func:`chord_residuals`.
     """
 
     __slots__ = ("three_theta", "E", "F", "G", "J", "K", "L")
 
-    def __init__(self, three_theta: Angle, E: tuple[float, float],
+    def __init__(self, three_theta: float, E: tuple[float, float],
                  F: tuple[float, float], G: tuple[float, float], J: tuple[float, float],
                  K: tuple[float, float], L: tuple[float, float]) -> None:
         self.three_theta = three_theta
@@ -71,11 +72,10 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
     on the circle. At exactly 90 degrees E closes onto A and the three
     chords are all one half.
     """
-    t3 = target_angle(three_theta, "chord diagram requires an angle in (0, 90] degrees")
-    t3_rad = t3.radians
-    t = t3_rad / 3.0
+    t3 = target_radians(three_theta, "chord diagram requires an angle in (0, 90] degrees")
+    t = t3 / 3.0
 
-    fx, fy = math.cos(t3_rad), math.sin(t3_rad)
+    fx, fy = math.cos(t3), math.sin(t3)
     # J is the midpoint of A (the origin) and F.
     jx, jy = 0.5 * fx, 0.5 * fy
     gx, gy = math.cos(t), math.sin(t)
@@ -103,27 +103,21 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
     its ``(x, y)`` points, so a moved or NaN coordinate shows in a residual
     that reads it: all five marked points at distance 1/2 from J, the three
     chords FK, KL, LE and the crease spacing (G's height above the base
-    line) at sin(theta), and |GF| at 2 sin(theta)."""
-    t = d.three_theta.radians / 3.0
-    sin_t = math.sin(t)
-    jx, jy = d.J
-    ex, ey = d.E
-    fx, fy = d.F
-    gx, gy = d.G
-    kx, ky = d.K
-    lx, ly = d.L
-    hypot = math.hypot
+    line) at sin(theta), and |GF| at 2 sin(theta). Each segment is the
+    ``math.dist`` of its two points; |JA| is ``math.hypot`` of J."""
+    sin_t = math.sin(d.three_theta / 3.0)
+    dist = math.dist
     return {
-        "ja_radius": abs(hypot(jx, jy) - 0.5),
-        "jf_radius": abs(hypot(jx - fx, jy - fy) - 0.5),
-        "je_radius": abs(hypot(jx - ex, jy - ey) - 0.5),
-        "jk_radius": abs(hypot(jx - kx, jy - ky) - 0.5),
-        "jl_radius": abs(hypot(jx - lx, jy - ly) - 0.5),
-        "fk_vs_sin_theta": abs(hypot(fx - kx, fy - ky) - sin_t),
-        "kl_vs_sin_theta": abs(hypot(kx - lx, ky - ly) - sin_t),
-        "le_vs_sin_theta": abs(hypot(lx - ex, ly - ey) - sin_t),
-        "bg_vs_sin_theta": abs(abs(gy) - sin_t),
-        "gf_vs_2sin_theta": abs(hypot(gx - fx, gy - fy) - 2.0 * sin_t),
+        "ja_radius": abs(math.hypot(*d.J) - 0.5),
+        "jf_radius": abs(dist(d.J, d.F) - 0.5),
+        "je_radius": abs(dist(d.J, d.E) - 0.5),
+        "jk_radius": abs(dist(d.J, d.K) - 0.5),
+        "jl_radius": abs(dist(d.J, d.L) - 0.5),
+        "fk_vs_sin_theta": abs(dist(d.F, d.K) - sin_t),
+        "kl_vs_sin_theta": abs(dist(d.K, d.L) - sin_t),
+        "le_vs_sin_theta": abs(dist(d.L, d.E) - sin_t),
+        "bg_vs_sin_theta": abs(abs(d.G[1]) - sin_t),
+        "gf_vs_2sin_theta": abs(dist(d.G, d.F) - 2.0 * sin_t),
     }
 
 

@@ -8,8 +8,9 @@ verifies every equal-segment and equal-angle relationship it promises, all
 measured from the coordinates (never assumed).
 
 Point legend, with ``t`` the trisected angle and the given angle ``3t``
-opening counterclockwise from the positive x axis. Each stored point is an
-``(x, y)`` pair of floats:
+opening counterclockwise from the positive x axis. The construction stores
+``3t`` in radians, as a float, and each point as an ``(x, y)`` pair of
+floats:
 
     O  corner of the sheet, the angle vertex: the frame origin, not stored
     D  marked point on the y axis at height ``2 sin t`` (second crease height)
@@ -24,21 +25,22 @@ from __future__ import annotations
 
 import math
 
-from .geom import Angle, AngleLike, Value, target_angle
+from .geom import AngleLike, Value, target_radians
 from .report import VerificationReport
 
 
 class AbeConstruction(Value):
     """The target angle and the named points of the fold's end state,
-    normalized so that H and C lie on the unit circle. Each point is an
-    ``(x, y)`` tuple of floats, unchecked when stored: a NaN coordinate shows
-    as a NaN residual of :func:`abe_verify`, which fails the report. No
-    angle or length is stored: :func:`fold_angles` and :func:`abe_verify`
-    measure them."""
+    normalized so that H and C lie on the unit circle. The target is the
+    float in radians that the domain check returned, and each point an
+    ``(x, y)`` tuple of floats; none is checked when stored: a NaN shows as
+    a NaN residual of :func:`abe_verify`, which fails the report. No other
+    angle and no length is stored: :func:`fold_angles` and
+    :func:`abe_verify` measure them."""
 
     __slots__ = ("three_theta", "D", "S", "H", "C", "G", "P")
 
-    def __init__(self, three_theta: Angle, D: tuple[float, float],
+    def __init__(self, three_theta: float, D: tuple[float, float],
                  S: tuple[float, float], H: tuple[float, float], C: tuple[float, float],
                  G: tuple[float, float], P: tuple[float, float]) -> None:
         self.three_theta = three_theta
@@ -57,15 +59,14 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     sits on the ray at the full angle (the marked point maps onto it); both
     land on the unit circle, which is what makes the three angles equal.
     """
-    t3 = target_angle(
+    t3 = target_radians(
         three_theta,
         "origami construction requires an angle in (0, 90) degrees exclusive",
         False,
     )
-    t3_rad = t3.radians
-    t = t3_rad / 3.0
+    t = t3 / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
-    cx, cy = math.cos(t3_rad), math.sin(t3_rad)
+    cx, cy = math.cos(t3), math.sin(t3)
 
     return AbeConstruction(
         t3,
@@ -101,34 +102,29 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     same way, and nothing raises; a NaN coordinate of any point gives a NaN
     residual, which no tolerance passes. All checked residuals sit at rounding
     level (<= 1e-12) for constructions produced by :func:`abe_construct`,
-    whose H, G and C lie in the upper half-plane. Distances from O, the
-    origin, are the hypot of the point itself.
+    whose H, G and C lie in the upper half-plane. Each segment is the
+    ``math.dist`` of its two points; a distance from O, the origin, is the
+    ``math.hypot`` of the point.
     """
-    t3 = c.three_theta.radians
+    t3 = c.three_theta
     t = t3 / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
 
-    dx, dy = c.D
-    sx, sy = c.S
-    hx, hy = c.H
-    cx, cy = c.C
-    gx, gy = c.G
-    px, py = c.P
-
     alpha, beta, gamma = fold_angles(c)
-    hypot = math.hypot
+    dist, hypot = math.dist, math.hypot
+    cx, cy = c.C
     residuals = {
-        "oh_vs_oc": abs(hypot(hx, hy) - hypot(cx, cy)),
-        "hc_vs_od": abs(hypot(hx - cx, hy - cy) - hypot(dx, dy)),
-        "os_vs_sd": abs(hypot(sx, sy) - hypot(sx - dx, sy - dy)),
-        "hg_vs_gc": abs(hypot(hx - gx, hy - gy) - hypot(gx - cx, gy - cy)),
+        "oh_vs_oc": abs(hypot(*c.H) - hypot(*c.C)),
+        "hc_vs_od": abs(dist(c.H, c.C) - hypot(*c.D)),
+        "os_vs_sd": abs(hypot(*c.S) - dist(c.S, c.D)),
+        "hg_vs_gc": abs(dist(c.H, c.G) - dist(c.G, c.C)),
         "alpha_vs_beta": abs(alpha - beta),
         "beta_vs_gamma": abs(beta - gamma),
-        "op_vs_cos_theta": abs(hypot(px, py) - cos_t),
-        "hp_vs_sin_theta": abs(hypot(hx - px, hy - py) - sin_t),
+        "op_vs_cos_theta": abs(hypot(*c.P) - cos_t),
+        "hp_vs_sin_theta": abs(dist(c.H, c.P) - sin_t),
         # Perpendicular distance of C from the ray at the full angle.
         "c_on_target_ray": abs(cx * math.sin(t3) - cy * math.cos(t3)),
         "angle_sum_vs_three_theta": abs(alpha + beta + gamma - t3),
-        "h_on_first_crease": abs(hy - sin_t),
+        "h_on_first_crease": abs(c.H[1] - sin_t),
     }
     return VerificationReport(residuals)

@@ -173,13 +173,13 @@ class TestOrigamiCommand:
         assert list(payload["points"]) == ["O", "D", "S", "H", "C", "G", "P"]
         assert payload["points"]["O"] == {"x": 0.0, "y": 0.0}
         c = abe_construct(Angle.from_degrees(degrees))
-        expected = abs(math.dist(c.C, c.P) - math.sin(c.three_theta.radians / 3.0))
+        expected = abs(math.dist(c.C, c.P) - math.sin(c.three_theta / 3.0))
         assert payload["informational"] == {"cp_vs_sin_theta": expected}
         # The gap is 2 sin(theta) to first order: above 0.1 from 10 degrees.
         assert expected > (0.1 if degrees >= 10.0 else 0.0)
         # theta is the target's third, and the three angles are measured
         # from the construction's H, G and C.
-        assert payload["theta_deg"] == math.degrees(c.three_theta.radians / 3.0)
+        assert payload["theta_deg"] == math.degrees(c.three_theta / 3.0)
         angles = [payload[key] for key in ("alpha_deg", "beta_deg", "gamma_deg")]
         assert angles == [math.degrees(part) for part in fold_angles(c)]
 

@@ -14,7 +14,7 @@ from trisectrix.geom import (
     as_angle,
     as_float,
     distance,
-    target_angle,
+    target_radians,
     wrap_signed,
 )
 from trisectrix.locus import LocusParams, locus_point, sample_locus, trisect
@@ -92,21 +92,21 @@ class TestDomainTypes:
             Point2(0.0, float("inf"))
 
 
-class TestTargetAngle:
+class TestTargetRadians:
     def test_checks_the_value_as_given(self):
-        a = Angle(0.5)
-        copy = target_angle(a, "d")
-        assert copy == a and copy is not a
-        assert target_angle(1, "d") == Angle(1.0)
-        assert target_angle(0.5 * math.pi, "d").radians == 0.5 * math.pi
+        radians = target_radians(Angle(0.5), "d")
+        assert type(radians) is float and radians == 0.5
+        one = target_radians(1, "d")
+        assert type(one) is float and one == 1.0
+        assert target_radians(0.5 * math.pi, "d") == 0.5 * math.pi
         with pytest.raises(AngleOutOfRange, match=r"^d, got 450$"):
-            target_angle(math.radians(450.0), "d")
+            target_radians(math.radians(450.0), "d")
         with pytest.raises(AngleOutOfRange, match=r"^d, got 90$"):
-            target_angle(0.5 * math.pi, "d", quarter_turn=False)
+            target_radians(0.5 * math.pi, "d", quarter_turn=False)
         with pytest.raises(AngleOutOfRange, match=r"^d, got nan$"):
-            target_angle(math.nan, "d")
+            target_radians(math.nan, "d")
         with pytest.raises(AngleOutOfRange):
-            target_angle(Angle(0.0), "d")
+            target_radians(Angle(0.0), "d")
 
 
 # Each entry point that converts a number, with the error an infinity or a

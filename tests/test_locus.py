@@ -30,7 +30,7 @@ from trisectrix.geom import (
     distance,
     wrap_signed,
 )
-from trisectrix.geom import as_angle, target_angle
+from trisectrix.geom import as_angle, target_radians
 from trisectrix.locus import (
     _MAX_DOUBLINGS,
     FOLD_MAX,
@@ -755,14 +755,14 @@ def test_float_fast_path_matches_the_as_float_path(target, log_a, tol):
 
 def _target_outcome(value, quarter_turn):
     try:
-        return repr(target_angle(value, "d", quarter_turn))
+        return repr(target_radians(value, "d", quarter_turn))
     except AngleOutOfRange as exc:
         return f"AngleOutOfRange: {exc}"
 
 
 @given(x=st.floats())
 @settings(deadline=None, max_examples=500)
-def test_target_angle_float_fast_path_matches_the_as_float_path(x):
+def test_target_radians_float_fast_path_matches_the_as_float_path(x):
     # The same for the target check alone, NaN and the infinities included,
     # at both target domains.
     for quarter_turn in (True, False):

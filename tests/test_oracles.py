@@ -80,9 +80,11 @@ class TestChordDiagram:
         assert abs(math.dist(d.G, d.F) - TWO_SIN_20) <= 1e-12
 
     def test_stores_only_its_points_and_target(self):
-        # Every length is measured from the points by chord_residuals.
+        # Every length is measured from the points by chord_residuals. The
+        # target is the checked float, so no field is a mutable value.
         d = chord_diagram(Angle.from_degrees(60.0))
         assert type(d).__slots__ == ("three_theta", "E", "F", "G", "J", "K", "L")
+        assert type(d.three_theta) is float
         for name in "EFGJKL":
             point = getattr(d, name)
             assert type(point) is tuple and len(point) == 2, name
@@ -294,10 +296,13 @@ def test_routes_keep_a_float_target_exactly_or_reject_it(x):
     # Over the whole float range, NaN and the infinities included, each
     # route stores the target bit for bit or raises AngleOutOfRange, never a
     # reduced angle. The fold's domain is open, so it also rejects pi/2.
+    # The solver's result holds an Angle, each construction the float.
     accepted = []
-    for route in (lambda v: trisect(v, LocusParams(1.0)), chord_diagram, abe_construct):
+    for route in (lambda v: trisect(v, LocusParams(1.0)).three_theta.radians,
+                  lambda v: chord_diagram(v).three_theta,
+                  lambda v: abe_construct(v).three_theta):
         try:
-            got = route(x).three_theta.radians
+            got = route(x)
         except AngleOutOfRange:
             accepted.append(False)
         else:
@@ -306,6 +311,27 @@ def test_routes_keep_a_float_target_exactly_or_reject_it(x):
     solved, chord, fold = accepted
     assert chord == solved
     assert fold == (solved and x != 0.5 * math.pi)
+
+
+def _fold_residuals(c):
+    return abe_verify(c).residuals
+
+
+@pytest.mark.parametrize("construct, residuals, degrees", [
+    *(pytest.param(abe_construct, _fold_residuals, d, id=f"fold-{d:g}")
+      for d in (1.0, 30.0, 60.0, 89.0)),
+    *(pytest.param(chord_diagram, chord_residuals, d, id=f"chord-{d:g}")
+      for d in (1.0, 30.0, 60.0, 89.0, 90.0)),
+])
+def test_moved_target_fails_the_report(construct, residuals, degrees):
+    # Rebuilt with its target moved by one part in 1e9 and every point left
+    # where it is, a construction disagrees with its own target: some
+    # residual leaves rounding level (the smallest flagged, at 1 degree, is
+    # about 6e-12).
+    c = construct(math.radians(degrees))
+    target, *points = (getattr(c, name) for name in type(c).__slots__)
+    moved = type(c)(target * (1.0 + 1e-9), *points)
+    assert max(residuals(moved).values()) > 1e-12
 
 
 def _outcome(fn, *args) -> str:

@@ -42,9 +42,11 @@ class TestConstruct:
 
     def test_stores_only_its_points_and_target(self):
         # The angles are measured from H, G and C by fold_angles, never
-        # stored, so no stored value can disagree with the points.
+        # stored, so no stored value can disagree with the points. The target
+        # is the checked float, so no field is a mutable value.
         c = abe_construct(Angle.from_degrees(60.0))
         assert type(c).__slots__ == ("three_theta", "D", "S", "H", "C", "G", "P")
+        assert type(c.three_theta) is float
         for name in "DSHCGP":
             point = getattr(c, name)
             assert type(point) is tuple and len(point) == 2, name
@@ -52,7 +54,7 @@ class TestConstruct:
 
     def test_sixty_degrees_coordinates(self):
         c = abe_construct(Angle.from_degrees(60.0))
-        assert math.degrees(c.three_theta.radians / 3.0) == pytest.approx(20.0, abs=1e-12)
+        assert math.degrees(c.three_theta / 3.0) == pytest.approx(20.0, abs=1e-12)
         (dx, dy), (hx, hy) = c.D, c.H
         assert abs(dy - TWO_SIN_20) <= 1e-15 and dx == 0.0
         assert abs(hx - COS_20) <= 1e-15
@@ -76,7 +78,7 @@ class TestConstruct:
         delta = 1e-6
         c = abe_construct(Angle(math.pi / 2.0 - delta))
         hc = math.dist(c.H, c.C)
-        assert abs(hc - 2.0 * math.sin(c.three_theta.radians / 3.0)) <= 1e-12
+        assert abs(hc - 2.0 * math.sin(c.three_theta / 3.0)) <= 1e-12
         assert abs(hc - math.dist(ORIGIN, c.D)) <= 1e-12
         assert abs(hc - 1.0) <= 1e-5
 
@@ -174,7 +176,7 @@ class TestVerify:
         assert report.residuals["op_vs_cos_theta"] <= 1e-12
         assert report.residuals["hp_vs_sin_theta"] <= 1e-12
         assert "cp_vs_sin_theta" not in report.residuals
-        assert abs(math.dist(c.C, c.P) - math.sin(c.three_theta.radians / 3.0)) > 0.1
+        assert abs(math.dist(c.C, c.P) - math.sin(c.three_theta / 3.0)) > 0.1
 
     def test_report_shape(self):
         report = abe_verify(abe_construct(Angle.from_degrees(45.0)))

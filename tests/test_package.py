@@ -162,15 +162,16 @@ def test_values_from_separate_calls_share_no_mutable_part():
 
 def test_import_loads_no_dataclasses():
     # The value types are written out by hand so that importing the package
-    # runs no code generation and loads none of dataclasses' dependencies.
-    # -S keeps site-packages hooks from importing these modules themselves.
+    # runs no code generation and loads none of dataclasses' dependencies,
+    # and its annotations need no typing module. -S keeps site-packages
+    # hooks from importing these modules themselves.
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     code = "import sys, trisectrix.cli; print(*sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     loaded = set(out.split())
     assert "trisectrix.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "ast", "dis"} == set()
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "typing"} == set()
 
 
 def _defined_names(statement):
