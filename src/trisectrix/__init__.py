@@ -16,7 +16,6 @@ from .geom import (
     Angle,
     Point2,
     SQRT3,
-    as_angle,
     distance,
 )
 from .locus import (
@@ -62,7 +61,6 @@ __all__ = [
     "VerificationReport",
     "abe_construct",
     "abe_verify",
-    "as_angle",
     "chord_diagram",
     "chord_residuals",
     "cross_validate",

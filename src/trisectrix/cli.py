@@ -26,7 +26,7 @@ from .errors import (
     MismatchDetected,
     ParameterOutOfRange,
 )
-from .geom import SQRT3, Angle
+from .geom import SQRT3
 from .locus import (
     DEFAULT_TOL,
     LocusParams,
@@ -75,14 +75,15 @@ _FLAGS = {
 }
 
 
-def _target(args: argparse.Namespace) -> Angle:
-    """``--angle-deg`` as an Angle. The degrees are checked here so that
-    450 is a domain error (exit 3), not Angle's ValueError (exit 2)."""
+def _target(args: argparse.Namespace) -> float:
+    """``--angle-deg`` in radians. Every route checks its target itself; this
+    check exists only so that the message names the flag and its degrees as
+    given."""
     if not 0.0 < args.angle_deg <= 90.0:
         raise AngleOutOfRange(
             f"--angle-deg must lie in (0, 90] degrees, got {args.angle_deg!r}"
         )
-    return Angle.from_degrees(args.angle_deg)
+    return math.radians(args.angle_deg)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -99,8 +100,8 @@ def cmd_trisect(args: argparse.Namespace) -> int:
     result = trisect(target, params, tol=args.tol)
     report = verify_trisection(result, params)
     payload = {
-        "three_theta_deg": result.three_theta.degrees,
-        "three_theta_rad": result.three_theta.radians,
+        "three_theta_deg": math.degrees(result.three_theta),
+        "three_theta_rad": result.three_theta,
         "theta_deg": result.theta.degrees,
         "theta_rad": result.theta.radians,
         "b_star": result.b_star,
@@ -169,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checked = 0
     for deg in range(1, 91):
         try:
-            report = cross_validate(Angle.from_degrees(deg), args.fold, args.tol)
+            report = cross_validate(math.radians(deg), args.fold, args.tol)
         except (MismatchDetected, MaxIterationsExceeded) as exc:
             failures.append(f"{deg} deg: {exc}")
             continue

@@ -117,29 +117,21 @@ class Angle(Value):
 AngleLike = Angle | float | int
 
 
-def as_angle(value: AngleLike) -> Angle:
-    """Coerce a raw radian value to an Angle, or pass an Angle through. Its
-    only callers, ``oracle_theta`` and ``triple_angle_residual``, return
-    fresh values, so no result holds the Angle passed through."""
-    if isinstance(value, Angle):
-        return value
-    return Angle(as_float(value))
-
-
-def target_radians(value: AngleLike, domain: str, quarter_turn: bool = True) -> float:
+def target_radians(value: AngleLike, domain: str, quarter_turn: bool = True,
+                   zero: bool = False) -> float:
     """``value`` in radians, as a float, if it lies in (0, pi/2], or in
-    (0, pi/2) without ``quarter_turn``; otherwise AngleOutOfRange, its
-    message ``domain`` followed by the value in degrees. A raw number is
-    checked as given, so 450 degrees is out of range, not 90. A plain float
-    is taken as it is, the solver's common case; any other number goes
-    through ``as_float``."""
+    (0, pi/2) without ``quarter_turn``, 0 included with ``zero``; otherwise
+    AngleOutOfRange, its message ``domain`` followed by the value in
+    degrees. A raw number is checked as given, so 450 degrees is out of
+    range, not 90. A plain float is taken as it is, the solver's common
+    case; any other number goes through ``as_float``."""
     if type(value) is float:
         r = value
     elif isinstance(value, Angle):
         r = value.radians
     else:
         r = as_float(value)
-    if not (0.0 < r < _HALF_PI or (quarter_turn and r == _HALF_PI)):
+    if not (0.0 < r < _HALF_PI or (quarter_turn and r == _HALF_PI) or (zero and r == 0.0)):
         raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
     return r
 

@@ -110,14 +110,15 @@ class LocusPoint(Value):
 
 
 class TrisectionResult(Value):
-    """Solved trisection: the target angle, the trisected angle, the curve
-    parameter at the crossing, the unit length |ON| = |OJ|, the crossing
-    point N, and solver diagnostics."""
+    """Solved trisection: the target in radians, as the float the domain
+    check returned (as both constructions store theirs), the trisected
+    angle, the curve parameter at the crossing, the unit length
+    |ON| = |OJ|, the crossing point N, and solver diagnostics."""
 
     __slots__ = ("three_theta", "theta", "b_star", "unit_length", "n_point",
                  "iterations", "final_bracket_width", "angle_residual")
 
-    def __init__(self, three_theta: Angle, theta: Angle, b_star: float,
+    def __init__(self, three_theta: float, theta: Angle, b_star: float,
                  unit_length: float, n_point: Point2, iterations: int,
                  final_bracket_width: float, angle_residual: float) -> None:
         self.three_theta = three_theta
@@ -234,7 +235,7 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
     return points
 
 
-def _result(t3: Angle, a: float, b: float, qx: float, qy: float, iterations: int,
+def _result(t3: float, a: float, b: float, qx: float, qy: float, iterations: int,
             width: float, f_val: float) -> TrisectionResult:
     """The trisection at parameter ``b`` with the solver's diagnostics: its
     crossing N is the point (qx, qy) the solver evaluated there."""
@@ -284,7 +285,6 @@ def trisect(
     bracket or the bracket shrinks to two adjacent floats before reaching tol.
     """
     target = target_radians(three_theta, "trisection target must lie in (0, 90] degrees")
-    t3 = Angle(target)
     if not (type(tol) is float and 0.0 < tol < math.inf):
         tol = as_positive(tol, "tol")
 
@@ -308,7 +308,7 @@ def trisect(
         qx, qy = _q_coords(a, lo)
         f_lo = math.atan2(qy, qx) - target
         if abs(f_lo) <= stop:
-            return _result(t3, a, lo, qx, qy, 0, 0.0, f_lo)
+            return _result(target, a, lo, qx, qy, 0, 0.0, f_lo)
 
     hi = lo
     for _ in range(_MAX_DOUBLINGS):
@@ -320,15 +320,15 @@ def trisect(
         qx, qy = _q_coords(a, hi)
         f_hi = math.atan2(qy, qx) - target
         if abs(f_hi) <= stop:
-            return _result(t3, a, hi, qx, qy, 0, 0.0, f_hi)
+            return _result(target, a, hi, qx, qy, 0, 0.0, f_hi)
         if f_hi < 0.0:
             break
     else:
         qx, qy = _q_coords(a, hi)
         raise MaxIterationsExceeded(
-            f"no upper bracket below target {t3.degrees!r} deg within "
+            f"no upper bracket below target {math.degrees(target)!r} deg within "
             f"{_MAX_DOUBLINGS} doublings",
-            result=_result(t3, a, hi, qx, qy, 0, hi - lo, math.atan2(qy, qx) - target),
+            result=_result(target, a, hi, qx, qy, 0, hi - lo, math.atan2(qy, qx) - target),
         )
 
     # An endpoint moves only to a skipped mid on its own side, or to an
@@ -349,7 +349,7 @@ def trisect(
             qx, qy = _q_coords(a, mid)
             f_mid = math.atan2(qy, qx) - target
             if abs(f_mid) <= stop:
-                return _result(t3, a, mid, qx, qy, iteration, hi - lo, f_mid)
+                return _result(target, a, mid, qx, qy, iteration, hi - lo, f_mid)
             if f_mid > 0.0:
                 lo = mid
             else:
@@ -361,7 +361,7 @@ def trisect(
     raise MaxIterationsExceeded(
         f"bisection bracket collapsed after {iteration - 1} iterations "
         f"before reaching tol={tol!r} rad (|residual| = {abs(f_b)!r})",
-        result=_result(t3, a, b, qx, qy, iteration - 1, hi - lo, f_b),
+        result=_result(target, a, b, qx, qy, iteration - 1, hi - lo, f_b),
     )
 
 
@@ -380,7 +380,7 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
     b = r.b_star
     n = r.n_point
     residuals = {
-        "three_theta_vs_target": abs(3.0 * r.theta.radians - r.three_theta.radians),
+        "three_theta_vs_target": abs(3.0 * r.theta.radians - r.three_theta),
         # |NJ| with J = (b*, a), and |ON|.
         "jn_vs_2a": abs(math.hypot(n.x - b, n.y - a) - 2.0 * a),
         "on_vs_unit_length": abs(math.hypot(n.x, n.y) - r.unit_length),

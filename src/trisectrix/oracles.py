@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import MismatchDetected
-from .geom import _HALF_PI, Angle, AngleLike, Value, as_angle, target_radians
+from .geom import _HALF_PI, Angle, AngleLike, Value, target_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify, fold_angles
 from .report import ResidualMap
@@ -49,8 +49,10 @@ class ChordDiagram(Value):
 
 
 def oracle_theta(three_theta: AngleLike) -> Angle:
-    """Ground-truth trisected angle: one floating division by three."""
-    return Angle(as_angle(three_theta).radians / 3.0)
+    """Ground-truth trisected angle: one floating division by three of a
+    target checked as given, AngleOutOfRange outside (0, 90] degrees."""
+    t3 = target_radians(three_theta, "division oracle requires an angle in (0, 90] degrees")
+    return Angle(t3 / 3.0)
 
 
 def triple_angle_residual(theta: AngleLike, three_theta: AngleLike) -> float:
@@ -58,9 +60,15 @@ def triple_angle_residual(theta: AngleLike, three_theta: AngleLike) -> float:
 
     Zero exactly when theta is a true trisection of three_theta; an
     algebraic check with no geometry in common with the other verifiers.
+    Both angles are checked as given: AngleOutOfRange outside (0, 90]
+    degrees, or [0, 90] for theta, as the third of the least subnormal
+    target, 5e-324, rounds to 0.
     """
-    c = math.cos(as_angle(theta).radians)
-    return abs(math.cos(as_angle(three_theta).radians) - (4.0 * c * c * c - 3.0 * c))
+    t = target_radians(theta, "triple-angle identity requires theta in [0, 90] degrees",
+                       zero=True)
+    t3 = target_radians(three_theta, "triple-angle identity requires an angle in (0, 90] degrees")
+    c = math.cos(t)
+    return abs(math.cos(t3) - (4.0 * c * c * c - 3.0 * c))
 
 
 def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
@@ -168,7 +176,7 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     ``chord_residuals`` key, each route's keys in the route's own order.
     """
     params = LocusParams(a)
-    # trisect checks the target domain; the routes below reuse its Angle.
+    # trisect checks the target domain; the routes below take its float.
     result = trisect(three_theta, params, tol)
     t3 = result.three_theta
     theta_locus = result.theta
@@ -182,7 +190,7 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
         "triple_angle_locus": triple_angle_residual(theta_locus, t3),
     }
     residuals.update(zip(_TRISECTION_KEYS, verify_trisection(result, params).residuals.values()))
-    if t3.radians < _HALF_PI:
+    if t3 < _HALF_PI:
         construction = abe_construct(t3)
         origami = fold_angles(construction)[0]
         origami_gap = abs(origami - oracle)
@@ -206,6 +214,6 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
         return report
     raise MismatchDetected(
         f"trisected-angle estimates {first} and {second} differ by "
-        f"{gap!r} rad (> tol {tol!r}) at target {t3.degrees:.6g} deg",
+        f"{gap!r} rad (> tol {tol!r}) at target {math.degrees(t3):.6g} deg",
         report=report,
     )

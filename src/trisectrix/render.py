@@ -50,7 +50,7 @@ def render_svg(params: LocusParams, result: TrisectionResult, samples: int) -> s
     xs += [pt.q.x for pt in locus_points]
     ys += [pt.q.y for pt in locus_points]
     reach = 1.15 * r1
-    t3 = result.three_theta.radians
+    t3 = result.three_theta
     ob_x, ob_y = reach * math.cos(t3), reach * math.sin(t3)
     xs += [n.x, ob_x]
     ys += [n.y, ob_y]

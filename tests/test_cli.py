@@ -104,7 +104,7 @@ class TestTrisectCommand:
         assert code == 0
         payload = json.loads(out)
         rebuilt = TrisectionResult(
-            three_theta=Angle(payload["three_theta_rad"]),
+            three_theta=payload["three_theta_rad"],
             theta=Angle(payload["theta_rad"]),
             b_star=payload["b_star"],
             unit_length=payload["unit_length"],

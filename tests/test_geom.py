@@ -11,7 +11,6 @@ from trisectrix.errors import AngleOutOfRange, ParameterOutOfRange, TrisectrixEr
 from trisectrix.geom import (
     Angle,
     Point2,
-    as_angle,
     as_float,
     distance,
     target_radians,
@@ -78,11 +77,6 @@ class TestAngle:
         else:
             assert got.hex() == x.hex()
 
-    def test_as_angle_coerces_floats(self):
-        assert as_angle(1.5).radians == 1.5
-        a = Angle(0.7)
-        assert as_angle(a) is a
-
 
 class TestDomainTypes:
     def test_point_rejects_non_finite(self):
@@ -107,6 +101,10 @@ class TestTargetRadians:
             target_radians(math.nan, "d")
         with pytest.raises(AngleOutOfRange):
             target_radians(Angle(0.0), "d")
+        # 0 is in the domain only where it is asked for.
+        assert target_radians(Angle(0.0), "d", zero=True) == 0.0
+        with pytest.raises(AngleOutOfRange, match=r"^d, got -1e-09$"):
+            target_radians(math.radians(-1e-9), "d", zero=True)
 
 
 # Each entry point that converts a number, with the error an infinity or a
@@ -124,10 +122,10 @@ NUMERIC_ENTRY_POINTS = {
     "locus_point b": (lambda v: locus_point(LocusParams(1.0), v), ParameterOutOfRange),
     "sample_locus b_max": (lambda v: sample_locus(LocusParams(1.0), 2.0, v, 3),
                            ParameterOutOfRange),
-    "oracle_theta": (oracle_theta, ValueError),
-    "triple_angle_residual theta": (lambda v: triple_angle_residual(v, 1.0), ValueError),
+    "oracle_theta": (oracle_theta, AngleOutOfRange),
+    "triple_angle_residual theta": (lambda v: triple_angle_residual(v, 1.0), AngleOutOfRange),
     "triple_angle_residual three_theta": (lambda v: triple_angle_residual(0.3, v),
-                                          ValueError),
+                                          AngleOutOfRange),
 }
 
 

@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import copy
+import io
 import math
 import os
 import random
@@ -17,9 +18,11 @@ import pins
 from test_package import _mutable_parts, _route_outputs
 
 import trisectrix
+from trisectrix.cli import main
 from trisectrix.errors import (
     AngleOutOfRange,
     MaxIterationsExceeded,
+    MismatchDetected,
     ParameterOutOfRange,
     TrisectrixError,
 )
@@ -30,12 +33,13 @@ from trisectrix.geom import (
     distance,
     wrap_signed,
 )
-from trisectrix.geom import as_angle, target_radians
+from trisectrix.geom import target_radians
 from trisectrix.locus import (
     _MAX_DOUBLINGS,
     FOLD_MAX,
     FOLD_MIN,
     LocusParams,
+    LocusPoint,
     TrisectionResult,
     _q_coords,
     locus_point,
@@ -53,6 +57,13 @@ B_STAR_60 = 2.7474774194546225
 UNIT_60 = 2.9238044001630876
 SIN_20 = 0.3420201433256687
 COS_20 = 0.9396926207859084
+
+# Targets over (0, pi/2]: uniform, or log-uniform down to the least subnormal.
+wide_targets = (
+    st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
+    | st.floats(min_value=math.log(5e-324), max_value=math.log(math.pi / 2.0)).map(
+        lambda x: min(max(math.exp(x), 5e-324), math.pi / 2.0))
+)
 
 def _circle_intersections(c1, r1, c2, r2):
     """Both points where two crossing circles meet, by the radical line.
@@ -374,9 +385,7 @@ class TestTrisect:
             trisect(Angle.from_degrees(45.0), LocusParams(1.0), tol=0.0)
 
     @given(
-        target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
-        | st.floats(min_value=math.log(5e-324), max_value=math.log(math.pi / 2.0)).map(
-            lambda x: min(max(math.exp(x), 5e-324), math.pi / 2.0)),
+        target=wide_targets,
         log_a=st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX)),
         tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     )
@@ -421,7 +430,7 @@ class TestTrisect:
             for a in (0.3, 1.0, 2.7):
                 r = trisect(Angle.from_degrees(deg), LocusParams(a))
                 j = Point2(r.b_star, a)
-                assert abs(3.0 * r.theta.radians - r.three_theta.radians) <= 1e-12
+                assert abs(3.0 * r.theta.radians - r.three_theta) <= 1e-12
                 assert abs(distance(ORIGIN, r.n_point) - r.unit_length) <= 1e-12
                 assert abs(distance(r.n_point, j) - 2.0 * a) <= 1e-12
 
@@ -437,6 +446,54 @@ class TestTrisect:
             assert distance(
                 scaled.n_point, Point2(lam * base.n_point.x, lam * base.n_point.y)
             ) <= 1e-12 * lam * base.unit_length
+
+    @given(
+        target=wide_targets,
+        m=st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        k=st.integers(min_value=math.frexp(FOLD_MIN)[1], max_value=math.frexp(FOLD_MAX)[1]),
+        tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(target=math.radians(7.0), m=math.frexp(FOLD_MIN)[0], k=math.frexp(FOLD_MIN)[1],
+             tol=1e-17)
+    @example(target=math.radians(7.0), m=math.frexp(FOLD_MAX)[0], k=math.frexp(FOLD_MAX)[1],
+             tol=1e-17)
+    @settings(deadline=None, max_examples=300)
+    def test_a_power_of_two_fold_only_scales_the_outputs(self, target, m, k, tol):
+        # The fold m * 2**k scales the construction at fold m by exactly
+        # 2**k, bit for bit, and needs no oracle: each length by 2**k, each
+        # area-like residual by 4**k, and each angle, angle residual and step
+        # count not at all, the results attached to MaxIterationsExceeded
+        # included. Every product stays a normal float over the fold range,
+        # so no scaling rounds.
+        a = math.ldexp(m, k)
+        assume(FOLD_MIN <= a <= FOLD_MAX)
+        base, scaled = LocusParams(m), LocusParams(a)
+        r0, error = _solved(target, base, tol)
+        r1, scaled_error = _solved(target, scaled, tol)
+        assert scaled_error == error
+        n = r0.n_point
+        assert repr(r1) == repr(TrisectionResult(
+            r0.three_theta, r0.theta, math.ldexp(r0.b_star, k), math.ldexp(r0.unit_length, k),
+            Point2(math.ldexp(n.x, k), math.ldexp(n.y, k)), r0.iterations,
+            math.ldexp(r0.final_bracket_width, k), r0.angle_residual))
+        assert repr(verify_trisection(r1, scaled).residuals) == repr(
+            _scaled(verify_trisection(r0, base).residuals, k, _TRISECTION_POWERS))
+
+        p0 = locus_point(base, r0.b_star)
+        assert repr(locus_point(scaled, r1.b_star)) == repr(LocusPoint(
+            math.ldexp(p0.b, k), Point2(math.ldexp(p0.q.x, k), math.ldexp(p0.q.y, k)),
+            math.ldexp(p0.residual_circle1, 2 * k), math.ldexp(p0.residual_circle2, 2 * k),
+            math.ldexp(p0.residual_locus_relation, 2 * k), p0.q_polar_angle))
+
+        report, error = _cross_validated(target, m, tol)
+        scaled_report, scaled_error = _cross_validated(target, a, tol)
+        assert scaled_error == error
+        if report is None:
+            assert scaled_report is None
+        else:
+            assert scaled_report.theta_locus == report.theta_locus
+            assert repr(scaled_report.residuals) == repr(
+                _scaled(report.residuals, k, _CROSS_VALIDATION_POWERS))
 
     def test_normalized_fold_equals_sine(self):
         # In units of the solved length, the assumed fold spacing reads back
@@ -545,6 +602,40 @@ class TestTrisect:
         assert abs(r.theta.radians - math.pi / 9.0) <= 1e-12
 
 
+# The power of the fold's scale each residual moves by, where it is not 0:
+# lengths by the scale, the curve relation at N (a difference of squares) by
+# its square.
+_TRISECTION_POWERS = {"jn_vs_2a": 1, "on_vs_unit_length": 1, "locus_relation_at_n": 2}
+_CROSS_VALIDATION_POWERS = {"trisection_" + name: power
+                            for name, power in _TRISECTION_POWERS.items()}
+
+
+def _scaled(residuals, k, powers):
+    """``residuals`` with each scaled by 2**k to the power ``powers`` gives it."""
+    return {name: math.ldexp(value, powers.get(name, 0) * k)
+            for name, value in residuals.items()}
+
+
+def _solved(target, params, tol):
+    """trisect's result and '', or the result its MaxIterationsExceeded
+    attaches and the error's text."""
+    try:
+        return trisect(target, params, tol=tol), ""
+    except MaxIterationsExceeded as exc:
+        return exc.result, str(exc)
+
+
+def _cross_validated(target, a, tol):
+    """cross_validate's report and '', or the report its MismatchDetected
+    attaches (None after a MaxIterationsExceeded) and the error's text."""
+    try:
+        return cross_validate(target, a, tol), ""
+    except MismatchDetected as exc:
+        return exc.report, str(exc)
+    except MaxIterationsExceeded as exc:
+        return None, str(exc)
+
+
 class TestVerifyTrisection:
     def test_solved_results_pass(self):
         params = LocusParams(1.0)
@@ -596,7 +687,6 @@ def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
             f"trisection target must lie in (0, 90] degrees, "
             f"got {math.degrees(target):.6g}"
         )
-    t3 = as_angle(three_theta)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
@@ -608,7 +698,7 @@ def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
     def build(b, iterations, width, f_val):
         qx, qy = _q_coords(a, b)
         return TrisectionResult(
-            three_theta=t3,
+            three_theta=target,
             theta=Angle(math.atan2(a, b)),
             b_star=b,
             unit_length=math.hypot(a, b),
@@ -643,7 +733,7 @@ def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
             break
     else:
         raise MaxIterationsExceeded(
-            f"no upper bracket below target {t3.degrees!r} deg within "
+            f"no upper bracket below target {math.degrees(target)!r} deg within "
             f"{_MAX_DOUBLINGS} doublings",
             result=build(hi, 0, hi - lo, f_hi),
         )
@@ -882,8 +972,8 @@ def count_grid():
     yield ("LocusParams, trisect, verify_trisection at 1..90 deg x folds 0.1, 1, 10 x "
            "tols 1e-6, 1e-9, 1e-12: calls", _lines(counted(solve_grid)))
 
-    # A solve builds one Point2 (N) and two Angles: theta, and the target,
-    # copied when it is an Angle already.
+    # A solve builds one Point2 (N) and one Angle (theta): the result stores
+    # its target as the checked float, so an Angle target is read, not copied.
     for target, form in ((math.radians(60.0), "60 deg"),
                          (Angle(math.radians(60.0)), "60 deg as Angle"),
                          (math.radians(7.0), "7 deg"), (0.5 * math.pi, "90 deg")):
@@ -893,11 +983,22 @@ def count_grid():
                     trisect(target, params, tol=tol)
             yield f"trisect {form}, fold 1, tol {tol!r}: builds", _builds(solve)
 
-    # N, and five Angles: the solve's target and theta, the oracle's theta,
-    # and the target copies of abe_construct and chord_diagram, whose points
+    # N, and two Angles: the solve's theta and the oracle's. Every route
+    # reads the target as the solve's float, and the constructions' points
     # are float pairs.
     yield ("cross_validate 60 deg, fold 1, tol 1e-12: builds",
            _builds(lambda: cross_validate(math.radians(60.0), 1.0, 1e-12)))
+
+    # In-process CLI runs. --angle-deg becomes a float in radians, so trisect
+    # builds only theta, origami no Angle, render theta and each sample's
+    # polar angle, and verify cross_validate's two per degree.
+    for argv in (("trisect", "--angle-deg", "60"), ("origami", "--angle-deg", "60"),
+                 ("render", "--angle-deg", "60", "--samples", "4"),
+                 ("verify", "--tol", "1e-10")):
+        def run_cli():
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(list(argv))
+        yield f"cli.main {' '.join(argv)}: builds", _builds(run_cli)
 
     for a in (FOLD_MIN, 1.0, FOLD_MAX):
         collapsed = 0
@@ -909,9 +1010,9 @@ def count_grid():
         yield (f"trisect k/10 deg for k = 1..900, fold {a!r}, tol 1e-17: collapses",
                f"{collapsed}\n")
 
-    # Per call: the result's 3, the fold's 1 and the diagram's 1 (each its
-    # target; their points are immutable tuples) and the report's 2 (its
-    # theta and its dict).
+    # Per call: the result's 2 (theta and N) and the report's 2 (its theta
+    # and its dict). The result, the fold and the diagram store their target
+    # as a float, and the constructions' points are immutable tuples.
     for target in (1.0, Angle(1.0)):
         parts = [_mutable_parts([value])
                  for value in _route_outputs(target)[0] + _route_outputs(target)[0]]

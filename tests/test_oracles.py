@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pins
 
 from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
-from trisectrix.geom import Angle, as_angle
+from trisectrix.geom import Angle
 from trisectrix.locus import LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
     chord_diagram,
@@ -37,7 +37,9 @@ class TestOracleTheta:
         assert oracle_theta(Angle.from_degrees(60.0)).degrees == pytest.approx(
             20.0, abs=1e-12
         )
-        assert oracle_theta(Angle(0.0)).radians == 0.0
+        # The target is checked as every route checks it: 0 is no target.
+        with pytest.raises(AngleOutOfRange):
+            oracle_theta(Angle(0.0))
 
 
 class TestTripleAngleResidual:
@@ -109,10 +111,12 @@ class TestChordDiagram:
 
     @pytest.mark.parametrize("degrees", [450.0, -270.0, 420.0, 90.0000001, math.nan])
     def test_rejects_raw_angles_before_wrapping(self, degrees):
-        with pytest.raises(AngleOutOfRange):
-            chord_diagram(math.radians(degrees))
-        with pytest.raises(AngleOutOfRange):
-            cross_validate(math.radians(degrees), 1.0, 1e-10)
+        t3 = math.radians(degrees)
+        for route in (chord_diagram, lambda v: cross_validate(v, 1.0, 1e-10), oracle_theta,
+                      lambda v: triple_angle_residual(0.3, v),
+                      lambda v: triple_angle_residual(v, 1.0)):
+            with pytest.raises(AngleOutOfRange):
+                route(t3)
 
     @given(t3=st.floats(min_value=0.01, max_value=math.pi / 2.0))
     @settings(deadline=None, max_examples=300)
@@ -176,6 +180,14 @@ class TestCrossValidate:
         assert any(name.startswith("chord_") for name in report.residuals)
         assert report.passes(1e-10)
 
+    def test_least_subnormal_target_keeps_its_report(self):
+        # The oracle's third of 5e-324 rounds to 0, which the triple-angle
+        # identity takes as its theta: the target is in the domain, so the
+        # report is returned, not a domain error.
+        assert oracle_theta(5e-324).radians == 0.0
+        assert triple_angle_residual(0.0, 5e-324) == 0.0
+        assert cross_validate(5e-324, 1.0, 1e-12).passes(1e-12)
+
     def test_out_of_range_propagates(self):
         with pytest.raises(AngleOutOfRange):
             cross_validate(Angle.from_degrees(100.0), 1.0, 1e-10)
@@ -196,7 +208,7 @@ class TestCrossValidate:
     def test_disagreement_raises_mismatch(self, monkeypatch):
         # Skew the closed-form estimate; the comparison must notice.
         def skewed(three_theta):
-            return Angle(as_angle(three_theta).radians / 3.0 + 1e-6)
+            return Angle(three_theta / 3.0 + 1e-6)
 
         monkeypatch.setattr("trisectrix.oracles.oracle_theta", skewed)
         with pytest.raises(MismatchDetected) as excinfo:
@@ -294,22 +306,27 @@ class TestCrossValidate:
 @settings(deadline=None, max_examples=500)
 def test_routes_keep_a_float_target_exactly_or_reject_it(x):
     # Over the whole float range, NaN and the infinities included, each
-    # route stores the target bit for bit or raises AngleOutOfRange, never a
-    # reduced angle. The fold's domain is open, so it also rejects pi/2.
-    # The solver's result holds an Angle, each construction the float.
+    # route keeps the target bit for bit or raises AngleOutOfRange, never a
+    # reduced angle. The fold's domain is open, so it also rejects pi/2. The
+    # solver's result and each construction store the float; the division
+    # oracle returns exactly its third, and the triple-angle identity takes
+    # the target as both of its angles.
     accepted = []
-    for route in (lambda v: trisect(v, LocusParams(1.0)).three_theta.radians,
-                  lambda v: chord_diagram(v).three_theta,
-                  lambda v: abe_construct(v).three_theta):
+    for route, kept in ((lambda v: trisect(v, LocusParams(1.0)).three_theta, x),
+                        (lambda v: chord_diagram(v).three_theta, x),
+                        (lambda v: abe_construct(v).three_theta, x),
+                        (lambda v: oracle_theta(v).radians, x / 3.0),
+                        (lambda v: triple_angle_residual(v, v), None)):
         try:
             got = route(x)
         except AngleOutOfRange:
             accepted.append(False)
         else:
-            assert got.hex() == x.hex()
+            assert type(got) is float
+            assert kept is None or got.hex() == kept.hex()
             accepted.append(True)
-    solved, chord, fold = accepted
-    assert chord == solved
+    solved, chord, fold, oracle, identity = accepted
+    assert chord == oracle == identity == solved
     assert fold == (solved and x != 0.5 * math.pi)
 
 

@@ -119,7 +119,7 @@ def test_layers_in_order_and_inside_the_margin(fold, degrees, samples):
         assert el["x1"] == el["y1"] == 0.0
     assert base_ray["y2"] == 0.0
     assert math.isclose(math.atan2(target_ray["y2"], target_ray["x2"]),
-                        result.three_theta.radians, rel_tol=1e-5)
+                        result.three_theta, rel_tol=1e-5)
     assert close(j_ray["x2"], result.b_star) and close(j_ray["y2"], fold)
 
     circles = [{k: float(el.attrib[k]) for k in ("cx", "cy", "r")}
