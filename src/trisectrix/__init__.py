@@ -35,7 +35,6 @@ from .oracles import (
     chord_residuals,
     cross_validate,
     oracle_theta,
-    triple_angle_residual,
 )
 from .origami import AbeConstruction, abe_construct, abe_verify
 from .render import render_svg
@@ -70,7 +69,6 @@ __all__ = [
     "oracle_theta",
     "render_svg",
     "sample_locus",
-    "triple_angle_residual",
     "trisect",
     "verify_trisection",
 ]

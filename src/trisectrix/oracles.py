@@ -1,11 +1,12 @@
 """Independent verifiers for the trisection pipeline.
 
-Three ways of trisecting that share no code with the locus solver: the
-closed-form division by three, the triple-angle cosine identity, and the
-inscribed-chord diagram in which the three arcs of a trisected angle cut
-equal chords on a half-unit circle. Cross-validation runs all of them plus
-the origami reconstruction against the same target and reports every
-residual.
+Three ways of checking a trisection that share no code with the locus
+solver: the closed-form division by three, the triple-angle cosine identity
+cos 3t = 4 cos^3 t - 3 cos t, and the inscribed-chord diagram in which the
+three arcs of a trisected angle cut equal chords on a half-unit circle.
+Cross-validation runs all of them plus the origami reconstruction against
+the same target and reports every residual; the identity is one of its
+routes, evaluated for the oracle's and the solver's theta.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from .errors import MismatchDetected
 from .geom import _HALF_PI, Angle, AngleLike, Value, target_radians
 from .locus import LocusParams, trisect, verify_trisection
-from .origami import abe_construct, abe_verify, fold_angles
+from .origami import abe_construct, abe_verify
 from .report import ResidualMap
 
 
@@ -48,27 +49,20 @@ class ChordDiagram(Value):
         self.L = L
 
 
-def oracle_theta(three_theta: AngleLike) -> Angle:
-    """Ground-truth trisected angle: one floating division by three of a
-    target checked as given, AngleOutOfRange outside (0, 90] degrees."""
+def oracle_theta(three_theta: AngleLike) -> float:
+    """Ground-truth trisected angle in radians, as a float: one floating
+    division by three of a target checked as given, AngleOutOfRange outside
+    (0, 90] degrees."""
     t3 = target_radians(three_theta, "division oracle requires an angle in (0, 90] degrees")
-    return Angle(t3 / 3.0)
+    return t3 / 3.0
 
 
-def triple_angle_residual(theta: AngleLike, three_theta: AngleLike) -> float:
-    """|cos(three_theta) - (4 cos^3(theta) - 3 cos(theta))|.
-
-    Zero exactly when theta is a true trisection of three_theta; an
-    algebraic check with no geometry in common with the other verifiers.
-    Both angles are checked as given: AngleOutOfRange outside (0, 90]
-    degrees, or [0, 90] for theta, as the third of the least subnormal
-    target, 5e-324, rounds to 0.
-    """
-    t = target_radians(theta, "triple-angle identity requires theta in [0, 90] degrees",
-                       zero=True)
-    t3 = target_radians(three_theta, "triple-angle identity requires an angle in (0, 90] degrees")
-    c = math.cos(t)
-    return abs(math.cos(t3) - (4.0 * c * c * c - 3.0 * c))
+def _identity_residual(theta: float, cos_t3: float) -> float:
+    """|cos(3t) - (4 cos^3(theta) - 3 cos(theta))|, given cos(3t): zero
+    exactly when theta is a true trisection of the target 3t; an algebraic
+    check with no geometry in common with the other verifiers."""
+    c = math.cos(theta)
+    return abs(cos_t3 - (4.0 * c * c * c - 3.0 * c))
 
 
 def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
@@ -155,6 +149,11 @@ _TRISECTION_KEYS = tuple("trisection_" + name for name in verify_trisection(
     trisect(1.0, LocusParams(1.0)), LocusParams(1.0)).residuals)
 _ORIGAMI_KEYS = tuple("origami_" + name for name in abe_verify(abe_construct(1.0)).residuals)
 _CHORD_KEYS = tuple("chord_" + name for name in chord_residuals(chord_diagram(1.0)))
+# A cross_validate report's keys in order, below 90 degrees and at 90.
+_ORACLE_KEYS = ("theta_locus_vs_oracle", "triple_angle_identity", "triple_angle_locus")
+_KEYS_AT_90 = _ORACLE_KEYS + _TRISECTION_KEYS + _CHORD_KEYS
+_KEYS_BELOW_90 = (_ORACLE_KEYS + _TRISECTION_KEYS + ("theta_origami_vs_oracle",
+                  "theta_locus_vs_origami") + _ORIGAMI_KEYS + _CHORD_KEYS)
 
 
 def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidationReport:
@@ -168,6 +167,10 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     oracle with origami; domain and convergence errors from the individual
     routes propagate unchanged.
 
+    Each piece of work runs once: the target is checked by the routes that
+    build from it, the identity takes one cosine of it for both thetas, and
+    the fold's estimate is H's polar angle, which ``abe_verify`` checks.
+
     The report's keys come in a fixed order: ``theta_locus_vs_oracle``,
     ``triple_angle_identity`` and ``triple_angle_locus``; ``trisection_``
     and each ``verify_trisection`` key; below 90 degrees,
@@ -180,30 +183,29 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     result = trisect(three_theta, params, tol)
     t3 = result.three_theta
     theta_locus = result.theta
-    theta_oracle = oracle_theta(t3)
-    locus, oracle = theta_locus.radians, theta_oracle.radians
+    locus = theta_locus.radians
+    oracle = oracle_theta(t3)
     gap = abs(locus - oracle)
-
-    residuals: dict[str, float] = {
-        "theta_locus_vs_oracle": gap,
-        "triple_angle_identity": triple_angle_residual(theta_oracle, t3),
-        "triple_angle_locus": triple_angle_residual(theta_locus, t3),
-    }
-    residuals.update(zip(_TRISECTION_KEYS, verify_trisection(result, params).residuals.values()))
+    cos_t3 = math.cos(t3)
+    values = [gap, _identity_residual(oracle, cos_t3), _identity_residual(locus, cos_t3)]
+    values += verify_trisection(result, params).residuals.values()
     if t3 < _HALF_PI:
         construction = abe_construct(t3)
-        origami = fold_angles(construction)[0]
+        # The fold's estimate: H's polar angle, fold_angles' alpha.
+        hx, hy = construction.H
+        origami = math.atan2(hy, hx)
         origami_gap = abs(origami - oracle)
         cross_gap = abs(locus - origami)
-        residuals["theta_origami_vs_oracle"] = origami_gap
-        residuals["theta_locus_vs_origami"] = cross_gap
-        residuals.update(zip(_ORIGAMI_KEYS, abe_verify(construction).residuals.values()))
+        values += origami_gap, cross_gap
+        values += abe_verify(construction).residuals.values()
+        keys = _KEYS_BELOW_90
     else:
         # No fold estimate at 90 degrees; tol > 0, so these never mismatch.
         origami_gap = cross_gap = 0.0
-    residuals.update(zip(_CHORD_KEYS, chord_residuals(chord_diagram(t3)).values()))
+        keys = _KEYS_AT_90
+    values += chord_residuals(chord_diagram(t3)).values()
 
-    report = CrossValidationReport(theta_locus, residuals)
+    report = CrossValidationReport(theta_locus, dict(zip(keys, values)))
     if gap > tol:
         first, second = "locus", "oracle"
     elif cross_gap > tol:

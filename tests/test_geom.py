@@ -17,12 +17,7 @@ from trisectrix.geom import (
     wrap_signed,
 )
 from trisectrix.locus import LocusParams, locus_point, sample_locus, trisect
-from trisectrix.oracles import (
-    chord_diagram,
-    cross_validate,
-    oracle_theta,
-    triple_angle_residual,
-)
+from trisectrix.oracles import chord_diagram, cross_validate, oracle_theta
 from trisectrix.origami import abe_construct
 
 TWO_PI = 2.0 * math.pi
@@ -101,10 +96,6 @@ class TestTargetRadians:
             target_radians(math.nan, "d")
         with pytest.raises(AngleOutOfRange):
             target_radians(Angle(0.0), "d")
-        # 0 is in the domain only where it is asked for.
-        assert target_radians(Angle(0.0), "d", zero=True) == 0.0
-        with pytest.raises(AngleOutOfRange, match=r"^d, got -1e-09$"):
-            target_radians(math.radians(-1e-9), "d", zero=True)
 
 
 # Each entry point that converts a number, with the error an infinity or a
@@ -123,9 +114,6 @@ NUMERIC_ENTRY_POINTS = {
     "sample_locus b_max": (lambda v: sample_locus(LocusParams(1.0), 2.0, v, 3),
                            ParameterOutOfRange),
     "oracle_theta": (oracle_theta, AngleOutOfRange),
-    "triple_angle_residual theta": (lambda v: triple_angle_residual(v, 1.0), AngleOutOfRange),
-    "triple_angle_residual three_theta": (lambda v: triple_angle_residual(0.3, v),
-                                          AngleOutOfRange),
 }
 
 

@@ -913,16 +913,19 @@ POST_INITS = {cls.__post_init__.__code__: f"{cls.__name__}.__post_init__"
 def counted(run):
     """Run ``run()`` under a profile and count by name each Python call into
     the package, as ``module.function`` (a ``__post_init__`` by its class,
-    so its count is that class's builds), and each call of ``math.atan2``."""
+    so its count is that class's builds), and each call the package makes
+    to a ``math`` function, as ``math.name``."""
     calls = collections.Counter()
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename.startswith(PACKAGE):
+        if not code.co_filename.startswith(PACKAGE):
+            return
+        if event == "call":
             module = frame.f_globals["__name__"].rpartition(".")[2]
             calls[POST_INITS.get(code, f"{module}.{code.co_name}")] += 1
-        elif event == "c_call" and arg is math.atan2:
-            calls["math.atan2"] += 1
+        elif event == "c_call" and getattr(arg, "__self__", None) is math:
+            calls[f"math.{arg.__name__}"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -983,15 +986,22 @@ def count_grid():
                     trisect(target, params, tol=tol)
             yield f"trisect {form}, fold 1, tol {tol!r}: builds", _builds(solve)
 
-    # N, and two Angles: the solve's theta and the oracle's. Every route
-    # reads the target as the solve's float, and the constructions' points
-    # are float pairs.
+    # N, and one Angle, the solve's theta: every route reads the target as
+    # the solve's float, the oracle's theta is a float, and the
+    # constructions' points are float pairs.
     yield ("cross_validate 60 deg, fold 1, tol 1e-12: builds",
            _builds(lambda: cross_validate(math.radians(60.0), 1.0, 1e-12)))
 
+    # Each route once, the target checked once by each route that builds
+    # from it, and the fold's angles measured once, by abe_verify; at 90 deg
+    # no fold route runs.
+    for degrees in (60.0, 90.0):
+        yield (f"cross_validate {degrees:g} deg, fold 1, tol 1e-12: calls",
+               _lines(counted(lambda: cross_validate(math.radians(degrees), 1.0, 1e-12))))
+
     # In-process CLI runs. --angle-deg becomes a float in radians, so trisect
     # builds only theta, origami no Angle, render theta and each sample's
-    # polar angle, and verify cross_validate's two per degree.
+    # polar angle, and verify cross_validate's one per degree.
     for argv in (("trisect", "--angle-deg", "60"), ("origami", "--angle-deg", "60"),
                  ("render", "--angle-deg", "60", "--samples", "4"),
                  ("verify", "--tol", "1e-10")):

@@ -10,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 import pins
 
 from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
-from trisectrix.geom import Angle
-from trisectrix.locus import LocusParams, trisect, verify_trisection
+from trisectrix.geom import Angle, target_radians
+from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
+    _CHORD_KEYS,
+    _HALF_PI,
+    _ORIGAMI_KEYS,
+    _TRISECTION_KEYS,
+    CrossValidationReport,
     chord_diagram,
     chord_residuals,
     cross_validate,
     oracle_theta,
-    triple_angle_residual,
 )
-from trisectrix.origami import abe_construct, abe_verify
+from trisectrix.origami import abe_construct, abe_verify, fold_angles
 from trisectrix.report import VerificationReport
 
 SIN_20 = 0.3420201433256687
@@ -33,8 +37,10 @@ def _chords(d):
 
 class TestOracleTheta:
     def test_exact_divisions(self):
-        assert oracle_theta(Angle.from_degrees(90.0)).radians == math.pi / 2.0 / 3.0
-        assert oracle_theta(Angle.from_degrees(60.0)).degrees == pytest.approx(
+        # The theta is the float quotient itself, not an Angle.
+        third = oracle_theta(Angle.from_degrees(90.0))
+        assert type(third) is float and third == math.pi / 2.0 / 3.0
+        assert math.degrees(oracle_theta(Angle.from_degrees(60.0))) == pytest.approx(
             20.0, abs=1e-12
         )
         # The target is checked as every route checks it: 0 is no target.
@@ -43,17 +49,26 @@ class TestOracleTheta:
 
 
 class TestTripleAngleResidual:
+    """The identity cos 3t = 4 cos^3 t - 3 cos t as cross_validate reports
+    it: ``triple_angle_identity`` for the oracle's theta and
+    ``triple_angle_locus`` for the solver's, against the solved target."""
+
     def test_thirty_ninety(self):
-        assert triple_angle_residual(Angle.from_degrees(30.0),
-                                     Angle.from_degrees(90.0)) <= 1e-15
+        residuals = cross_validate(Angle.from_degrees(90.0), 1.0, 1e-12).residuals
+        assert residuals["triple_angle_identity"] <= 1e-15
 
     def test_twenty_sixty(self):
-        assert triple_angle_residual(Angle.from_degrees(20.0),
-                                     Angle.from_degrees(60.0)) <= 1e-15
+        residuals = cross_validate(Angle.from_degrees(60.0), 1.0, 1e-12).residuals
+        assert residuals["triple_angle_identity"] <= 1e-15
 
-    def test_deliberate_mismatch_is_large(self):
-        residual = triple_angle_residual(Angle.from_degrees(25.0),
-                                         Angle.from_degrees(90.0))
+    def test_deliberate_mismatch_is_large(self, monkeypatch):
+        # An oracle that answers 25 degrees for a 90 degree target: the gap
+        # raises, and the attached report holds the identity's residual.
+        monkeypatch.setattr("trisectrix.oracles.oracle_theta",
+                            lambda three_theta: math.radians(25.0))
+        with pytest.raises(MismatchDetected) as excinfo:
+            cross_validate(Angle.from_degrees(90.0), 1.0, 1e-10)
+        residual = excinfo.value.report.residuals["triple_angle_identity"]
         # 4 cos^3(25 deg) - 3 cos(25 deg) = cos(75 deg), nowhere near cos(90 deg).
         expected = abs(math.cos(math.pi / 2.0)
                        - (4.0 * math.cos(math.radians(25.0)) ** 3
@@ -65,7 +80,9 @@ class TestTripleAngleResidual:
         rng = random.Random(0x3A)
         for _ in range(1000):
             t3 = rng.uniform(1e-9, math.pi / 2.0)
-            assert triple_angle_residual(oracle_theta(Angle(t3)), Angle(t3)) <= 1e-12
+            residuals = cross_validate(Angle(t3), 1.0, 1e-12).residuals
+            assert residuals["triple_angle_identity"] <= 1e-12
+            assert residuals["triple_angle_locus"] <= 1e-12
 
 
 class TestChordDiagram:
@@ -112,9 +129,7 @@ class TestChordDiagram:
     @pytest.mark.parametrize("degrees", [450.0, -270.0, 420.0, 90.0000001, math.nan])
     def test_rejects_raw_angles_before_wrapping(self, degrees):
         t3 = math.radians(degrees)
-        for route in (chord_diagram, lambda v: cross_validate(v, 1.0, 1e-10), oracle_theta,
-                      lambda v: triple_angle_residual(0.3, v),
-                      lambda v: triple_angle_residual(v, 1.0)):
+        for route in (chord_diagram, lambda v: cross_validate(v, 1.0, 1e-10), oracle_theta):
             with pytest.raises(AngleOutOfRange):
                 route(t3)
 
@@ -183,10 +198,13 @@ class TestCrossValidate:
     def test_least_subnormal_target_keeps_its_report(self):
         # The oracle's third of 5e-324 rounds to 0, which the triple-angle
         # identity takes as its theta: the target is in the domain, so the
-        # report is returned, not a domain error.
-        assert oracle_theta(5e-324).radians == 0.0
-        assert triple_angle_residual(0.0, 5e-324) == 0.0
-        assert cross_validate(5e-324, 1.0, 1e-12).passes(1e-12)
+        # report is returned, not a domain error, and both identity
+        # residuals are exactly 0.
+        assert oracle_theta(5e-324) == 0.0
+        report = cross_validate(5e-324, 1.0, 1e-12)
+        assert report.residuals["triple_angle_identity"] == 0.0
+        assert report.residuals["triple_angle_locus"] == 0.0
+        assert report.passes(1e-12)
 
     def test_out_of_range_propagates(self):
         with pytest.raises(AngleOutOfRange):
@@ -208,7 +226,7 @@ class TestCrossValidate:
     def test_disagreement_raises_mismatch(self, monkeypatch):
         # Skew the closed-form estimate; the comparison must notice.
         def skewed(three_theta):
-            return Angle(three_theta / 3.0 + 1e-6)
+            return three_theta / 3.0 + 1e-6
 
         monkeypatch.setattr("trisectrix.oracles.oracle_theta", skewed)
         with pytest.raises(MismatchDetected) as excinfo:
@@ -235,7 +253,7 @@ class TestCrossValidate:
         oracle, construct = oracles.oracle_theta, oracles.abe_construct
 
         def skewed_oracle(three_theta):
-            return Angle(oracle(three_theta).radians + oracle_skew)
+            return oracle(three_theta) + oracle_skew
 
         def skewed_construct(three_theta):
             # Rotate H about O: the fold's measured first angle moves by
@@ -308,25 +326,23 @@ def test_routes_keep_a_float_target_exactly_or_reject_it(x):
     # Over the whole float range, NaN and the infinities included, each
     # route keeps the target bit for bit or raises AngleOutOfRange, never a
     # reduced angle. The fold's domain is open, so it also rejects pi/2. The
-    # solver's result and each construction store the float; the division
-    # oracle returns exactly its third, and the triple-angle identity takes
-    # the target as both of its angles.
+    # solver's result and each construction store the float, and the
+    # division oracle returns exactly its third.
     accepted = []
     for route, kept in ((lambda v: trisect(v, LocusParams(1.0)).three_theta, x),
                         (lambda v: chord_diagram(v).three_theta, x),
                         (lambda v: abe_construct(v).three_theta, x),
-                        (lambda v: oracle_theta(v).radians, x / 3.0),
-                        (lambda v: triple_angle_residual(v, v), None)):
+                        (oracle_theta, x / 3.0)):
         try:
             got = route(x)
         except AngleOutOfRange:
             accepted.append(False)
         else:
             assert type(got) is float
-            assert kept is None or got.hex() == kept.hex()
+            assert got.hex() == kept.hex()
             accepted.append(True)
-    solved, chord, fold, oracle, identity = accepted
-    assert chord == oracle == identity == solved
+    solved, chord, fold, oracle = accepted
+    assert chord == oracle == solved
     assert fold == (solved and x != 0.5 * math.pi)
 
 
@@ -385,3 +401,89 @@ def route_grid():
 
 def test_route_outputs_bit_identical():
     pins.check("routes", route_grid())
+
+
+def _reference_oracle_theta(three_theta):
+    """The division oracle as it was when it returned an Angle."""
+    t3 = target_radians(three_theta, "division oracle requires an angle in (0, 90] degrees")
+    return Angle(t3 / 3.0)
+
+
+def _reference_triple_angle_residual(theta, three_theta):
+    """The triple-angle identity as it was as a public function of two
+    checked angles, theta in [0, 90] degrees (an Angle here) and the target
+    in (0, 90]."""
+    t = theta.radians
+    if not 0.0 <= t <= _HALF_PI:
+        raise AngleOutOfRange(
+            f"triple-angle identity requires theta in [0, 90] degrees, got {math.degrees(t):.6g}")
+    t3 = target_radians(three_theta, "triple-angle identity requires an angle in (0, 90] degrees")
+    c = math.cos(t)
+    return abs(math.cos(t3) - (4.0 * c * c * c - 3.0 * c))
+
+
+def _reference_cross_validate(three_theta, a, tol):
+    """cross_validate as it was before it did each piece of work once, kept
+    verbatim (bar the two helpers above) as the oracle the one-pass report
+    must reproduce bit for bit."""
+    params = LocusParams(a)
+    # trisect checks the target domain; the routes below take its float.
+    result = trisect(three_theta, params, tol)
+    t3 = result.three_theta
+    theta_locus = result.theta
+    theta_oracle = _reference_oracle_theta(t3)
+    locus, oracle = theta_locus.radians, theta_oracle.radians
+    gap = abs(locus - oracle)
+
+    residuals = {
+        "theta_locus_vs_oracle": gap,
+        "triple_angle_identity": _reference_triple_angle_residual(theta_oracle, t3),
+        "triple_angle_locus": _reference_triple_angle_residual(theta_locus, t3),
+    }
+    residuals.update(zip(_TRISECTION_KEYS, verify_trisection(result, params).residuals.values()))
+    if t3 < _HALF_PI:
+        construction = abe_construct(t3)
+        origami = fold_angles(construction)[0]
+        origami_gap = abs(origami - oracle)
+        cross_gap = abs(locus - origami)
+        residuals["theta_origami_vs_oracle"] = origami_gap
+        residuals["theta_locus_vs_origami"] = cross_gap
+        residuals.update(zip(_ORIGAMI_KEYS, abe_verify(construction).residuals.values()))
+    else:
+        # No fold estimate at 90 degrees; tol > 0, so these never mismatch.
+        origami_gap = cross_gap = 0.0
+    residuals.update(zip(_CHORD_KEYS, chord_residuals(chord_diagram(t3)).values()))
+
+    report = CrossValidationReport(theta_locus, residuals)
+    if gap > tol:
+        first, second = "locus", "oracle"
+    elif cross_gap > tol:
+        first, second, gap = "locus", "origami", cross_gap
+    elif origami_gap > tol:
+        first, second, gap = "oracle", "origami", origami_gap
+    else:
+        return report
+    raise MismatchDetected(
+        f"trisected-angle estimates {first} and {second} differ by "
+        f"{gap!r} rad (> tol {tol!r}) at target {math.degrees(t3):.6g} deg",
+        report=report,
+    )
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
+        lambda x: min(max(math.exp(x), low), high))
+
+
+@given(
+    target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
+    | st.sampled_from((0.5 * math.pi, 5e-324)),
+    a=_log_uniform(FOLD_MIN, FOLD_MAX),
+    tol=_log_uniform(1e-17, 1e-3),
+)
+@settings(deadline=None, max_examples=500)
+def test_cross_validate_matches_reference(target, a, tol):
+    # The same report repr, or the same error type, message and attached
+    # report (or result, after a bracket collapse), for every input.
+    assert _outcome(cross_validate, target, a, tol) == _outcome(
+        _reference_cross_validate, target, a, tol)
