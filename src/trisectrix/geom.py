@@ -117,20 +117,19 @@ class Angle(Value):
 AngleLike = Angle | float | int
 
 
-def target_radians(value: AngleLike, domain: str, quarter_turn: bool = True) -> float:
-    """``value`` in radians, as a float, if it lies in (0, pi/2], or in
-    (0, pi/2) without ``quarter_turn``; otherwise AngleOutOfRange, its
-    message ``domain`` followed by the value in degrees. A raw number is
-    checked as given, so 450 degrees is out of range, not 90. A plain float
-    is taken as it is, the solver's common case; any other number goes
-    through ``as_float``."""
+def target_radians(value: AngleLike, domain: str) -> float:
+    """``value`` in radians, as a float, if it lies in (0, pi/2]; otherwise
+    AngleOutOfRange, its message ``domain`` followed by the value in
+    degrees. A raw number is checked as given, so 450 degrees is out of
+    range, not 90. A plain float is taken as it is, the solver's common
+    case; any other number goes through ``as_float``."""
     if type(value) is float:
         r = value
     elif isinstance(value, Angle):
         r = value.radians
     else:
         r = as_float(value)
-    if not (0.0 < r < _HALF_PI or (quarter_turn and r == _HALF_PI)):
+    if not 0.0 < r <= _HALF_PI:
         raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
     return r
 

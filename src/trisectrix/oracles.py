@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import MismatchDetected
-from .geom import _HALF_PI, Angle, AngleLike, Value, target_radians
+from .geom import Angle, AngleLike, Value, target_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
 from .report import ResidualMap
@@ -125,13 +125,7 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
 
 class CrossValidationReport(ResidualMap):
     """The locus solver's trisected angle and every route's residual, keyed
-    by source.
-
-    At exactly 90 degrees no ``origami_*``, ``theta_origami_vs_oracle`` or
-    ``theta_locus_vs_origami`` residual appears: the fold construction sits
-    on the excluded boundary of its open domain there, while the locus
-    solver and the chord diagram still cover the target.
-    """
+    by source."""
 
     __slots__ = ("theta_locus", "residuals")
 
@@ -149,15 +143,14 @@ _TRISECTION_KEYS = tuple("trisection_" + name for name in verify_trisection(
     trisect(1.0, LocusParams(1.0)), LocusParams(1.0)).residuals)
 _ORIGAMI_KEYS = tuple("origami_" + name for name in abe_verify(abe_construct(1.0)).residuals)
 _CHORD_KEYS = tuple("chord_" + name for name in chord_residuals(chord_diagram(1.0)))
-# A cross_validate report's keys in order, below 90 degrees and at 90.
-_ORACLE_KEYS = ("theta_locus_vs_oracle", "triple_angle_identity", "triple_angle_locus")
-_KEYS_AT_90 = _ORACLE_KEYS + _TRISECTION_KEYS + _CHORD_KEYS
-_KEYS_BELOW_90 = (_ORACLE_KEYS + _TRISECTION_KEYS + ("theta_origami_vs_oracle",
-                  "theta_locus_vs_origami") + _ORIGAMI_KEYS + _CHORD_KEYS)
+# A cross_validate report's keys, in order.
+_KEYS = (("theta_locus_vs_oracle", "triple_angle_identity", "triple_angle_locus")
+         + _TRISECTION_KEYS + ("theta_origami_vs_oracle", "theta_locus_vs_origami")
+         + _ORIGAMI_KEYS + _CHORD_KEYS)
 
 
 def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidationReport:
-    """Trisect the same target through every available route and compare.
+    """Trisect the same target through every route and compare.
 
     Runs the locus solver, the origami reconstruction, the closed-form
     oracle, the triple-angle identity, and the chord diagram, then collects
@@ -173,10 +166,10 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
 
     The report's keys come in a fixed order: ``theta_locus_vs_oracle``,
     ``triple_angle_identity`` and ``triple_angle_locus``; ``trisection_``
-    and each ``verify_trisection`` key; below 90 degrees,
-    ``theta_origami_vs_oracle``, ``theta_locus_vs_origami``, then
-    ``origami_`` and each ``abe_verify`` key; last ``chord_`` and each
-    ``chord_residuals`` key, each route's keys in the route's own order.
+    and each ``verify_trisection`` key; ``theta_origami_vs_oracle`` and
+    ``theta_locus_vs_origami``; ``origami_`` and each ``abe_verify`` key;
+    last ``chord_`` and each ``chord_residuals`` key, each route's keys in
+    the route's own order. Every target in the domain gets every key.
     """
     params = LocusParams(a)
     # trisect checks the target domain; the routes below take its float.
@@ -189,23 +182,17 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     cos_t3 = math.cos(t3)
     values = [gap, _identity_residual(oracle, cos_t3), _identity_residual(locus, cos_t3)]
     values += verify_trisection(result, params).residuals.values()
-    if t3 < _HALF_PI:
-        construction = abe_construct(t3)
-        # The fold's estimate: H's polar angle, fold_angles' alpha.
-        hx, hy = construction.H
-        origami = math.atan2(hy, hx)
-        origami_gap = abs(origami - oracle)
-        cross_gap = abs(locus - origami)
-        values += origami_gap, cross_gap
-        values += abe_verify(construction).residuals.values()
-        keys = _KEYS_BELOW_90
-    else:
-        # No fold estimate at 90 degrees; tol > 0, so these never mismatch.
-        origami_gap = cross_gap = 0.0
-        keys = _KEYS_AT_90
+    construction = abe_construct(t3)
+    # The fold's estimate: H's polar angle, fold_angles' alpha.
+    hx, hy = construction.H
+    origami = math.atan2(hy, hx)
+    origami_gap = abs(origami - oracle)
+    cross_gap = abs(locus - origami)
+    values += origami_gap, cross_gap
+    values += abe_verify(construction).residuals.values()
     values += chord_residuals(chord_diagram(t3)).values()
 
-    report = CrossValidationReport(theta_locus, dict(zip(keys, values)))
+    report = CrossValidationReport(theta_locus, dict(zip(_KEYS, values)))
     if gap > tol:
         first, second = "locus", "oracle"
     elif cross_gap > tol:

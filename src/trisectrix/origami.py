@@ -53,17 +53,15 @@ class AbeConstruction(Value):
 
 
 def abe_construct(three_theta: AngleLike) -> AbeConstruction:
-    """Build the fold end state for a given angle in (0, pi/2), exclusive.
+    """Build the fold end state for a given angle in (0, pi/2].
 
     H sits on the first crease ``y = sin t`` (the corner maps onto it) and C
     sits on the ray at the full angle (the marked point maps onto it); both
-    land on the unit circle, which is what makes the three angles equal.
+    land on the unit circle, which is what makes the three angles equal. At
+    exactly pi/2, D = (0, 1) already lies on that ray, so the crease passes
+    through D and C = D, up to rounding.
     """
-    t3 = target_radians(
-        three_theta,
-        "origami construction requires an angle in (0, 90) degrees exclusive",
-        False,
-    )
+    t3 = target_radians(three_theta, "origami construction requires an angle in (0, 90] degrees")
     t = t3 / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
     cx, cy = math.cos(t3), math.sin(t3)

@@ -195,9 +195,12 @@ class TestOrigamiCommand:
             assert abs(payload["unit_length"] - 1.0) <= 1e-12
             assert abs(math.hypot(c["x"], c["y"]) - 1.0) <= 1e-12
 
-    def test_quarter_turn_exits_3(self, capsys):
-        code, _, _ = run(capsys, "origami", "--angle-deg", "90")
-        assert code == 3
+    def test_quarter_turn_exits_0(self, capsys):
+        code, out, _ = run(capsys, "origami", "--angle-deg", "90")
+        assert code == 0
+        payload = json.loads(out)
+        for key in ("theta_deg", "alpha_deg", "beta_deg", "gamma_deg"):
+            assert abs(payload[key] - 30.0) <= 1e-12, key
 
 
 class TestVerifyCommand:
@@ -248,10 +251,9 @@ class TestVerifyCommand:
         names = {name for r in reports.values() for name in r.residuals}
         assert set(payload["worst_residuals"]) == names
         for name in names:
-            # The largest magnitude over the checked angles that report it
-            # (no fold residual at 90 degrees), at the first angle to reach it.
-            value, deg = max((abs(r.residuals[name]), -deg) for deg, r in reports.items()
-                             if name in r.residuals)
+            # The largest magnitude over the checked angles, at the first
+            # angle to reach it.
+            value, deg = max((abs(r.residuals[name]), -deg) for deg, r in reports.items())
             assert payload["worst_residuals"][name] == {"value": value, "at_deg": -deg}
 
         code, text, _ = run(capsys, "verify", "--tol", "1e-17")

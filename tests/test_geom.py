@@ -90,8 +90,6 @@ class TestTargetRadians:
         assert target_radians(0.5 * math.pi, "d") == 0.5 * math.pi
         with pytest.raises(AngleOutOfRange, match=r"^d, got 450$"):
             target_radians(math.radians(450.0), "d")
-        with pytest.raises(AngleOutOfRange, match=r"^d, got 90$"):
-            target_radians(0.5 * math.pi, "d", quarter_turn=False)
         with pytest.raises(AngleOutOfRange, match=r"^d, got nan$"):
             target_radians(math.nan, "d")
         with pytest.raises(AngleOutOfRange):

@@ -843,9 +843,9 @@ def test_float_fast_path_matches_the_as_float_path(target, log_a, tol):
     )
 
 
-def _target_outcome(value, quarter_turn):
+def _target_outcome(value):
     try:
-        return repr(target_radians(value, "d", quarter_turn))
+        return repr(target_radians(value, "d"))
     except AngleOutOfRange as exc:
         return f"AngleOutOfRange: {exc}"
 
@@ -853,10 +853,8 @@ def _target_outcome(value, quarter_turn):
 @given(x=st.floats())
 @settings(deadline=None, max_examples=500)
 def test_target_radians_float_fast_path_matches_the_as_float_path(x):
-    # The same for the target check alone, NaN and the infinities included,
-    # at both target domains.
-    for quarter_turn in (True, False):
-        assert _target_outcome(x, quarter_turn) == _target_outcome(_Float(x), quarter_turn)
+    # The same for the target check alone, NaN and the infinities included.
+    assert _target_outcome(x) == _target_outcome(_Float(x))
 
 
 def test_int_targets_keep_their_result_and_error():
@@ -993,8 +991,7 @@ def count_grid():
            _builds(lambda: cross_validate(math.radians(60.0), 1.0, 1e-12)))
 
     # Each route once, the target checked once by each route that builds
-    # from it, and the fold's angles measured once, by abe_verify; at 90 deg
-    # no fold route runs.
+    # from it, and the fold's angles measured once, by abe_verify.
     for degrees in (60.0, 90.0):
         yield (f"cross_validate {degrees:g} deg, fold 1, tol 1e-12: calls",
                _lines(counted(lambda: cross_validate(math.radians(degrees), 1.0, 1e-12))))

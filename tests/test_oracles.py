@@ -5,16 +5,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pins
 
 from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
-from trisectrix.geom import Angle, target_radians
+from trisectrix.geom import _HALF_PI, Angle, target_radians
 from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
     _CHORD_KEYS,
-    _HALF_PI,
+    _KEYS,
     _ORIGAMI_KEYS,
     _TRISECTION_KEYS,
     CrossValidationReport,
@@ -185,14 +185,12 @@ class TestCrossValidate:
             assert math.degrees(report.residuals[gap]) <= 1e-8
         assert report.passes(1e-10), report.worst()
 
-    def test_quarter_turn_skips_fold_only(self):
+    def test_quarter_turn_runs_every_route(self):
+        # The fold covers exactly 90 degrees too: the report holds every
+        # route's keys, in order.
         report = cross_validate(Angle.from_degrees(90.0), 0.5, 1e-10)
-        # The fold construction excludes exactly 90 degrees: no origami residual.
-        assert not any(name.startswith("origami_") for name in report.residuals)
-        assert "theta_origami_vs_oracle" not in report.residuals
-        assert "theta_locus_vs_origami" not in report.residuals
+        assert tuple(report.residuals) == _KEYS
         assert abs(report.theta_locus.degrees - 30.0) <= 1e-8
-        assert any(name.startswith("chord_") for name in report.residuals)
         assert report.passes(1e-10)
 
     def test_least_subnormal_target_keeps_its_report(self):
@@ -281,8 +279,7 @@ class TestCrossValidate:
     @pytest.mark.parametrize("degrees", [60.0, 90.0])
     def test_calls_each_route_once(self, monkeypatch, degrees):
         # The benchmark's per-layer spans wrap these names in the oracles
-        # module; each must be called through it, once per call, and the
-        # fold routes not at all at 90 degrees.
+        # module; each must be called through it, once per call.
         import trisectrix.oracles as oracles
 
         calls = {}
@@ -296,25 +293,20 @@ class TestCrossValidate:
 
             monkeypatch.setattr(oracles, name, counted)
         cross_validate(math.radians(degrees), 1.0, 1e-12)
-        expected = {"trisect": 1, "verify_trisection": 1, "chord_diagram": 1,
-                    "chord_residuals": 1}
-        if degrees < 90.0:
-            expected.update(abe_construct=1, abe_verify=1)
-        assert calls == expected
+        assert calls == {"trisect": 1, "verify_trisection": 1, "abe_construct": 1,
+                         "abe_verify": 1, "chord_diagram": 1, "chord_residuals": 1}
 
     @pytest.mark.parametrize("degrees", [60.0, 90.0])
     def test_report_key_order(self, degrees):
         # The oracle and triple-angle keys, then each route's own keys in its
-        # own order under its prefix; the fold's only below 90 degrees.
+        # own order under its prefix.
         t3 = math.radians(degrees)
         params = LocusParams(1.0)
         expected = ["theta_locus_vs_oracle", "triple_angle_identity", "triple_angle_locus"]
         expected += ["trisection_" + name
                      for name in verify_trisection(trisect(t3, params), params).residuals]
-        if degrees < 90.0:
-            expected += ["theta_origami_vs_oracle", "theta_locus_vs_origami"]
-            expected += ["origami_" + name
-                         for name in abe_verify(abe_construct(t3)).residuals]
+        expected += ["theta_origami_vs_oracle", "theta_locus_vs_origami"]
+        expected += ["origami_" + name for name in abe_verify(abe_construct(t3)).residuals]
         expected += ["chord_" + name for name in chord_residuals(chord_diagram(t3))]
         report = cross_validate(t3, 1.0, 1e-12)
         assert tuple(report.residuals) == tuple(expected)
@@ -325,9 +317,9 @@ class TestCrossValidate:
 def test_routes_keep_a_float_target_exactly_or_reject_it(x):
     # Over the whole float range, NaN and the infinities included, each
     # route keeps the target bit for bit or raises AngleOutOfRange, never a
-    # reduced angle. The fold's domain is open, so it also rejects pi/2. The
-    # solver's result and each construction store the float, and the
-    # division oracle returns exactly its third.
+    # reduced angle, and every route accepts the same floats. The solver's
+    # result and each construction store the float, and the division oracle
+    # returns exactly its third.
     accepted = []
     for route, kept in ((lambda v: trisect(v, LocusParams(1.0)).three_theta, x),
                         (lambda v: chord_diagram(v).three_theta, x),
@@ -342,8 +334,7 @@ def test_routes_keep_a_float_target_exactly_or_reject_it(x):
             assert got.hex() == kept.hex()
             accepted.append(True)
     solved, chord, fold, oracle = accepted
-    assert chord == oracle == solved
-    assert fold == (solved and x != 0.5 * math.pi)
+    assert fold == chord == oracle == solved
 
 
 def _fold_residuals(c):
@@ -352,7 +343,7 @@ def _fold_residuals(c):
 
 @pytest.mark.parametrize("construct, residuals, degrees", [
     *(pytest.param(abe_construct, _fold_residuals, d, id=f"fold-{d:g}")
-      for d in (1.0, 30.0, 60.0, 89.0)),
+      for d in (1.0, 30.0, 60.0, 89.0, 90.0)),
     *(pytest.param(chord_diagram, chord_residuals, d, id=f"chord-{d:g}")
       for d in (1.0, 30.0, 60.0, 89.0, 90.0)),
 ])
@@ -387,9 +378,7 @@ def route_grid():
     degrees += [90.0 * (1.0 - rng.random()) for _ in range(210)]
     for i, deg in enumerate(degrees):
         t3 = math.radians(deg) if i % 2 else Angle.from_degrees(deg)
-        lines = [_outcome(abe_construct, t3)]
-        if deg < 90.0:
-            lines.append(_outcome(abe_verify, abe_construct(t3)))
+        lines = [_outcome(abe_construct, t3), _outcome(abe_verify, abe_construct(t3))]
         diagram = chord_diagram(t3)
         lines += [repr(diagram), repr(chord_residuals(diagram))]
         for a in (0.1, 1.0, 7.5):
@@ -470,6 +459,28 @@ def _reference_cross_validate(three_theta, a, tol):
     )
 
 
+# The fold's keys: the reference built its report without them at exactly
+# 90 degrees, where it ran no fold route.
+_FOLD_KEYS = ("theta_origami_vs_oracle", "theta_locus_vs_origami") + _ORIGAMI_KEYS
+
+
+def _without_fold_keys(report):
+    """The full report, every key in order, with the fold's keys left out."""
+    assert tuple(report.residuals) == _KEYS
+    return CrossValidationReport(report.theta_locus, {
+        name: value for name, value in report.residuals.items() if name not in _FOLD_KEYS})
+
+
+def _cross_validate_without_fold_keys(three_theta, a, tol):
+    """cross_validate, its returned or attached report without the fold's
+    keys."""
+    try:
+        return _without_fold_keys(cross_validate(three_theta, a, tol))
+    except MismatchDetected as exc:
+        exc.report = _without_fold_keys(exc.report)
+        raise
+
+
 def _log_uniform(low, high):
     return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
         lambda x: min(max(math.exp(x), low), high))
@@ -481,9 +492,15 @@ def _log_uniform(low, high):
     a=_log_uniform(FOLD_MIN, FOLD_MAX),
     tol=_log_uniform(1e-17, 1e-3),
 )
+@example(target=0.5 * math.pi, a=1.0, tol=1e-12)
+@example(target=0.5 * math.pi, a=1e-3, tol=1e-16)
 @settings(deadline=None, max_examples=500)
 def test_cross_validate_matches_reference(target, a, tol):
     # The same report repr, or the same error type, message and attached
-    # report (or result, after a bracket collapse), for every input.
-    assert _outcome(cross_validate, target, a, tol) == _outcome(
+    # report (or result, after a bracket collapse), for every input. At
+    # exactly 90 degrees the reference ran no fold route, so there the
+    # report, returned or attached, must be the reference's once the fold's
+    # keys are left out: the same keys in the same order, with the same bits.
+    route = cross_validate if target < _HALF_PI else _cross_validate_without_fold_keys
+    assert _outcome(route, target, a, tol) == _outcome(
         _reference_cross_validate, target, a, tol)

@@ -21,9 +21,13 @@ ORIGIN = (0.0, 0.0)
 
 
 class TestConstruct:
-    def test_rejected_at_quarter_turn_exactly(self):
-        with pytest.raises(AngleOutOfRange):
-            abe_construct(Angle.from_degrees(90.0))
+    def test_quarter_turn_folds_d_onto_itself(self):
+        # At exactly 90 degrees D already lies on the target ray, so the
+        # crease passes through D and its image C is D.
+        for target in (math.pi / 2, Angle(math.pi / 2)):
+            c = abe_construct(target)
+            assert math.dist(c.C, c.D) <= 1e-15
+            assert abe_verify(c).passes(1e-15)
 
     def test_rejected_at_zero_and_beyond(self):
         with pytest.raises(AngleOutOfRange):
