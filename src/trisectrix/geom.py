@@ -49,9 +49,9 @@ def as_positive(value: float, name: str) -> float:
 
 class Value:
     """Base of the library's value types. A subclass names its fields in
-    ``__slots__`` and sets them in ``__init__``; this supplies the repr and a
-    field-wise equality that holds only between instances of one class.
-    Values are not hashable.
+    ``__slots__`` and sets them in ``__init__``; this supplies the repr.
+    Values compare and hash by identity, as plain objects do: compare their
+    fields or reprs to compare contents.
 
     Callers may pass fields by keyword; the library passes them by position,
     as a keyword call costs 2-3x as much on CPython 3.11 (TrisectionResult:
@@ -62,14 +62,6 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = self.__slots__
-        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
-
-    __hash__ = None
 
 
 def wrap_signed(radians: float) -> float:
@@ -117,12 +109,13 @@ class Angle(Value):
 AngleLike = Angle | float | int
 
 
-def target_radians(value: AngleLike, domain: str) -> float:
+def target_radians(value: AngleLike) -> float:
     """``value`` in radians, as a float, if it lies in (0, pi/2]; otherwise
-    AngleOutOfRange, its message ``domain`` followed by the value in
-    degrees. A raw number is checked as given, so 450 degrees is out of
-    range, not 90. A plain float is taken as it is, the solver's common
-    case; any other number goes through ``as_float``."""
+    AngleOutOfRange "trisection target must lie in (0, 90] degrees, got
+    <degrees>", one wording for every route. A raw number is checked as
+    given, so 450 degrees is out of range, not 90. A plain float is taken as
+    it is, the solver's common case; any other number goes through
+    ``as_float``."""
     if type(value) is float:
         r = value
     elif isinstance(value, Angle):
@@ -130,7 +123,8 @@ def target_radians(value: AngleLike, domain: str) -> float:
     else:
         r = as_float(value)
     if not 0.0 < r <= _HALF_PI:
-        raise AngleOutOfRange(f"{domain}, got {math.degrees(r):.6g}")
+        raise AngleOutOfRange(
+            f"trisection target must lie in (0, 90] degrees, got {math.degrees(r):.6g}")
     return r
 
 

@@ -284,7 +284,7 @@ def trisect(
     MaxIterationsExceeded (best result attached) if 64 doublings find no upper
     bracket or the bracket shrinks to two adjacent floats before reaching tol.
     """
-    target = target_radians(three_theta, "trisection target must lie in (0, 90] degrees")
+    target = target_radians(three_theta)
     if not (type(tol) is float and 0.0 < tol < math.inf):
         tol = as_positive(tol, "tol")
 
@@ -324,11 +324,13 @@ def trisect(
         if f_hi < 0.0:
             break
     else:
-        qx, qy = _q_coords(a, hi)
+        # No step broke out, and the last one was evaluated, as b_pos is at
+        # most a/tan(1e-12/3), about 3e12*a, far below the final
+        # hi = 2**64 * sqrt(3) * a: qx, qy and f_hi are hi's.
         raise MaxIterationsExceeded(
             f"no upper bracket below target {math.degrees(target)!r} deg within "
             f"{_MAX_DOUBLINGS} doublings",
-            result=_result(target, a, hi, qx, qy, 0, hi - lo, math.atan2(qy, qx) - target),
+            result=_result(target, a, hi, qx, qy, 0, hi - lo, f_hi),
         )
 
     # An endpoint moves only to a skipped mid on its own side, or to an

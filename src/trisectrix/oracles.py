@@ -53,7 +53,7 @@ def oracle_theta(three_theta: AngleLike) -> float:
     """Ground-truth trisected angle in radians, as a float: one floating
     division by three of a target checked as given, AngleOutOfRange outside
     (0, 90] degrees."""
-    t3 = target_radians(three_theta, "division oracle requires an angle in (0, 90] degrees")
+    t3 = target_radians(three_theta)
     return t3 / 3.0
 
 
@@ -74,7 +74,7 @@ def chord_diagram(three_theta: AngleLike) -> ChordDiagram:
     on the circle. At exactly 90 degrees E closes onto A and the three
     chords are all one half.
     """
-    t3 = target_radians(three_theta, "chord diagram requires an angle in (0, 90] degrees")
+    t3 = target_radians(three_theta)
     t = t3 / 3.0
 
     fx, fy = math.cos(t3), math.sin(t3)

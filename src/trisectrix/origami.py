@@ -61,7 +61,7 @@ def abe_construct(three_theta: AngleLike) -> AbeConstruction:
     exactly pi/2, D = (0, 1) already lies on that ray, so the crease passes
     through D and C = D, up to rounding.
     """
-    t3 = target_radians(three_theta, "origami construction requires an angle in (0, 90] degrees")
+    t3 = target_radians(three_theta)
     t = t3 / 3.0
     sin_t, cos_t = math.sin(t), math.cos(t)
     cx, cy = math.cos(t3), math.sin(t3)

@@ -83,17 +83,18 @@ class TestDomainTypes:
 
 class TestTargetRadians:
     def test_checks_the_value_as_given(self):
-        radians = target_radians(Angle(0.5), "d")
+        radians = target_radians(Angle(0.5))
         assert type(radians) is float and radians == 0.5
-        one = target_radians(1, "d")
+        one = target_radians(1)
         assert type(one) is float and one == 1.0
-        assert target_radians(0.5 * math.pi, "d") == 0.5 * math.pi
-        with pytest.raises(AngleOutOfRange, match=r"^d, got 450$"):
-            target_radians(math.radians(450.0), "d")
-        with pytest.raises(AngleOutOfRange, match=r"^d, got nan$"):
-            target_radians(math.nan, "d")
+        assert target_radians(0.5 * math.pi) == 0.5 * math.pi
+        domain = r"^trisection target must lie in \(0, 90\] degrees, got "
+        with pytest.raises(AngleOutOfRange, match=domain + "450$"):
+            target_radians(math.radians(450.0))
+        with pytest.raises(AngleOutOfRange, match=domain + "nan$"):
+            target_radians(math.nan)
         with pytest.raises(AngleOutOfRange):
-            target_radians(Angle(0.0), "d")
+            target_radians(Angle(0.0))
 
 
 # Each entry point that converts a number, with the error an infinity or a

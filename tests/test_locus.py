@@ -4,6 +4,7 @@ import collections
 import contextlib
 import copy
 import io
+import itertools
 import math
 import os
 import random
@@ -156,7 +157,7 @@ class TestLocusPoint:
         b = SQRT3 * (1.0 - 1e-13)
         lp = locus_point(LocusParams(1.0), b)
         assert -1e-12 < lp.q.x < 0.0
-        assert sample_locus(LocusParams(1.0), b, 10.0, 2)[0].q == lp.q
+        assert repr(sample_locus(LocusParams(1.0), b, 10.0, 2)[0].q) == repr(lp.q)
 
     def test_crossing_point_matches_triple_angle(self):
         # a = sin(t), b = cos(t) puts Q at (cos 3t, sin 3t).
@@ -415,7 +416,7 @@ class TestTrisect:
                 for tol in (1e-15, 1e-12, 1e-9, 1e-4):
                     r = trisect(Angle(target), LocusParams(a), tol=tol)
                     qx, qy = _q_coords(a, r.b_star)
-                    assert r.n_point == Point2(qx, qy)
+                    assert (r.n_point.x, r.n_point.y) == (qx, qy)
                     assert r.angle_residual == math.atan2(qy, qx) - target
 
     def test_matches_division_oracle_for_random_targets(self):
@@ -491,7 +492,7 @@ class TestTrisect:
         if report is None:
             assert scaled_report is None
         else:
-            assert scaled_report.theta_locus == report.theta_locus
+            assert scaled_report.theta_locus.radians == report.theta_locus.radians
             assert repr(scaled_report.residuals) == repr(
                 _scaled(report.residuals, k, _CROSS_VALIDATION_POWERS))
 
@@ -676,10 +677,11 @@ class TestVerifyTrisection:
         assert name == "on_vs_unit_length" and math.isnan(value)
 
 
-def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
+def _reference_trisect(three_theta, params, tol=1e-12):
     """Plain bisection that evaluates the curve at every midpoint: the
-    solver as it was before it skipped provable steps, kept verbatim as the
-    oracle the fast path must reproduce bit for bit."""
+    solver as it was before it skipped provable steps, kept verbatim (bar a
+    step budget that no input reached, every bracket collapsing within 55
+    steps) as the oracle the fast path must reproduce bit for bit."""
     target = (three_theta.radians if isinstance(three_theta, Angle)
               else float(three_theta))
     if not 0.0 < target <= 0.5 * math.pi:
@@ -689,8 +691,6 @@ def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
         )
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
     a = params.a
     stop = 0.5 * tol
@@ -738,9 +738,7 @@ def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
             result=build(hi, 0, hi - lo, f_hi),
         )
 
-    mid = lo
-    f_mid = f_lo
-    for iteration in range(1, max_iter + 1):
+    for iteration in itertools.count(1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             f_lo, f_hi = f(lo), f(hi)
@@ -758,11 +756,6 @@ def _reference_trisect(three_theta, params, tol=1e-12, max_iter=200):
             lo = mid
         else:
             hi = mid
-    raise MaxIterationsExceeded(
-        f"bisection did not reach tol={tol!r} rad in {max_iter} iterations "
-        f"(|residual| = {abs(f_mid)!r})",
-        result=build(mid, max_iter, hi - lo, f_mid),
-    )
 
 
 def _outcome(solve, target, params, tol):
@@ -845,7 +838,7 @@ def test_float_fast_path_matches_the_as_float_path(target, log_a, tol):
 
 def _target_outcome(value):
     try:
-        return repr(target_radians(value, "d"))
+        return repr(target_radians(value))
     except AngleOutOfRange as exc:
         return f"AngleOutOfRange: {exc}"
 

@@ -394,7 +394,7 @@ def test_route_outputs_bit_identical():
 
 def _reference_oracle_theta(three_theta):
     """The division oracle as it was when it returned an Angle."""
-    t3 = target_radians(three_theta, "division oracle requires an angle in (0, 90] degrees")
+    t3 = target_radians(three_theta)
     return Angle(t3 / 3.0)
 
 
@@ -406,15 +406,16 @@ def _reference_triple_angle_residual(theta, three_theta):
     if not 0.0 <= t <= _HALF_PI:
         raise AngleOutOfRange(
             f"triple-angle identity requires theta in [0, 90] degrees, got {math.degrees(t):.6g}")
-    t3 = target_radians(three_theta, "triple-angle identity requires an angle in (0, 90] degrees")
+    t3 = target_radians(three_theta)
     c = math.cos(t)
     return abs(math.cos(t3) - (4.0 * c * c * c - 3.0 * c))
 
 
 def _reference_cross_validate(three_theta, a, tol):
     """cross_validate as it was before it did each piece of work once, kept
-    verbatim (bar the two helpers above) as the oracle the one-pass report
-    must reproduce bit for bit."""
+    verbatim (bar the two helpers above, and running the fold at every
+    target as the domain now allows) as the oracle the one-pass report must
+    reproduce bit for bit."""
     params = LocusParams(a)
     # trisect checks the target domain; the routes below take its float.
     result = trisect(three_theta, params, tol)
@@ -430,17 +431,13 @@ def _reference_cross_validate(three_theta, a, tol):
         "triple_angle_locus": _reference_triple_angle_residual(theta_locus, t3),
     }
     residuals.update(zip(_TRISECTION_KEYS, verify_trisection(result, params).residuals.values()))
-    if t3 < _HALF_PI:
-        construction = abe_construct(t3)
-        origami = fold_angles(construction)[0]
-        origami_gap = abs(origami - oracle)
-        cross_gap = abs(locus - origami)
-        residuals["theta_origami_vs_oracle"] = origami_gap
-        residuals["theta_locus_vs_origami"] = cross_gap
-        residuals.update(zip(_ORIGAMI_KEYS, abe_verify(construction).residuals.values()))
-    else:
-        # No fold estimate at 90 degrees; tol > 0, so these never mismatch.
-        origami_gap = cross_gap = 0.0
+    construction = abe_construct(t3)
+    origami = fold_angles(construction)[0]
+    origami_gap = abs(origami - oracle)
+    cross_gap = abs(locus - origami)
+    residuals["theta_origami_vs_oracle"] = origami_gap
+    residuals["theta_locus_vs_origami"] = cross_gap
+    residuals.update(zip(_ORIGAMI_KEYS, abe_verify(construction).residuals.values()))
     residuals.update(zip(_CHORD_KEYS, chord_residuals(chord_diagram(t3)).values()))
 
     report = CrossValidationReport(theta_locus, residuals)
@@ -459,28 +456,6 @@ def _reference_cross_validate(three_theta, a, tol):
     )
 
 
-# The fold's keys: the reference built its report without them at exactly
-# 90 degrees, where it ran no fold route.
-_FOLD_KEYS = ("theta_origami_vs_oracle", "theta_locus_vs_origami") + _ORIGAMI_KEYS
-
-
-def _without_fold_keys(report):
-    """The full report, every key in order, with the fold's keys left out."""
-    assert tuple(report.residuals) == _KEYS
-    return CrossValidationReport(report.theta_locus, {
-        name: value for name, value in report.residuals.items() if name not in _FOLD_KEYS})
-
-
-def _cross_validate_without_fold_keys(three_theta, a, tol):
-    """cross_validate, its returned or attached report without the fold's
-    keys."""
-    try:
-        return _without_fold_keys(cross_validate(three_theta, a, tol))
-    except MismatchDetected as exc:
-        exc.report = _without_fold_keys(exc.report)
-        raise
-
-
 def _log_uniform(low, high):
     return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
         lambda x: min(max(math.exp(x), low), high))
@@ -497,10 +472,7 @@ def _log_uniform(low, high):
 @settings(deadline=None, max_examples=500)
 def test_cross_validate_matches_reference(target, a, tol):
     # The same report repr, or the same error type, message and attached
-    # report (or result, after a bracket collapse), for every input. At
-    # exactly 90 degrees the reference ran no fold route, so there the
-    # report, returned or attached, must be the reference's once the fold's
-    # keys are left out: the same keys in the same order, with the same bits.
-    route = cross_validate if target < _HALF_PI else _cross_validate_without_fold_keys
-    assert _outcome(route, target, a, tol) == _outcome(
+    # report (or result, after a bracket collapse), for every input, exactly
+    # 90 degrees included: every key in the same order, with the same bits.
+    assert _outcome(cross_validate, target, a, tol) == _outcome(
         _reference_cross_validate, target, a, tol)

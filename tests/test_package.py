@@ -12,8 +12,6 @@ import re
 import subprocess
 import sys
 
-import pytest
-
 import trisectrix
 from trisectrix.cli import main
 from trisectrix.geom import Angle, Point2, Value
@@ -93,17 +91,14 @@ def test_value_types_are_slotted_and_keep_post_init():
     assert "__post_init__" in Angle.__dict__
 
 
-def test_values_are_unhashable_and_equal_field_by_field_within_one_class():
+def test_values_rebuild_from_their_fields_by_keyword_and_compare_by_identity():
     for value in _values():
         cls = type(value)
-        with pytest.raises(TypeError):
-            hash(value)
-        # Every type builds from its fields by keyword, into an equal value.
+        # Every type builds from its fields by keyword, into a value of the
+        # same repr; values compare and hash by identity.
         rebuilt = cls(**{name: getattr(value, name) for name in cls.__slots__})
-        assert rebuilt == value and not rebuilt != value, cls.__name__
-    assert Angle(1.0) == Angle(1.0) and Angle(1.0) != Angle(2.0)
-    assert Angle(1.0) != LocusParams(1.0)
-    assert Point2(0.0, 1.0) != (0.0, 1.0)
+        assert repr(rebuilt) == repr(value), cls.__name__
+        assert rebuilt != value and len({rebuilt, value}) == 2, cls.__name__
     # A report holds only its checked residuals.
     assert VerificationReport.__slots__ == ("residuals",)
 
@@ -292,3 +287,40 @@ def test_library_builds_values_positionally():
                 if name in values:
                     keyworded.append(f"{path.name}:{call.lineno} {name}")
     assert keyworded == []
+
+
+def _divisions_by_three(node, scope):
+    """``module.function`` for each division of a computed value by the
+    literal 3 under ``node``, ``scope`` naming the enclosing function. A
+    constant over 3, such as the cube-root exponent 1.0 / 3.0, divides no
+    angle and is left out."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, ast.FunctionDef):
+            inner = f"{scope.split('.')[0]}.{child.name}"
+        elif (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Div)
+              and isinstance(child.right, ast.Constant) and child.right.value == 3
+              and not isinstance(child.left, ast.Constant)):
+            yield scope
+        yield from _divisions_by_three(child, inner)
+
+
+def test_only_the_listed_functions_divide_by_three():
+    # The paper trisects "without any measurements": the curve, not a
+    # division, gives the third. oracle_theta is the one site meant to stay,
+    # the ground truth the other routes are compared with; each other site
+    # is a route that still takes its third from the oracle's arithmetic and
+    # leaves this list once it reads the third off the curve or the fold. A
+    # new division by three fails here.
+    sites = sorted(
+        site
+        for path in PACKAGE.glob("*.py")
+        for site in _divisions_by_three(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    )
+    assert sites == [
+        "cli.cmd_origami",
+        "locus.trisect", "locus.trisect",
+        "oracles.chord_diagram", "oracles.chord_residuals", "oracles.oracle_theta",
+        "origami.abe_construct", "origami.abe_verify",
+    ]
