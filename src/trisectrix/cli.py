@@ -78,12 +78,17 @@ _FLAGS = {
 def _target(args: argparse.Namespace) -> float:
     """``--angle-deg`` in radians. Every route checks its target itself; this
     check exists only so that the message names the flag and its degrees as
-    given."""
-    if not 0.0 < args.angle_deg <= 90.0:
+    given. It checks the degrees, not their radians, so that the bound is
+    90 exactly, whatever the rounding of the conversion. Positive degrees up
+    to 1.4e-322 convert to 0 radians and are rejected here too."""
+    degrees = args.angle_deg
+    if not 0.0 < degrees <= 90.0:
+        raise AngleOutOfRange(f"--angle-deg must lie in (0, 90] degrees, got {degrees!r}")
+    radians = math.radians(degrees)
+    if radians == 0.0:
         raise AngleOutOfRange(
-            f"--angle-deg must lie in (0, 90] degrees, got {args.angle_deg!r}"
-        )
-    return math.radians(args.angle_deg)
+            f"--angle-deg {degrees!r} converts to 0 radians; the least it takes is 1.43e-322")
+    return radians
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -274,9 +279,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IO
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())

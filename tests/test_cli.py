@@ -74,13 +74,22 @@ class TestTrisectCommand:
     @pytest.mark.parametrize("command,degrees", [
         ("trisect", "450"), ("trisect", "-270"), ("origami", "420"),
         ("trisect", "90.0000001"), ("trisect", "nan"), ("render", "450"),
+        ("trisect", "5e-324"), ("origami", "1e-322"), ("render", "1.4e-322"),
     ])
     def test_wrapped_angles_exit_3(self, capsys, command, degrees):
-        # The flag is checked as given: 450 degrees is a domain error, not 90.
+        # The flag is checked as given: 450 degrees is a domain error, not 90,
+        # and so is a positive angle that converts to 0 radians.
         code, out, err = run(capsys, command, f"--angle-deg={degrees}")
         assert code == 3
         assert out == ""
         assert "domain error" in err and "--angle-deg" in err
+
+    def test_least_angle_is_the_least_radian_float(self, capsys):
+        # The float below 1.43e-322 degrees, 1.4e-322, converts to 0 radians.
+        assert math.nextafter(1.43e-322, 0.0) == 1.4e-322
+        code, out, _ = run(capsys, "trisect", "--angle-deg", "1.43e-322")
+        assert code == 0
+        assert json.loads(out)["three_theta_rad"] == 5e-324
 
     @pytest.mark.parametrize("fold", ["1e-200", "1e-160", "1e140", "1e155"])
     def test_fold_outside_range_exits_3(self, capsys, fold):

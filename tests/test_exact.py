@@ -43,21 +43,19 @@ def test_curve_point_satisfies_the_paper_identities_exactly(a, ratio):
     assert (k * b, 2 * a + k * a) == (x, y)
 
 
-def _certified(a, b_star, phi, theta, angle_term):
-    """Whether the crossing at ``b_star`` is certified for the target
-    ``phi``: the root of the paper's cubic on the float ray (cos phi,
-    sin phi) lies within delta of s = a/b*, the slope of J.
+def _certified(s, phi, d):
+    """Whether the slope ``s`` of J is certified for the target ``phi``: the
+    root of the paper's cubic on the float ray (cos phi, sin phi) lies
+    within delta of s.
 
     Q's direction is (1 + i*s)^3, so on the ray through (x, y) the crossing
     is the root of p(s) = y(1 - 3s^2) - x*s(3 - s^2), which is strictly
     decreasing on [0, 1]; p(s - delta) >= 0 >= p(s + delta), evaluated over
     Fractions, puts the root within delta of s. An error d in theta = atan s
-    is an error (1 + s^2)*d in s, and d is ``angle_term`` (the solver's stop
-    on 3*theta, divided by 3) plus 4 ulp of theta and 2.3e-16 for the
-    rounding of cos phi and sin phi, padded by a relative 1e-9."""
+    is an error (1 + s^2)*d in s. The budget d for a crossing is the
+    solver's stop on 3*theta, divided by 3, plus 4 ulp of theta and 2.3e-16
+    for the rounding of cos phi and sin phi, padded by a relative 1e-9."""
     x, y = Fraction(math.cos(phi)), Fraction(math.sin(phi))
-    s = Fraction(a) / Fraction(b_star)
-    d = angle_term + 4 * math.ulp(theta) + 2.3e-16
     delta = (1 + s * s) * Fraction(d * (1 + 1e-9))
 
     def p(s):
@@ -81,19 +79,29 @@ def test_every_solve_is_certified_by_the_cubic(target, a, tol):
     # A result stops within tol/2 of the target on 3*theta, so within tol/6
     # on theta; a result attached to MaxIterationsExceeded (the bracket's
     # collapse, or no upper bracket) is as far off as its angle_residual.
+    # Both b* (through s = a/b*) and theta (through s = tan theta, one
+    # rounding more) are certified.
     try:
         r = trisect(target, LocusParams(a), tol)
         angle_term = tol / 6
     except MaxIterationsExceeded as exc:
         r = exc.result
         angle_term = abs(r.angle_residual) / 3
-    assert _certified(a, r.b_star, r.three_theta, r.theta.radians, angle_term)
+    theta = r.theta.radians
+    d = angle_term + 4 * math.ulp(theta) + 2.3e-16
+    assert _certified(Fraction(a) / Fraction(r.b_star), r.three_theta, d)
+    assert _certified(Fraction(math.tan(theta)), r.three_theta, d + math.ulp(theta))
 
 
 def test_certificate_rejects_a_moved_crossing():
-    # The budget is tight enough to see a b* moved by a relative 1e-9.
+    # The budget is tight enough to see b* or theta moved by a relative 1e-9.
     target, tol = math.radians(60.0), 1e-12
     r = trisect(target, LocusParams(1.0), tol)
-    assert _certified(1.0, r.b_star, target, r.theta.radians, tol / 6)
+    theta = r.theta.radians
+    d = tol / 6 + 4 * math.ulp(theta) + 2.3e-16
+    assert _certified(1 / Fraction(r.b_star), target, d)
+    assert _certified(Fraction(math.tan(theta)), target, d + math.ulp(theta))
     for factor in (1.0 - 1e-9, 1.0 + 1e-9):
-        assert not _certified(1.0, r.b_star * factor, target, r.theta.radians, tol / 6)
+        assert not _certified(1 / Fraction(r.b_star * factor), target, d)
+        assert not _certified(Fraction(math.tan(theta * factor)), target,
+                              d + math.ulp(theta))

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trisectrix.errors import AngleOutOfRange, ParameterOutOfRange, TrisectrixError
+from test_oracles import _examples, _outcome
+
+from trisectrix.errors import AngleOutOfRange, ParameterOutOfRange
 from trisectrix.geom import (
     Angle,
     Point2,
-    as_float,
     distance,
     target_radians,
     wrap_signed,
@@ -26,51 +27,34 @@ coords = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
 
 
-class TestAngle:
-    def test_rejects_outside_full_turn(self):
-        # Rejected, not reduced: 3*pi is never read as pi.
-        for x in (-0.5, -1e-300, TWO_PI, 3.0 * math.pi, 7.0, 1e300, -1e300):
-            with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
-                Angle(x)
+class _Float(float):
+    """A float that is not ``type(x) is float``, so it is converted through
+    ``as_float`` instead of being taken as it is."""
 
+
+class TestAngle:
     def test_degrees_round_trip(self):
         a = Angle.from_degrees(60.0)
         assert a.degrees == pytest.approx(60.0, abs=1e-12)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Angle(float("nan"))
-        with pytest.raises(ValueError):
-            Angle(float("inf"))
-        with pytest.raises(ValueError):
-            Angle(float("-inf"))
-
-    def test_stored_value_is_input_float_bit_for_bit(self):
-        # In-range floats skip the conversion; every accepted input must
-        # still store exactly float(x), as a plain float.
-        class Radians(float):
-            pass
-
-        values = [0, 1, True, False, -0.0, 0.0, 1e-300, 1.5,
-                  math.nextafter(TWO_PI, 0.0), Radians(1.5)]
-        for x in values:
-            got = Angle(x).radians
-            assert type(got) is float
-            assert got.hex() == float(x).hex(), x
-        for x in (7, -3, TWO_PI, math.nextafter(TWO_PI, 10.0), -TWO_PI, Radians(7.0)):
-            with pytest.raises(ValueError):
-                Angle(x)
-
     @given(x=st.floats())
+    @_examples("x", -0.5, -1e-300, -0.0, 0.0, 1e-300, 1.5, math.nextafter(TWO_PI, 0.0),
+               TWO_PI, math.nextafter(TWO_PI, 10.0), -TWO_PI, 3.0 * math.pi, 7.0, 1e300,
+               -1e300, math.nan, math.inf, -math.inf)
     @settings(deadline=None, max_examples=500)
     def test_any_float_is_stored_exactly_or_rejected(self, x):
-        # NaN and the infinities included: never a different value.
-        try:
-            got = Angle(x).radians
-        except ValueError:
-            assert not 0.0 <= x < TWO_PI
-        else:
-            assert got.hex() == x.hex()
+        # Exactly [0, 2*pi) is accepted and stored bit for bit as a plain
+        # float, from a float subclass too; anything else is rejected, not
+        # reduced, so 3*pi is never read as pi.
+        for value in (x, _Float(x)):
+            try:
+                got = Angle(value).radians
+            except ValueError as exc:
+                assert not 0.0 <= x < TWO_PI
+                assert str(exc) == f"angle must lie in [0, 2*pi) radians, got {x!r}"
+            else:
+                assert 0.0 <= x < TWO_PI
+                assert type(got) is float and got.hex() == x.hex()
 
 
 class TestDomainTypes:
@@ -116,47 +100,47 @@ NUMERIC_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
-def test_int_beyond_float_range_raises_as_infinity(entry, sign):
-    # 10**400 has no float; it is rejected as the infinity of its sign is,
-    # not with float()'s OverflowError.
+@given(x=st.floats() | st.integers())
+# Ints beyond the float range, small ones and bools; floats whose forms
+# include the Decimals 0.5 and 2.5, the Fraction 7/2 and the NaN and infinite
+# Decimals; a Decimal and a Fraction that no float equals.
+@_examples("x", 10**400, -10**400, 0, 1, -3, 7, True, False, 0.0, 0.5, 2.5, 3.5,
+           math.nan, math.inf, -math.inf, Decimal("1e-10"), Fraction(1, 3))
+@settings(deadline=None, max_examples=100)
+def test_every_form_of_a_number_acts_as_its_float(entry, x):
+    # A float subclass, a Decimal, a Fraction or an int gives the outcome of
+    # the float it stands for, where an int beyond the float range stands for
+    # the infinity of its sign, not float()'s OverflowError; only a message
+    # may echo the value as given. NaN and the infinities raise the
+    # entry's documented error, in every form: a NaN or infinite Decimal not
+    # the TypeError of mixing Decimal with float, and a signalling NaN not
+    # float()'s refusal to convert it. Text is not a number: float() would
+    # parse "0.5" as an angle, so every entry raises TypeError naming its type.
     call, error = NUMERIC_ENTRY_POINTS[entry]
-    for value in (sign * math.inf, sign * 10**400):
-        with pytest.raises(error) as info:
-            call(value)
-        assert info.type is error
-
-
-def _numeric_outcome(call, value) -> str:
-    try:
-        return repr(call(value))
-    except (TrisectrixError, ValueError) as exc:
-        return type(exc).__name__
-
-
-@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
-def test_decimal_and_fraction_act_as_their_float(entry):
-    # A Decimal or Fraction is converted once, so the routes' float
-    # arithmetic never meets it: each gives the float call's result, or its
-    # error type. A NaN or infinite Decimal raises the entry's documented
-    # error, not the TypeError of mixing Decimal with float; a signalling NaN
-    # gets the entry's own message, not float()'s refusal to convert it.
-    call, error = NUMERIC_ENTRY_POINTS[entry]
-    for value in (Decimal("0.5"), Decimal("1"), Decimal("2.5"), Decimal("1e-10"),
-                  Fraction(1, 3), Fraction(7, 2)):
-        assert _numeric_outcome(call, value) == _numeric_outcome(call, float(value)), value
-    for value in (Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"),
-                  Decimal("-Infinity")):
-        with pytest.raises(error) as info:
-            call(value)
-        assert info.type is error
-        assert "signaling NaN" not in str(info.value)
-
-
-def test_int_beyond_float_range_reads_as_its_signed_infinity():
-    assert as_float(10**400) == math.inf
-    assert as_float(-10**400) == -math.inf
+    if type(x) is float:
+        number, forms = x, [_Float(x), Decimal(x)]
+        # A Fraction has no NaN, infinity or -0; the int 0 gives Fraction(0).
+        forms += [Fraction(x)] if math.isfinite(x) and x else []
+        forms += [Decimal("sNaN")] if math.isnan(x) else []
+    else:
+        try:
+            number = float(x)
+        except OverflowError:
+            number = math.inf if x > 0 else -math.inf
+        forms = [x] + ([Decimal(x), Fraction(x)] if isinstance(x, int) else [])
+    expected = _outcome(call, number)
+    if not math.isfinite(number):
+        assert expected.startswith(f"{error.__name__}: ")
+    for form in forms:
+        # The echoes: "got <value>" ending a message, and cross_validate's
+        # "(> tol <value>)".
+        echoed = expected.replace(f"got {number!r} |", f"got {form!r} |").replace(
+            f"tol {number!r})", f"tol {form!r})")
+        assert _outcome(call, form) in (expected, echoed), form
+    for text in (str(x), f" {x} ", str(x).encode(), bytearray(str(x).encode())):
+        assert _outcome(call, text) == (
+            f"TypeError: expected a number, got {type(text).__name__} | None")
 
 
 class _Unconvertible:
@@ -170,16 +154,6 @@ def test_conversion_error_reaches_the_caller():
     for call in (LocusParams, lambda tol: trisect(1.0, LocusParams(1.0), tol)):
         with pytest.raises(ValueError, match="^no float for this value$"):
             call(_Unconvertible())
-
-
-@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
-def test_text_is_not_a_number(entry):
-    # float() would parse text, reading "0.5" as an angle; every entry point
-    # that takes a number raises TypeError naming the text's type instead.
-    call, _ = NUMERIC_ENTRY_POINTS[entry]
-    for text in ("0.5", "1.0", " 1.0 ", b"1.0", bytearray(b"1.0")):
-        with pytest.raises(TypeError, match=rf"^expected a number, got {type(text).__name__}$"):
-            call(text)
 
 
 class TestWrapSigned:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pins
+from test_oracles import _examples, _log_uniform, _outcome
 from test_package import _mutable_parts, _route_outputs
 
 import trisectrix
@@ -34,7 +35,6 @@ from trisectrix.geom import (
     distance,
     wrap_signed,
 )
-from trisectrix.geom import target_radians
 from trisectrix.locus import (
     _MAX_DOUBLINGS,
     FOLD_MAX,
@@ -60,11 +60,8 @@ SIN_20 = 0.3420201433256687
 COS_20 = 0.9396926207859084
 
 # Targets over (0, pi/2]: uniform, or log-uniform down to the least subnormal.
-wide_targets = (
-    st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
-    | st.floats(min_value=math.log(5e-324), max_value=math.log(math.pi / 2.0)).map(
-        lambda x: min(max(math.exp(x), 5e-324), math.pi / 2.0))
-)
+wide_targets = (st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
+                | _log_uniform(5e-324, math.pi / 2.0))
 
 def _circle_intersections(c1, r1, c2, r2):
     """Both points where two crossing circles meet, by the radical line.
@@ -114,20 +111,27 @@ ratio_values = st.floats(min_value=1.0, max_value=1e4)
 
 
 class TestParams:
-    def test_rejects_non_positive_fold(self):
-        with pytest.raises(ValueError):
-            LocusParams(0.0)
-        with pytest.raises(ValueError):
-            LocusParams(-1.0)
-        with pytest.raises(ValueError):
-            LocusParams(float("nan"))
-        with pytest.raises(ValueError):
-            LocusParams(math.inf)
-
-    @pytest.mark.parametrize("a", [1e-200, 1e-160, 1e-107, 1e96, 1e140, 1e155])
-    def test_rejects_fold_outside_range(self, a):
-        with pytest.raises(ParameterOutOfRange):
-            LocusParams(a)
+    @given(a=st.floats())
+    @_examples("a", 0.0, -1.0, math.nan, math.inf, 1e-200, 1e-160, 1e-107,
+               math.nextafter(FOLD_MIN, 0.0), FOLD_MIN, FOLD_MAX,
+               math.nextafter(FOLD_MAX, math.inf), 1e96, 1e140, 1e155)
+    @settings(deadline=None, max_examples=500)
+    def test_any_float_fold_is_kept_exactly_or_rejected(self, a):
+        # Exactly [FOLD_MIN, FOLD_MAX] is accepted and kept bit for bit. A
+        # zero, negative or non-finite fold is a ValueError; a positive
+        # finite one outside the range is ParameterOutOfRange.
+        try:
+            got = LocusParams(a).a
+        except ParameterOutOfRange as exc:
+            assert 0.0 < a < FOLD_MIN or FOLD_MAX < a < math.inf
+            assert str(exc) == (f"fold spacing a must lie in [{FOLD_MIN:.3g}, "
+                                f"{FOLD_MAX:.3g}], got {a!r}")
+        except ValueError as exc:
+            assert not 0.0 < a < math.inf
+            assert str(exc) == f"fold spacing a must be finite and positive, got {a!r}"
+        else:
+            assert FOLD_MIN <= a <= FOLD_MAX
+            assert got.hex() == a.hex()
 
     def test_range_ends_accepted(self):
         for a in (FOLD_MIN, FOLD_MAX):
@@ -375,23 +379,17 @@ class TestTrisect:
         assert abs(r.b_star - B_STAR_60) <= 1e-11
         assert abs(r.unit_length - UNIT_60) <= 1e-11
 
-    def test_rejects_out_of_range_targets(self):
-        with pytest.raises(AngleOutOfRange):
-            trisect(Angle(0.0), LocusParams(1.0))
-        with pytest.raises(AngleOutOfRange):
-            trisect(Angle.from_degrees(120.0), LocusParams(1.0))
-
     def test_rejects_bad_solver_arguments(self):
         with pytest.raises(ValueError):
             trisect(Angle.from_degrees(45.0), LocusParams(1.0), tol=0.0)
 
     @given(
         target=wide_targets,
-        log_a=st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX)),
+        a=_log_uniform(FOLD_MIN, FOLD_MAX),
         tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     )
     @settings(deadline=None, max_examples=500)
-    def test_bisection_ends_within_step_bound(self, target, log_a, tol):
+    def test_bisection_ends_within_step_bound(self, target, a, tol):
         # The bound in trisect's docstring, which stands in for a step
         # budget: doubling leaves the crossing in (hi/2, hi], the bracket
         # starts under hi wide and halves each step, and adjacent floats
@@ -400,7 +398,6 @@ class TestTrisect:
         # draws (fold log-uniform; target uniform, log-uniform down to 5e-324
         # or within 2e-10 of pi/2; tol log-uniform from 5e-324 up to 1e-3 or
         # 1e300): 54 steps.
-        a = min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX)
         try:
             r = trisect(target, LocusParams(a), tol=tol)
         except MaxIterationsExceeded as exc:
@@ -502,12 +499,6 @@ class TestTrisect:
         r = trisect(Angle.from_degrees(60.0), LocusParams(1.0))
         assert abs(1.0 / r.unit_length - math.sin(r.theta.radians)) <= 1e-12
 
-    @pytest.mark.parametrize("degrees", [450.0, -270.0, 420.0, 90.0000001, math.nan])
-    def test_rejects_raw_targets_before_wrapping(self, degrees):
-        # A raw target is checked as given: 450 degrees is rejected, not read as 90.
-        with pytest.raises(AngleOutOfRange):
-            trisect(math.radians(degrees), LocusParams(1.0))
-
     @given(
         target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
         a=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -544,19 +535,17 @@ class TestTrisect:
 
     @given(
         target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
-        log_a=st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX)),
-        log_tol=st.floats(min_value=math.log(1e-15), max_value=math.log(1e-3)),
+        a=_log_uniform(FOLD_MIN, FOLD_MAX),
+        tol=_log_uniform(1e-15, 1e-3),
     )
     @settings(deadline=None, max_examples=300)
-    def test_theta_within_tol_of_decimal_third(self, target, log_a, log_tol):
+    def test_theta_within_tol_of_decimal_third(self, target, a, tol):
         # An independent truth: Decimal(target) is exact, so at 50 digits
         # Decimal(target) / 3 is the true third, far below one ulp. The stop
         # at |f| <= tol/2 bounds 3*theta, hence tol/6 for theta, plus
         # theta's own rounding. Measured on 40,000 random draws (half of
         # the targets log-uniform down to 1e-300): no error, worst error
         # 0.204*tol, at most 1.74 ulp above tol/6; k = 4 ulp leaves margin.
-        a = min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX)
-        tol = math.exp(log_tol)
         theta = trisect(target, LocusParams(a), tol=tol).theta.radians
         with localcontext() as ctx:
             ctx.prec = 50
@@ -566,12 +555,12 @@ class TestTrisect:
 
     @given(
         target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
-        log_a=st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX)),
-        log_tol=st.floats(min_value=math.log(1e-15), max_value=math.log(1e-3)),
+        a=_log_uniform(FOLD_MIN, FOLD_MAX),
+        tol=_log_uniform(1e-15, 1e-3),
     )
     @settings(deadline=None, max_examples=300)
     def test_b_star_and_unit_length_within_bound_of_decimal_truth(
-            self, target, log_a, log_tol):
+            self, target, a, tol):
         # The theta bound d = tol/6 + 4 ulp of the test above, carried to
         # b* = a*cot(t) and the unit length a/sin(t): |d cot/dt| = 1/sin^2
         # and |d(1/sin)/dt| = cos/sin^2 both fall as t grows, so over
@@ -582,8 +571,6 @@ class TestTrisect:
         # down to 1e-300; the 103,022 with t > d checked): the errors reached
         # 0.99999 of these terms and stayed at least 1.6 ulp of the truth
         # below them, so 2 ulp is margin.
-        a = min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX)
-        tol = math.exp(log_tol)
         r = trisect(target, LocusParams(a), tol=tol)
         b_true, unit_true = _truth(target, a)
         with localcontext() as ctx:
@@ -597,10 +584,6 @@ class TestTrisect:
                 <= reach + 2 * Decimal(math.ulp(float(b_true)))
             assert abs(Decimal(r.unit_length) - unit_true) \
                 <= reach * cos_lo + 2 * Decimal(math.ulp(float(unit_true)))
-
-    def test_accepts_plain_radian_floats(self):
-        r = trisect(math.pi / 3.0, LocusParams(1.0))
-        assert abs(r.theta.radians - math.pi / 9.0) <= 1e-12
 
 
 # The power of the fold's scale each residual moves by, where it is not 0:
@@ -758,15 +741,6 @@ def _reference_trisect(three_theta, params, tol=1e-12):
             hi = mid
 
 
-def _outcome(solve, target, params, tol):
-    """repr of a solve's result, or of its error with the attached result."""
-    try:
-        r = solve(target, params, tol=tol)
-    except TrisectrixError as exc:
-        return f"{type(exc).__name__}: {exc} -> {getattr(exc, 'result', None)!r}"
-    return repr(r)
-
-
 def _doubled_bracket_examples(test):
     # Each target puts the k-th doubled bracket end hi = sqrt(3)*2**k just
     # past the crossing, 0.5e-12 rad beyond the stop at tol 1e-9: hi is
@@ -810,55 +784,6 @@ def test_matches_reference_bisection_where_the_bracket_collapses():
                 assert 0 < r.iterations <= 54, (a, k)
                 assert abs(r.angle_residual) > 0.5e-17, (a, k)
                 assert 0.0 < r.final_bracket_width <= math.ulp(r.b_star), (a, k)
-
-
-log_folds = st.floats(min_value=math.log(FOLD_MIN), max_value=math.log(FOLD_MAX))
-targets = st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
-
-
-class _Float(float):
-    """A float that is not ``type(x) is float``, so the solver converts it
-    through ``as_float`` instead of taking it as it is."""
-
-
-@given(
-    target=targets,
-    log_a=log_folds,
-    tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-)
-@settings(deadline=None, max_examples=400)
-def test_float_fast_path_matches_the_as_float_path(target, log_a, tol):
-    # A float target and tol are taken as they are; a float subclass goes
-    # through as_float and the checks. Both must give the same outcome.
-    params = LocusParams(min(max(math.exp(log_a), FOLD_MIN), FOLD_MAX))
-    assert _outcome(trisect, target, params, tol) == _outcome(
-        trisect, _Float(target), params, _Float(tol)
-    )
-
-
-def _target_outcome(value):
-    try:
-        return repr(target_radians(value))
-    except AngleOutOfRange as exc:
-        return f"AngleOutOfRange: {exc}"
-
-
-@given(x=st.floats())
-@settings(deadline=None, max_examples=500)
-def test_target_radians_float_fast_path_matches_the_as_float_path(x):
-    # The same for the target check alone, NaN and the infinities included.
-    assert _target_outcome(x) == _target_outcome(_Float(x))
-
-
-def test_int_targets_keep_their_result_and_error():
-    # An int is no float, so it goes through as_float: 1 solves as 1.0, and
-    # 10**400 is read as inf and rejected as inf is.
-    params = LocusParams(1.0)
-    assert repr(trisect(1, params)) == repr(trisect(1.0, params))
-    for target in (10**400, math.inf):
-        with pytest.raises(AngleOutOfRange,
-                           match=r"^trisection target must lie in \(0, 90\] degrees, got inf$"):
-            trisect(target, params)
 
 
 def solver_grid():

@@ -30,6 +30,32 @@ SIN_20 = 0.3420201433256687
 TWO_SIN_20 = 0.6840402866513374
 
 
+def _outcome(fn, *args) -> str:
+    """repr of ``fn(*args)``, or its error's type and message with the report
+    or result the error attaches."""
+    try:
+        return repr(fn(*args))
+    except (TrisectrixError, ValueError, TypeError) as exc:
+        attached = getattr(exc, "report", None) or getattr(exc, "result", None)
+        return f"{type(exc).__name__}: {exc} | {attached!r}"
+
+
+def _examples(name, *values):
+    """A decorator that adds each value as an explicit example of the
+    test's argument ``name``."""
+    def add(test):
+        for value in values:
+            test = example(**{name: value})(test)
+        return test
+    return add
+
+
+def _log_uniform(low, high):
+    """Floats in [low, high], uniform in their logarithm."""
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
+        lambda x: min(max(math.exp(x), low), high))
+
+
 def _chords(d):
     """The chords FK, KL and LE of a chord diagram, measured from its points."""
     return math.dist(d.F, d.K), math.dist(d.K, d.L), math.dist(d.L, d.E)
@@ -43,9 +69,6 @@ class TestOracleTheta:
         assert math.degrees(oracle_theta(Angle.from_degrees(60.0))) == pytest.approx(
             20.0, abs=1e-12
         )
-        # The target is checked as every route checks it: 0 is no target.
-        with pytest.raises(AngleOutOfRange):
-            oracle_theta(Angle(0.0))
 
 
 class TestTripleAngleResidual:
@@ -120,19 +143,6 @@ class TestChordDiagram:
         setattr(bad, name, tuple(point))
         assert not VerificationReport(chord_residuals(bad)).passes(1.0)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(AngleOutOfRange):
-            chord_diagram(Angle(0.0))
-        with pytest.raises(AngleOutOfRange):
-            chord_diagram(Angle.from_degrees(91.0))
-
-    @pytest.mark.parametrize("degrees", [450.0, -270.0, 420.0, 90.0000001, math.nan])
-    def test_rejects_raw_angles_before_wrapping(self, degrees):
-        t3 = math.radians(degrees)
-        for route in (chord_diagram, lambda v: cross_validate(v, 1.0, 1e-10), oracle_theta):
-            with pytest.raises(AngleOutOfRange):
-                route(t3)
-
     @given(t3=st.floats(min_value=0.01, max_value=math.pi / 2.0))
     @settings(deadline=None, max_examples=300)
     def test_marked_points_on_half_circle(self, t3):
@@ -203,10 +213,6 @@ class TestCrossValidate:
         assert report.residuals["triple_angle_identity"] == 0.0
         assert report.residuals["triple_angle_locus"] == 0.0
         assert report.passes(1e-12)
-
-    def test_out_of_range_propagates(self):
-        with pytest.raises(AngleOutOfRange):
-            cross_validate(Angle.from_degrees(100.0), 1.0, 1e-10)
 
     def test_sweep_consistency(self):
         for deg in range(5, 91, 5):
@@ -313,28 +319,37 @@ class TestCrossValidate:
 
 
 @given(x=st.floats())
+# Zero, 91, 100 and 120 degrees as Angles; raw radians of 420, 450, -270 and
+# just past 90 degrees, and NaN; a plain radian float that solves.
+@_examples("x", 0.0, *map(math.radians, (91.0, 100.0, 120.0, 420.0, 450.0, -270.0,
+                                         90.0000001)), math.nan, math.pi / 3.0)
 @settings(deadline=None, max_examples=500)
 def test_routes_keep_a_float_target_exactly_or_reject_it(x):
-    # Over the whole float range, NaN and the infinities included, each
-    # route keeps the target bit for bit or raises AngleOutOfRange, never a
-    # reduced angle, and every route accepts the same floats. The solver's
-    # result and each construction store the float, and the division oracle
-    # returns exactly its third.
-    accepted = []
-    for route, kept in ((lambda v: trisect(v, LocusParams(1.0)).three_theta, x),
-                        (lambda v: chord_diagram(v).three_theta, x),
-                        (lambda v: abe_construct(v).three_theta, x),
-                        (oracle_theta, x / 3.0)):
-        try:
-            got = route(x)
-        except AngleOutOfRange:
-            accepted.append(False)
-        else:
-            assert type(got) is float
-            assert got.hex() == kept.hex()
-            accepted.append(True)
-    solved, chord, fold, oracle = accepted
-    assert fold == chord == oracle == solved
+    # Over the whole float range, NaN and the infinities included, given as
+    # a raw float or as an Angle, every route accepts exactly the targets in
+    # (0, pi/2] and keeps each bit for bit, never a reduced angle: the
+    # solver's result and each construction store the float, the division
+    # oracle returns exactly its third, and cross_validate reports the
+    # solver's theta. Every other target raises AngleOutOfRange with the one
+    # wording, naming its degrees as given.
+    in_domain = 0.0 < x <= _HALF_PI
+    theta = trisect(x, LocusParams(1.0), 1e-10).theta.radians if in_domain else None
+    routes = ((lambda v: trisect(v, LocusParams(1.0)).three_theta, x),
+              (lambda v: chord_diagram(v).three_theta, x),
+              (lambda v: abe_construct(v).three_theta, x),
+              (oracle_theta, x / 3.0),
+              (lambda v: cross_validate(v, 1.0, 1e-10).theta_locus.radians, theta))
+    for target in (x, Angle(x)) if 0.0 <= x < 2.0 * math.pi else (x,):
+        for route, kept in routes:
+            try:
+                got = route(target)
+            except AngleOutOfRange as exc:
+                assert not in_domain
+                assert str(exc) == ("trisection target must lie in (0, 90] degrees, "
+                                    f"got {math.degrees(x):.6g}")
+            else:
+                assert in_domain
+                assert type(got) is float and got.hex() == kept.hex()
 
 
 def _fold_residuals(c):
@@ -356,14 +371,6 @@ def test_moved_target_fails_the_report(construct, residuals, degrees):
     target, *points = (getattr(c, name) for name in type(c).__slots__)
     moved = type(c)(target * (1.0 + 1e-9), *points)
     assert max(residuals(moved).values()) > 1e-12
-
-
-def _outcome(fn, *args) -> str:
-    try:
-        return repr(fn(*args))
-    except TrisectrixError as exc:
-        attached = getattr(exc, "report", None) or getattr(exc, "result", None)
-        return f"{type(exc).__name__}: {exc} | {attached!r}"
 
 
 def route_grid():
@@ -454,11 +461,6 @@ def _reference_cross_validate(three_theta, a, tol):
         f"{gap!r} rad (> tol {tol!r}) at target {math.degrees(t3):.6g} deg",
         report=report,
     )
-
-
-def _log_uniform(low, high):
-    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
-        lambda x: min(max(math.exp(x), low), high))
 
 
 @given(

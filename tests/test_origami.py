@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from trisectrix.errors import AngleOutOfRange
 from trisectrix.geom import Angle
 from trisectrix.origami import abe_construct, abe_verify, fold_angles
 
@@ -28,17 +27,6 @@ class TestConstruct:
             c = abe_construct(target)
             assert math.dist(c.C, c.D) <= 1e-15
             assert abe_verify(c).passes(1e-15)
-
-    def test_rejected_at_zero_and_beyond(self):
-        with pytest.raises(AngleOutOfRange):
-            abe_construct(Angle(0.0))
-        with pytest.raises(AngleOutOfRange):
-            abe_construct(Angle.from_degrees(120.0))
-
-    @pytest.mark.parametrize("degrees", [420.0, -270.0, 450.0, math.nan])
-    def test_rejects_raw_angles_before_wrapping(self, degrees):
-        with pytest.raises(AngleOutOfRange):
-            abe_construct(math.radians(degrees))
 
     def test_finite_just_inside_boundary(self):
         c = abe_construct(Angle.from_degrees(89.9999))
