@@ -100,23 +100,33 @@ NUMERIC_ENTRY_POINTS = {
 }
 
 
+def _acts_as(call, number, forms) -> str:
+    """``call(number)``'s outcome, after asserting that each form gives it
+    too; only a message may echo the form as given."""
+    expected = _outcome(call, number)
+    for form in forms:
+        # The echoes: "got <value>" ending a message, and cross_validate's
+        # "(> tol <value>)".
+        echoed = expected.replace(f"got {number!r} |", f"got {form!r} |").replace(
+            f"tol {number!r})", f"tol {form!r})")
+        assert _outcome(call, form) in (expected, echoed), form
+    return expected
+
+
 @pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
 @given(x=st.floats() | st.integers())
-# Ints beyond the float range, small ones and bools; floats whose forms
-# include the Decimals 0.5 and 2.5, the Fraction 7/2 and the NaN and infinite
-# Decimals; a Decimal and a Fraction that no float equals.
-@_examples("x", 10**400, -10**400, 0, 1, -3, 7, True, False, 0.0, 0.5, 2.5, 3.5,
+# Small ints and bools; floats whose forms include the Decimals 0.5 and 2.5,
+# the Fraction 7/2 and the NaN and infinite Decimals; a Decimal and a
+# Fraction that no float equals.
+@_examples("x", 0, 1, -3, 7, True, False, 0.0, 0.5, 2.5, 3.5,
            math.nan, math.inf, -math.inf, Decimal("1e-10"), Fraction(1, 3))
 @settings(deadline=None, max_examples=100)
-def test_every_form_of_a_number_acts_as_its_float(entry, x):
+def test_decimal_and_fraction_act_as_their_float(entry, x):
     # A float subclass, a Decimal, a Fraction or an int gives the outcome of
-    # the float it stands for, where an int beyond the float range stands for
-    # the infinity of its sign, not float()'s OverflowError; only a message
-    # may echo the value as given. NaN and the infinities raise the
-    # entry's documented error, in every form: a NaN or infinite Decimal not
-    # the TypeError of mixing Decimal with float, and a signalling NaN not
-    # float()'s refusal to convert it. Text is not a number: float() would
-    # parse "0.5" as an angle, so every entry raises TypeError naming its type.
+    # the float it stands for. NaN and the infinities raise the entry's
+    # documented error, in every form: a NaN or infinite Decimal not the
+    # TypeError of mixing Decimal with float, and a signalling NaN not
+    # float()'s refusal to convert it.
     call, error = NUMERIC_ENTRY_POINTS[entry]
     if type(x) is float:
         number, forms = x, [_Float(x), Decimal(x)]
@@ -129,15 +139,30 @@ def test_every_form_of_a_number_acts_as_its_float(entry, x):
         except OverflowError:
             number = math.inf if x > 0 else -math.inf
         forms = [x] + ([Decimal(x), Fraction(x)] if isinstance(x, int) else [])
-    expected = _outcome(call, number)
+    expected = _acts_as(call, number, forms)
     if not math.isfinite(number):
         assert expected.startswith(f"{error.__name__}: ")
-    for form in forms:
-        # The echoes: "got <value>" ending a message, and cross_validate's
-        # "(> tol <value>)".
-        echoed = expected.replace(f"got {number!r} |", f"got {form!r} |").replace(
-            f"tol {number!r})", f"tol {form!r})")
-        assert _outcome(call, form) in (expected, echoed), form
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+def test_int_beyond_float_range_raises_as_infinity(entry, sign):
+    # 10**400 has no float; as an int, a Decimal or a Fraction it is rejected
+    # as the infinity of its sign is, not with float()'s OverflowError.
+    call, error = NUMERIC_ENTRY_POINTS[entry]
+    big = sign * 10**400
+    expected = _acts_as(call, sign * math.inf, [big, Decimal(big), Fraction(big)])
+    assert expected.startswith(f"{error.__name__}: ")
+
+
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+@given(x=st.floats() | st.integers())
+@_examples("x", 0.5, 1.0)
+@settings(deadline=None, max_examples=50)
+def test_text_is_not_a_number(entry, x):
+    # float() would parse "0.5" as an angle; every entry point that takes a
+    # number raises TypeError naming the text's type instead.
+    call, _ = NUMERIC_ENTRY_POINTS[entry]
     for text in (str(x), f" {x} ", str(x).encode(), bytearray(str(x).encode())):
         assert _outcome(call, text) == (
             f"TypeError: expected a number, got {type(text).__name__} | None")
