@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import MismatchDetected
-from .geom import Angle, AngleLike, Value, target_radians
+from .geom import Angle, AngleLike, Value, as_float, target_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
 from .report import ResidualMap
@@ -172,8 +172,11 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     the route's own order. Every target in the domain gets every key.
     """
     params = LocusParams(a)
-    # trisect checks the target domain; the routes below take its float.
+    # trisect checks the target domain and tol; the routes below take the
+    # target's float, and the gaps are compared with tol's.
     result = trisect(three_theta, params, tol)
+    if type(tol) is not float:
+        tol = as_float(tol)
     t3 = result.three_theta
     theta_locus = result.theta
     locus = theta_locus.radians

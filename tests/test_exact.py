@@ -3,14 +3,17 @@
 Floats are rationals too, so the paper's cubic certifies every solve
 exactly."""
 
+import copy
 import math
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from test_locus import wide_targets
 from test_oracles import _log_uniform
 
 from trisectrix.errors import MaxIterationsExceeded
+from trisectrix.geom import Angle
 from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, _q_coords, trisect
 
 positive = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
@@ -43,65 +46,82 @@ def test_curve_point_satisfies_the_paper_identities_exactly(a, ratio):
     assert (k * b, 2 * a + k * a) == (x, y)
 
 
-def _certified(s, phi, d):
-    """Whether the slope ``s`` of J is certified for the target ``phi``: the
-    root of the paper's cubic on the float ray (cos phi, sin phi) lies
-    within delta of s.
+def _certificate(r, a, angle_term):
+    """Whether the cubic certifies b*, theta and the unit length of the
+    result ``r`` at fold ``a``, given the budget ``angle_term`` of the stop
+    on theta: a triple of bools, in that order.
 
-    Q's direction is (1 + i*s)^3, so on the ray through (x, y) the crossing
-    is the root of p(s) = y(1 - 3s^2) - x*s(3 - s^2), which is strictly
-    decreasing on [0, 1]; p(s - delta) >= 0 >= p(s + delta), evaluated over
-    Fractions, puts the root within delta of s. An error d in theta = atan s
-    is an error (1 + s^2)*d in s. The budget d for a crossing is the
-    solver's stop on 3*theta, divided by 3, plus 4 ulp of theta and 2.3e-16
-    for the rounding of cos phi and sin phi, padded by a relative 1e-9."""
+    Q's direction is (1 + i*s)^3, so on the float ray (cos phi, sin phi) of
+    the target the crossing is the root of p(s) = y(1 - 3s^2) - x*s(3 - s^2),
+    which is strictly decreasing on [0, 1]; p(s - delta) >= 0 >= p(s + delta),
+    evaluated over Fractions, puts the root within delta of s. An error d in
+    theta = atan s is an error (1 + s^2)*d in s. The budget d is the stop's
+    share plus 4 ulp of theta and 2.3e-16 for the rounding of cos phi and
+    sin phi, padded by a relative 1e-9. b* is certified through s = a/b*,
+    theta through s = tan theta, one rounding (one ulp of theta) more.
+
+    The true |OJ|^2 is a^2(1 + 1/s0^2) at the root s0, which falls as s0
+    grows: with s0 in [s - delta, s + delta] for s = a/b*, the unit length
+    squared lies between its values at the two ends, widened by 2**-51 for
+    the rounding of hypot; below s = delta only the lower end bounds it."""
+    phi, theta = r.three_theta, r.theta.radians
     x, y = Fraction(math.cos(phi)), Fraction(math.sin(phi))
-    delta = (1 + s * s) * Fraction(d * (1 + 1e-9))
+    d = angle_term + 4 * math.ulp(theta) + 2.3e-16
 
     def p(s):
         return y * (1 - 3 * s * s) - x * s * (3 - s * s)
 
-    return p(s - delta) >= 0 >= p(s + delta)
+    def within(s, d):
+        delta = (1 + s * s) * Fraction(d * (1 + 1e-9))
+        return p(s - delta) >= 0 >= p(s + delta), delta
+
+    s = Fraction(a) / Fraction(r.b_star)
+    b_star_ok, delta = within(s, d)
+    theta_ok, _ = within(Fraction(math.tan(theta)), d + math.ulp(theta))
+    u2, a2, eta = Fraction(r.unit_length) ** 2, Fraction(a) ** 2, Fraction(1, 2**51)
+    unit_ok = u2 >= a2 * (1 + 1 / (s + delta) ** 2) * (1 - eta) and (
+        s <= delta or u2 <= a2 * (1 + 1 / (s - delta) ** 2) * (1 + eta))
+    return b_star_ok, theta_ok, unit_ok
 
 
 @given(
-    target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
-    | _log_uniform(1e-300, math.pi / 2.0),
+    target=wide_targets,
     a=_log_uniform(FOLD_MIN, FOLD_MAX),
     # The wide tols end in the stop test; the tiny ones reach the collapse
     # of the bracket to two adjacent floats.
-    tol=_log_uniform(1e-12, 1e-3) | _log_uniform(1e-18, 1e-14),
+    tol=_log_uniform(1e-12, 1e-3) | _log_uniform(1e-18, 1e-12),
 )
 @example(target=math.radians(7.0), a=1.0, tol=1e-17)
 @example(target=math.radians(1e-298), a=1.0, tol=1e-320)
+# The default tol at fold 1: at 60 degrees, at both ends of [0.001, pi/2],
+# and at 2 degrees, where a stop at tol in place of tol/2 breaks tol/6.
+@example(target=math.radians(60.0), a=1.0, tol=1e-12)
+@example(target=math.radians(2.0), a=1.0, tol=1e-12)
+@example(target=0.001, a=1.0, tol=1e-12)
+@example(target=math.pi / 2.0, a=1.0, tol=1e-12)
 @settings(deadline=None, max_examples=500)
 def test_every_solve_is_certified_by_the_cubic(target, a, tol):
     # A result stops within tol/2 of the target on 3*theta, so within tol/6
     # on theta; a result attached to MaxIterationsExceeded (the bracket's
     # collapse, or no upper bracket) is as far off as its angle_residual.
-    # Both b* (through s = a/b*) and theta (through s = tan theta, one
-    # rounding more) are certified.
     try:
         r = trisect(target, LocusParams(a), tol)
         angle_term = tol / 6
     except MaxIterationsExceeded as exc:
         r = exc.result
         angle_term = abs(r.angle_residual) / 3
-    theta = r.theta.radians
-    d = angle_term + 4 * math.ulp(theta) + 2.3e-16
-    assert _certified(Fraction(a) / Fraction(r.b_star), r.three_theta, d)
-    assert _certified(Fraction(math.tan(theta)), r.three_theta, d + math.ulp(theta))
+    assert _certificate(r, a, angle_term) == (True, True, True)
 
 
 def test_certificate_rejects_a_moved_crossing():
-    # The budget is tight enough to see b* or theta moved by a relative 1e-9.
-    target, tol = math.radians(60.0), 1e-12
-    r = trisect(target, LocusParams(1.0), tol)
-    theta = r.theta.radians
-    d = tol / 6 + 4 * math.ulp(theta) + 2.3e-16
-    assert _certified(1 / Fraction(r.b_star), target, d)
-    assert _certified(Fraction(math.tan(theta)), target, d + math.ulp(theta))
+    # The budget is tight enough to see b*, theta or the unit length moved
+    # by a relative 1e-9.
+    a, tol = 1.0, 1e-12
+    r = trisect(math.radians(60.0), LocusParams(a), tol)
+    assert _certificate(r, a, tol / 6) == (True, True, True)
     for factor in (1.0 - 1e-9, 1.0 + 1e-9):
-        assert not _certified(1 / Fraction(r.b_star * factor), target, d)
-        assert not _certified(Fraction(math.tan(theta * factor)), target,
-                              d + math.ulp(theta))
+        moved = [copy.copy(r) for _ in range(3)]
+        moved[0].b_star *= factor
+        moved[1].theta = Angle(r.theta.radians * factor)
+        moved[2].unit_length *= factor
+        assert [_certificate(m, a, tol / 6)[i] for i, m in enumerate(moved)] == [False] * 3

@@ -105,10 +105,8 @@ def _acts_as(call, number, forms) -> str:
     too; only a message may echo the form as given."""
     expected = _outcome(call, number)
     for form in forms:
-        # The echoes: "got <value>" ending a message, and cross_validate's
-        # "(> tol <value>)".
-        echoed = expected.replace(f"got {number!r} |", f"got {form!r} |").replace(
-            f"tol {number!r})", f"tol {form!r})")
+        # The echo: "got <value>" ending a message.
+        echoed = expected.replace(f"got {number!r} |", f"got {form!r} |")
         assert _outcome(call, form) in (expected, echoed), form
     return expected
 
@@ -116,9 +114,9 @@ def _acts_as(call, number, forms) -> str:
 @pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
 @given(x=st.floats() | st.integers())
 # Small ints and bools; floats whose forms include the Decimals 0.5 and 2.5,
-# the Fraction 7/2 and the NaN and infinite Decimals; a Decimal and a
-# Fraction that no float equals.
-@_examples("x", 0, 1, -3, 7, True, False, 0.0, 0.5, 2.5, 3.5,
+# the Fraction 7/2 and the NaN and infinite Decimals; 1e-20, a tol that
+# cross_validate's gaps exceed; a Decimal and a Fraction that no float equals.
+@_examples("x", 0, 1, -3, 7, True, False, 0.0, 0.5, 2.5, 3.5, 1e-20,
            math.nan, math.inf, -math.inf, Decimal("1e-10"), Fraction(1, 3))
 @settings(deadline=None, max_examples=100)
 def test_decimal_and_fraction_act_as_their_float(entry, x):

