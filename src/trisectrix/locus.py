@@ -156,9 +156,11 @@ def _q_coords(a: float, b: float) -> tuple[float, float]:
     the chord direction is d + (pi/2 + d) rotated twice, giving
     Q = J + 2a*(-sin 2d, cos 2d). Using 2ab/(a^2+b^2) and
     (b^2-a^2)/(a^2+b^2) for the double angle keeps every term free of
-    cancellation, so both circle equations and the linear relation hold to
-    machine precision at any b/a ratio. Every point of the curve, the
-    solver's included, comes from here.
+    cancellation: at any b/a ratio each coordinate lies within 4 ulp of
+    |OJ| of the exact intersection, and each residual column of
+    :func:`locus_point` within 4 ulp of a^2 + b^2 of its exact value
+    (``tests/test_exact.py``). Every point of the curve, the solver's
+    included, comes from here.
 
     Only + - * / appear, with no float literal, so rational ``a`` and ``b``
     (``fractions.Fraction``) give Q exactly, and the paper's identities can
@@ -212,9 +214,10 @@ def locus_relation_residual(params: LocusParams, b: float, q: Point2) -> float:
 def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> list[LocusPoint]:
     """Evaluate ``n`` uniformly spaced parameters over [b_min, b_max].
 
-    Endpoints are included exactly; the list ascends in b. Sampling is
-    deterministic: the same arguments always produce bit-identical points.
-    Bounds that are not floats go through ``as_float``.
+    Endpoints are included exactly; the b's never decrease and stay inside
+    [b_min, b_max]. Sampling is deterministic: the same arguments always
+    produce bit-identical points. Bounds that are not floats go through
+    ``as_float``.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n!r}")
@@ -228,9 +231,13 @@ def sample_locus(params: LocusParams, b_min: float, b_max: float, n: int) -> lis
         )
     points = []
     last = n - 1
+    b = b_min
     for i in range(n):
         t = i / last
-        b = b_min * (1.0 - t) + b_max * t
+        # The two products round apart, so over a range a few ulp wide the
+        # sum can step back or leave the range: b is held at or above the
+        # last one and at or below b_max.
+        b = min(max(b, b_min * (1.0 - t) + b_max * t), b_max)
         points.append(locus_point(params, b))
     return points
 

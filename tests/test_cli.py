@@ -75,6 +75,7 @@ class TestTrisectCommand:
         ("trisect", "450"), ("trisect", "-270"), ("origami", "420"),
         ("trisect", "90.0000001"), ("trisect", "nan"), ("render", "450"),
         ("trisect", "5e-324"), ("origami", "1e-322"), ("render", "1.4e-322"),
+        ("origami", "450"), ("trisect", "1e-323"), ("origami", "1e-323"),
     ])
     def test_wrapped_angles_exit_3(self, capsys, command, degrees):
         # The flag is checked as given: 450 degrees is a domain error, not 90,
@@ -446,10 +447,14 @@ class TestExitCodes:
         assert code == 5
         assert "i/o error" in err
 
-    def test_convergence_failure_exits_4(self, capsys):
-        code, _, err = run(capsys, "trisect", "--angle-deg", "7", "--tol", "1e-17")
-        assert code == 4
-        assert "convergence" in err
+    @pytest.mark.parametrize("degrees,tol,message", [
+        ("7", "1e-17", "bisection bracket collapsed"), ("1e-298", "1e-320", "no upper bracket"),
+    ], ids=["bracket-collapsed", "no-upper-bracket"])
+    def test_convergence_failure_exits_4(self, capsys, degrees, tol, message):
+        # Each exit-4 path by its own message.
+        code, out, err = run(capsys, "trisect", "--angle-deg", degrees, "--tol", tol)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"trisectrix: convergence error: {message}")
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

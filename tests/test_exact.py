@@ -1,7 +1,7 @@
 """The paper's identities, checked exactly: the curve formula uses only
 + - * /, so over rationals each identity holds with ``==``, no tolerance.
-Floats are rationals too, so the paper's cubic certifies every solve
-exactly."""
+Floats are rationals too, so the exact intersection certifies every float
+curve point and its residual columns, and the paper's cubic every solve."""
 
 import copy
 import math
@@ -13,8 +13,8 @@ from test_locus import wide_targets
 from test_oracles import _log_uniform
 
 from trisectrix.errors import MaxIterationsExceeded
-from trisectrix.geom import Angle
-from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, _q_coords, trisect
+from trisectrix.geom import SQRT3, Angle, Point2
+from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, _q_coords, locus_point, trisect
 
 positive = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
 
@@ -44,6 +44,39 @@ def test_curve_point_satisfies_the_paper_identities_exactly(a, ratio):
     # OJ, takes D = (0, 2a) onto Q.
     k = 1 - 4 * a * a / (a * a + b * b)
     assert (k * b, 2 * a + k * a) == (x, y)
+
+
+def _is_the_exact_point(q, a, b, scale):
+    """Whether each coordinate of the float point ``q`` is within 4 ulp of
+    ``scale`` of the exact Q at the float fold ``a`` and parameter ``b``."""
+    x, y = _q_coords(Fraction(a), Fraction(b))
+    bound = 4 * Fraction(math.ulp(scale))
+    return abs(Fraction(q.x) - x) <= bound and abs(Fraction(q.y) - y) <= bound
+
+
+def _exact_columns(p, a):
+    """Whether each residual column of the locus point ``p`` at fold ``a`` is
+    within 4 ulp of a^2 + b^2 of the exact residual of its float Q."""
+    x, y, fa, b = Fraction(p.q.x), Fraction(p.q.y), Fraction(a), Fraction(p.b)
+    exact = (x * x + y * y - (fa * fa + b * b),
+             (x - b) * (x - b) + (y - fa) * (y - fa) - 4 * fa * fa,
+             b * x + fa * y - (b * b - fa * fa))
+    columns = (p.residual_circle1, p.residual_circle2, p.residual_locus_relation)
+    bound = 4 * Fraction(math.ulp(a * a + p.b * p.b))
+    return [abs(Fraction(got) - abs(want)) <= bound for got, want in zip(columns, exact)]
+
+
+@given(ab=st.tuples(_log_uniform(FOLD_MIN, FOLD_MAX), _log_uniform(SQRT3, 1e12)).map(
+    lambda t: (t[0], t[0] * t[1])))
+# The curve start (0, 2a), and (cos 60, sin 60) at a = sin 20, b = cos 20.
+@example(ab=(1.0, SQRT3))
+@example(ab=(math.sin(math.radians(20.0)), math.cos(math.radians(20.0))))
+@settings(deadline=None, max_examples=500)
+def test_every_curve_point_is_the_exact_one_to_4_ulp(ab):
+    a, b = ab
+    p = locus_point(LocusParams(a), b)
+    assert _is_the_exact_point(p.q, a, b, math.hypot(a, b))
+    assert _exact_columns(p, a) == [True] * 3
 
 
 def _certificate(r, a, angle_term):
@@ -84,6 +117,16 @@ def _certificate(r, a, angle_term):
     return b_star_ok, theta_ok, unit_ok
 
 
+def _fixed_solve_examples(test):
+    # Fixed solves, so N, |ON| and |NJ| are certified at every run: 7, 33, 61
+    # and 90 degrees at folds 0.3, 1 and 2.7, and 1.1 rad at tol 1e-13 at
+    # powers of two of fold 1 and at 3.7, which no power of two reaches.
+    solves = [(math.radians(d), a, 1e-12) for d in (7.0, 33.0, 61.0, 90.0) for a in (0.3, 1.0, 2.7)]
+    for target, a, tol in solves + [(1.1, a, 1e-13) for a in (1.0, 0.25, 0.5, 2.0, 8.0, 3.7)]:
+        test = example(target=target, a=a, tol=tol)(test)
+    return test
+
+
 @given(
     target=wide_targets,
     a=_log_uniform(FOLD_MIN, FOLD_MAX),
@@ -99,6 +142,7 @@ def _certificate(r, a, angle_term):
 @example(target=math.radians(2.0), a=1.0, tol=1e-12)
 @example(target=0.001, a=1.0, tol=1e-12)
 @example(target=math.pi / 2.0, a=1.0, tol=1e-12)
+@_fixed_solve_examples
 @settings(deadline=None, max_examples=500)
 def test_every_solve_is_certified_by_the_cubic(target, a, tol):
     # A result stops within tol/2 of the target on 3*theta, so within tol/6
@@ -111,11 +155,13 @@ def test_every_solve_is_certified_by_the_cubic(target, a, tol):
         r = exc.result
         angle_term = abs(r.angle_residual) / 3
     assert _certificate(r, a, angle_term) == (True, True, True)
+    assert _is_the_exact_point(r.n_point, a, r.b_star, r.unit_length)
 
 
 def test_certificate_rejects_a_moved_crossing():
     # The budget is tight enough to see b*, theta or the unit length moved
-    # by a relative 1e-9.
+    # by a relative 1e-9, the point check to see N moved as far, and the
+    # column check to see a residual column moved by 2**-40 * (a^2 + b^2).
     a, tol = 1.0, 1e-12
     r = trisect(math.radians(60.0), LocusParams(a), tol)
     assert _certificate(r, a, tol / 6) == (True, True, True)
@@ -125,3 +171,11 @@ def test_certificate_rejects_a_moved_crossing():
         moved[1].theta = Angle(r.theta.radians * factor)
         moved[2].unit_length *= factor
         assert [_certificate(m, a, tol / 6)[i] for i, m in enumerate(moved)] == [False] * 3
+        n = Point2(r.n_point.x * factor, r.n_point.y * factor)
+        assert not _is_the_exact_point(n, a, r.b_star, r.unit_length)
+    p = locus_point(LocusParams(a), r.b_star)
+    shift = math.ldexp(a * a + p.b * p.b, -40)
+    for i, name in enumerate(("residual_circle1", "residual_circle2", "residual_locus_relation")):
+        moved = copy.copy(p)
+        setattr(moved, name, getattr(p, name) + shift)
+        assert _exact_columns(moved, a) == [j != i for j in range(3)]
