@@ -254,8 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main uses, built on its first call: building the five-command
+# tree is most of an in-process call's cost, and parsing does not change it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:

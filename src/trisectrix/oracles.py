@@ -17,7 +17,7 @@ from .errors import MismatchDetected
 from .geom import Angle, AngleLike, Value, as_float, target_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
-from .report import ResidualMap
+from .report import ResidualMap, worst_of
 
 
 class ChordDiagram(Value):
@@ -125,13 +125,44 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
 
 class CrossValidationReport(ResidualMap):
     """The locus solver's trisected angle and every route's residual, keyed
-    by source."""
+    by source.
 
-    __slots__ = ("theta_locus", "residuals")
+    The report holds the residuals as one tuple, ``residual_values``, in the
+    order of the report's keys (see :func:`cross_validate`). ``residuals``
+    is the dict of keys and values, built on its first read and kept: from
+    then on it is the report's residuals, so a value written into it is what
+    ``passes`` and ``worst`` report. Until that read, they walk the tuple
+    and build no dict."""
 
-    def __init__(self, theta_locus: Angle, residuals: dict[str, float]) -> None:
+    __slots__ = ("theta_locus", "residual_values", "_residuals")
+
+    def __init__(self, theta_locus: Angle, residual_values: tuple[float, ...]) -> None:
         self.theta_locus = theta_locus
-        self.residuals = residuals
+        self.residual_values = residual_values
+        self._residuals = None
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        residuals = self._residuals
+        if residuals is None:
+            residuals = self._residuals = dict(zip(_KEYS, self.residual_values))
+        return residuals
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(theta_locus={self.theta_locus!r}, "
+                f"residuals={self.residuals!r})")
+
+    def worst(self) -> tuple[str, float]:
+        residuals = self._residuals
+        return worst_of(zip(_KEYS, self.residual_values) if residuals is None
+                        else residuals.items())
+
+    def passes(self, tol: float) -> bool:
+        residuals = self._residuals
+        for value in self.residual_values if residuals is None else residuals.values():
+            if not abs(value) <= tol:
+                return False
+        return True
 
 
 # Report keys of each route's residuals: the names one call of the route
@@ -170,6 +201,10 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     ``theta_locus_vs_origami``; ``origami_`` and each ``abe_verify`` key;
     last ``chord_`` and each ``chord_residuals`` key, each route's keys in
     the route's own order. Every target in the domain gets every key.
+
+    The report keeps the values as one tuple in that order and builds no
+    dict: its ``residuals`` dict is built on first read, and ``passes`` and
+    ``worst`` do not read it.
     """
     params = LocusParams(a)
     # trisect checks the target domain and tol; the routes below take the
@@ -183,19 +218,18 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     oracle = oracle_theta(t3)
     gap = abs(locus - oracle)
     cos_t3 = math.cos(t3)
-    values = [gap, _identity_residual(oracle, cos_t3), _identity_residual(locus, cos_t3)]
-    values += verify_trisection(result, params).residuals.values()
+    trisection = verify_trisection(result, params).residuals
     construction = abe_construct(t3)
     # The fold's estimate: H's polar angle, fold_angles' alpha.
     hx, hy = construction.H
     origami = math.atan2(hy, hx)
     origami_gap = abs(origami - oracle)
     cross_gap = abs(locus - origami)
-    values += origami_gap, cross_gap
-    values += abe_verify(construction).residuals.values()
-    values += chord_residuals(chord_diagram(t3)).values()
-
-    report = CrossValidationReport(theta_locus, dict(zip(_KEYS, values)))
+    report = CrossValidationReport(theta_locus, (
+        gap, _identity_residual(oracle, cos_t3), _identity_residual(locus, cos_t3),
+        *trisection.values(), origami_gap, cross_gap,
+        *abe_verify(construction).residuals.values(),
+        *chord_residuals(chord_diagram(t3)).values()))
     if gap > tol:
         first, second = "locus", "oracle"
     elif cross_gap > tol:

@@ -2,7 +2,23 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .geom import Value
+
+
+def worst_of(named: Iterable[tuple[str, float]]) -> tuple[str, float]:
+    """Name and magnitude of the largest of the ``(name, residual)`` pairs,
+    the first in order among equal ones. A NaN residual is worse than any
+    number: the first NaN one is named, with magnitude NaN."""
+    name, largest = "", -1.0
+    for key, value in named:
+        value = abs(value)
+        if value > largest:
+            name, largest = key, value
+        elif value != value:
+            return key, value
+    return name, largest
 
 
 class ResidualMap(Value):
@@ -15,16 +31,9 @@ class ResidualMap(Value):
 
     def worst(self) -> tuple[str, float]:
         """Name and magnitude of the largest checked residual, the first in
-        key order among equal ones. A NaN residual is worse than any number:
-        the first NaN one is named, with magnitude NaN."""
-        name, largest = "", -1.0
-        for key, value in self.residuals.items():
-            value = abs(value)
-            if value > largest:
-                name, largest = key, value
-            elif value != value:
-                return key, value
-        return name, largest
+        key order among equal ones; a NaN one is worse than any number (see
+        :func:`worst_of`)."""
+        return worst_of(self.residuals.items())
 
     def max_residual(self) -> float:
         """The largest residual's magnitude, NaN if any residual is NaN."""
@@ -46,4 +55,3 @@ class VerificationReport(ResidualMap):
 
     def __init__(self, residuals: dict[str, float]) -> None:
         self.residuals = residuals
-

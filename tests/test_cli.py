@@ -459,6 +459,23 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_one_parser_serves_every_call_and_keeps_no_state(self, capsys):
+        # main builds its parser on its first call and parses every later
+        # call with it, so a call after other flags, a usage error and help
+        # prints what the same call printed before them.
+        import trisectrix.cli as cli
+
+        argv = ("trisect", "--angle-deg", "37")
+        first = run(capsys, *argv)
+        parser = cli._parser
+        run(capsys, "trisect", "--angle-deg", "5", "--fold", "2", "--tol", "1e-6")
+        run(capsys, "render", "--angle-deg", "60", "--samples", "3")
+        assert run(capsys, "trisect", "--samples", "3")[0] == 2
+        assert main(["trisect", "--help"]) == 0
+        capsys.readouterr()
+        assert run(capsys, *argv) == first
+        assert cli._parser is parser
+
 
 class TestTotality:
     @given(

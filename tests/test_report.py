@@ -1,43 +1,82 @@
-"""Tests for the residual-report queries."""
+"""Tests for the residual-report queries.
+
+Each case runs on three reports of the same 31 named values: a
+VerificationReport of their dict, and a CrossValidationReport of their
+tuple (under the cross-check's own keys) both before and after its
+``residuals`` dict is first read. The two sides answer from different
+places, the tuple paired with the keys and the dict, and must agree."""
 
 import math
 
 import pytest
 
+from trisectrix.geom import Angle
+from trisectrix.oracles import _KEYS, CrossValidationReport
 from trisectrix.report import VerificationReport
 
-NAMES = ("a", "b", "c")
+
+def _verification(values):
+    return VerificationReport(dict(zip(_KEYS, values)))
 
 
-@pytest.mark.parametrize("at", range(len(NAMES)))
+def _cross_unread(values):
+    return CrossValidationReport(Angle(1.0), tuple(values))
+
+
+def _cross_read(values):
+    report = CrossValidationReport(Angle(1.0), tuple(values))
+    assert len(report.residuals) == len(_KEYS)
+    return report
+
+
+REPORTS = (_verification, _cross_unread, _cross_read)
+# Where a NaN goes: the first key, one inside, and the last.
+POSITIONS = (0, 15, len(_KEYS) - 1)
+
+
+def _values(changed):
+    """31 rounding-level residuals that grow along the keys, with each value
+    of ``changed`` put at its position."""
+    values = [i * 1e-17 for i in range(len(_KEYS))]
+    for position, value in changed.items():
+        values[position] = value
+    return values
+
+
+@pytest.mark.parametrize("at", range(len(POSITIONS)))
 def test_nan_residual_fails_at_any_position(at):
     # A NaN compares false with everything, so a max() over the residuals
-    # would skip one that is not first; the report must not.
-    values = [0.0, 1e-15, 2e-16]
-    values[at] = math.nan
-    report = VerificationReport(dict(zip(NAMES, values)))
-    assert not report.passes(1e-12)
-    assert not report.passes(math.inf)
-    assert math.isnan(report.max_residual())
-    name, value = report.worst()
-    assert name == NAMES[at] and math.isnan(value)
+    # would skip one that is not first; the report must not. At the first
+    # position every later value is larger, at the last every earlier one
+    # is a finite maximum already found.
+    position = POSITIONS[at]
+    for build in REPORTS:
+        report = build(_values({position: math.nan}))
+        assert not report.passes(1e-12), build.__name__
+        assert not report.passes(math.inf), build.__name__
+        assert math.isnan(report.max_residual()), build.__name__
+        name, value = report.worst()
+        assert name == _KEYS[position] and math.isnan(value), build.__name__
 
 
 def test_worst_names_the_first_nan():
-    report = VerificationReport({"a": 1.0, "b": math.nan, "c": -math.nan})
-    name, value = report.worst()
-    assert name == "b" and math.isnan(value)
+    for build in REPORTS:
+        report = build(_values({0: 1.0, 3: math.nan, 20: -math.nan, 30: math.nan}))
+        name, value = report.worst()
+        assert name == _KEYS[3] and math.isnan(value), build.__name__
 
 
 def test_worst_takes_the_first_of_equal_maxima():
     # The verify command prints worst()'s name, so ties keep key order.
-    report = VerificationReport({"a": 1e-13, "b": -3e-12, "c": 3e-12, "d": 2e-12})
-    assert report.worst() == ("b", 3e-12)
-    assert report.max_residual() == 3e-12
-    assert report.passes(3e-12) and not report.passes(2.9e-12)
+    for build in REPORTS:
+        report = build(_values({0: 1e-13, 5: -3e-12, 9: 3e-12, 30: 2e-12}))
+        assert report.worst() == (_KEYS[5], 3e-12), build.__name__
+        assert report.max_residual() == 3e-12, build.__name__
+        assert report.passes(3e-12) and not report.passes(2.9e-12), build.__name__
 
 
 def test_finite_report_passes_at_its_largest_residual():
-    report = VerificationReport({"a": 0.0, "b": math.inf})
-    assert report.worst() == ("b", math.inf)
-    assert report.passes(math.inf) and not report.passes(1e300)
+    for build in REPORTS:
+        report = build(_values({0: 0.0, 30: math.inf}))
+        assert report.worst() == (_KEYS[30], math.inf), build.__name__
+        assert report.passes(math.inf) and not report.passes(1e300), build.__name__
