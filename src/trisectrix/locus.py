@@ -384,6 +384,8 @@ def verify_trisection(r: TrisectionResult, params: LocusParams) -> VerificationR
     lengths are absolute, their rounding growing with the fold, and the
     relation's with b*^2, so they can exceed a tol in radians away from
     fold 1 (at fold 1 and tol 1e-12, the relation reads 3.6e-12 at 1 degree).
+    The solver's diagnostics ``iterations``, ``final_bracket_width`` and
+    ``angle_residual`` are not read: changing them changes no residual.
     """
     a = params.a
     b = r.b_star

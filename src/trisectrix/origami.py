@@ -95,14 +95,19 @@ def abe_verify(c: AbeConstruction) -> VerificationReport:
     """Measure every claimed relationship of the fold from the points.
 
     The three angles come from :func:`fold_angles` and theta is the stored
-    target divided by three, so a tampered or perturbed point is flagged.
-    An H, G or C moved to the origin or below the base line is flagged the
-    same way, and nothing raises; a NaN coordinate of any point gives a NaN
-    residual, which no tolerance passes. All checked residuals sit at rounding
-    level (<= 1e-12) for constructions produced by :func:`abe_construct`,
-    whose H, G and C lie in the upper half-plane. Each segment is the
-    ``math.dist`` of its two points; a distance from O, the origin, is the
-    ``math.hypot`` of the point.
+    target divided by three, so a moved H, C or P is flagged, as are G
+    turned off its ray and D or S moved along the y axis. These moves are
+    not: G moved along its own ray (G halved toward O passes at 1e-12, its
+    worst residual 5.6e-17 at 60 degrees); S moved along the first crease,
+    off the y axis, which keeps |OS| = |SD| exactly; and D or S turned about
+    O, which keeps |OD| and moves ``os_vs_sd`` only to second order (3.4e-13
+    for a turn of 1e-6 rad at 60 degrees). An H, G or C moved to the origin
+    or below the base line is flagged, and nothing raises; a NaN coordinate
+    of any point gives a NaN residual, which no tolerance passes. All checked
+    residuals sit at rounding level (<= 1e-12) for constructions produced by
+    :func:`abe_construct`, whose H, G and C lie in the upper half-plane. Each
+    segment is the ``math.dist`` of its two points; a distance from O, the
+    origin, is the ``math.hypot`` of the point.
     """
     t3 = c.three_theta
     t = t3 / 3.0

@@ -11,7 +11,7 @@ import pins
 
 from trisectrix.errors import (AngleOutOfRange, MaxIterationsExceeded, MismatchDetected,
                                TrisectrixError)
-from trisectrix.geom import _HALF_PI, Angle, target_radians
+from trisectrix.geom import _HALF_PI, Angle, Point2, target_radians
 from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
     _CHORD_KEYS,
@@ -26,10 +26,6 @@ from trisectrix.oracles import (
 )
 from trisectrix.origami import abe_construct, abe_verify, fold_angles
 from trisectrix.report import VerificationReport
-
-SIN_20 = 0.3420201433256687
-TWO_SIN_20 = 0.6840402866513374
-
 
 def _outcome(fn, *args) -> str:
     """repr of ``fn(*args)``, or its error's type and message with the report
@@ -55,11 +51,6 @@ def _log_uniform(low, high):
     """Floats in [low, high], uniform in their logarithm."""
     return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
         lambda x: min(max(math.exp(x), low), high))
-
-
-def _chords(d):
-    """The chords FK, KL and LE of a chord diagram, measured from its points."""
-    return math.dist(d.F, d.K), math.dist(d.K, d.L), math.dist(d.L, d.E)
 
 
 class TestOracleTheta:
@@ -100,28 +91,8 @@ class TestTripleAngleResidual:
         assert residual == pytest.approx(expected)
         assert residual > 0.2
 
-    def test_true_trisections_for_random_angles(self):
-        rng = random.Random(0x3A)
-        for _ in range(1000):
-            t3 = rng.uniform(1e-9, math.pi / 2.0)
-            residuals = cross_validate(Angle(t3), 1.0, 1e-12).residuals
-            assert residuals["triple_angle_identity"] <= 1e-12
-            assert residuals["triple_angle_locus"] <= 1e-12
-
 
 class TestChordDiagram:
-    def test_quarter_turn_chords(self):
-        d = chord_diagram(Angle.from_degrees(90.0))
-        for chord in _chords(d):
-            assert abs(chord - 0.5) <= 1e-12
-        assert abs(d.G[1] - 0.5) <= 1e-12
-
-    def test_sixty_degree_chords(self):
-        d = chord_diagram(Angle.from_degrees(60.0))
-        for chord in _chords(d):
-            assert abs(chord - SIN_20) <= 1e-12
-        assert abs(math.dist(d.G, d.F) - TWO_SIN_20) <= 1e-12
-
     def test_stores_only_its_points_and_target(self):
         # Every length is measured from the points by chord_residuals. The
         # target is the checked float, so no field is a mutable value.
@@ -143,48 +114,6 @@ class TestChordDiagram:
         bad = copy.copy(d)
         setattr(bad, name, tuple(point))
         assert not VerificationReport(chord_residuals(bad)).passes(1.0)
-
-    @given(t3=st.floats(min_value=0.01, max_value=math.pi / 2.0))
-    @settings(deadline=None, max_examples=300)
-    def test_marked_points_on_half_circle(self, t3):
-        d = chord_diagram(Angle(t3))
-        for p in ((0.0, 0.0), d.E, d.F, d.K, d.L):
-            assert abs(math.dist(d.J, p) - 0.5) <= 1e-12
-
-    @given(t3=st.floats(min_value=0.01, max_value=math.pi / 2.0))
-    @settings(deadline=None, max_examples=300)
-    def test_inscribed_chords_match_sine(self, t3):
-        d = chord_diagram(Angle(t3))
-        expected = 2.0 * 0.5 * math.sin(t3 / 3.0)
-        for chord in _chords(d):
-            assert abs(chord - expected) <= 1e-12
-
-    @pytest.mark.parametrize("point,flagged", [
-        ("E", ["le_vs_sin_theta"]),
-        ("F", ["fk_vs_sin_theta"]),
-        ("G", ["bg_vs_sin_theta"]),
-        ("K", ["kl_vs_sin_theta"]),
-        ("L", ["le_vs_sin_theta", "kl_vs_sin_theta"]),
-    ])
-    def test_moved_point_flags_its_lengths(self, point, flagged):
-        # Each length is measured from the points, so moving a point by a
-        # relative 1e-9 flags the lengths it ends. Away from 90 degrees,
-        # where E closes onto the vertex, every one moves by over 1e-11.
-        for degrees in (30.0, 60.0, 75.0):
-            d = chord_diagram(Angle.from_degrees(degrees))
-            x, y = getattr(d, point)
-            moved = copy.copy(d)
-            setattr(moved, point, (x * (1.0 + 1e-9), y * (1.0 + 1e-9)))
-            residuals = chord_residuals(moved)
-            for name in flagged:
-                assert residuals[name] > 1e-12, (degrees, name)
-
-    def test_residual_map_for_random_angles(self):
-        rng = random.Random(0xC0DE)
-        for _ in range(500):
-            d = chord_diagram(Angle(rng.uniform(0.01, math.pi / 2.0)))
-            residuals = chord_residuals(d)
-            assert max(residuals.values()) <= 1e-12
 
 
 class TestCrossValidate:
@@ -223,10 +152,11 @@ class TestCrossValidate:
     def test_estimates_agree_for_random_targets(self):
         rng = random.Random(0x500)
         for _ in range(500):
-            t3 = rng.uniform(1e-3, math.pi / 2.0 - 1e-9)
-            report = cross_validate(Angle(t3), 1.0, 1e-12)
-            assert report.residuals["theta_locus_vs_origami"] <= 1e-12
-            assert report.residuals["theta_locus_vs_oracle"] <= 1e-12
+            t3 = rng.uniform(1e-9, math.pi / 2.0 - 1e-9)
+            residuals = cross_validate(Angle(t3), 1.0, 1e-12).residuals
+            for key in ("theta_locus_vs_origami", "theta_locus_vs_oracle",
+                        "triple_angle_identity", "triple_angle_locus"):
+                assert residuals[key] <= 1e-12, key
 
     def test_disagreement_raises_mismatch(self, monkeypatch):
         # Skew the closed-form estimate; the comparison must notice.
@@ -413,25 +343,98 @@ def test_routes_keep_a_float_target_exactly_or_reject_it(x):
                 assert type(got) is float and got.hex() == kept.hex()
 
 
-def _fold_residuals(c):
-    return abe_verify(c).residuals
+# The moves of a figure's fields that each residual of its route's verifier
+# flags, and under "unflagged" the moves none flags. A float field or an
+# Angle's radians is scaled by 1 + 1e-9, an integer gains 1, and a point
+# moves out from the origin by 1 + 1e-9 or turns 1e-9 rad about it. A
+# residual flags a move when it exceeds 1e-12 and twice its unmoved value.
+_FLAGGED = {
+    "trisection": {
+        "three_theta_vs_target": "three_theta, theta",
+        "jn_vs_2a": "b_star, n_point out, n_point turned",
+        "on_vs_unit_length": "unit_length, n_point out",
+        "fold_ratio_vs_sin_theta": "theta, unit_length",
+        "locus_relation_at_n": "b_star, n_point out, n_point turned",
+        "unflagged": "iterations, final_bracket_width, angle_residual",  # not read
+    },
+    "origami": {
+        "oh_vs_oc": "H out, C out",
+        "hc_vs_od": "D out, H out, H turned, C out, C turned",
+        "os_vs_sd": "D out, S out",
+        "hg_vs_gc": "H out, H turned, C out, C turned, G turned",
+        "alpha_vs_beta": "H turned, G turned",
+        "beta_vs_gamma": "H turned, C turned, G turned",
+        "op_vs_cos_theta": "three_theta, P out",
+        "hp_vs_sin_theta": "three_theta, H out, H turned, P turned",
+        "c_on_target_ray": "three_theta, C turned",
+        "angle_sum_vs_three_theta": "three_theta, C turned",
+        "h_on_first_crease": "three_theta, H out, H turned",
+        "unflagged": "D turned, S turned, G out",  # named in abe_verify's docstring
+    },
+    "chord": {
+        "ja_radius": "J out",
+        "jf_radius": "F out, J out",
+        "je_radius": "E out, E turned, J out, J turned",
+        "jk_radius": "J out, J turned, K out, K turned",
+        "jl_radius": "J out, J turned, L out, L turned",
+        "fk_vs_sin_theta": "three_theta, F out, F turned, K turned",
+        "kl_vs_sin_theta": "three_theta, K out, K turned, L out, L turned",
+        "le_vs_sin_theta": "three_theta, E out, E turned, L out, L turned",
+        "bg_vs_sin_theta": "three_theta, G out, G turned",
+        "gf_vs_2sin_theta": "three_theta, F out, F turned, G out, G turned",
+    },
+}
+# Entries that differ at one target, in degrees: at 1 the target's move
+# shifts cos(theta) by ~1e-13; E, cos(3 theta) from the vertex, fades at 89.
+_FLAGGED_AT = {
+    ("origami", 1): {"op_vs_cos_theta": "P out"},
+    ("chord", 89): {"je_radius": "E turned, J out, J turned"},
+    ("chord", 90): {"je_radius": "J out", "le_vs_sin_theta": "three_theta, L out",
+                    "unflagged": "E out, E turned"},
+}
 
 
-@pytest.mark.parametrize("construct, residuals, degrees", [
-    *(pytest.param(abe_construct, _fold_residuals, d, id=f"fold-{d:g}")
-      for d in (1.0, 30.0, 60.0, 89.0, 90.0)),
-    *(pytest.param(chord_diagram, chord_residuals, d, id=f"chord-{d:g}")
-      for d in (1.0, 30.0, 60.0, 89.0, 90.0)),
-])
-def test_moved_target_fails_the_report(construct, residuals, degrees):
-    # Rebuilt with its target moved by one part in 1e9 and every point left
-    # where it is, a construction disagrees with its own target: some
-    # residual leaves rounding level (the smallest flagged, at 1 degree, is
-    # about 6e-12).
-    c = construct(math.radians(degrees))
-    target, *points = (getattr(c, name) for name in type(c).__slots__)
-    moved = type(c)(target * (1.0 + 1e-9), *points)
-    assert max(residuals(moved).values()) > 1e-12
+def _moves(value):
+    """Each move of one field's value, keyed by its suffix in _FLAGGED."""
+    if type(value) in (int, float):
+        return {"": value + 1 if type(value) is int else value * (1.0 + 1e-9)}
+    if type(value) is Angle:
+        return {"": Angle(value.radians * (1.0 + 1e-9))}
+    if type(value) is Point2:
+        return {move: Point2(*xy) for move, xy in _moves((value.x, value.y)).items()}
+    x, y = value
+    cos, sin = math.cos(1e-9), math.sin(1e-9)
+    return {" out": (x * (1.0 + 1e-9), y * (1.0 + 1e-9)),
+            " turned": (cos * x - sin * y, sin * x + cos * y)}
+
+
+@pytest.mark.parametrize("degrees", [1, 30, 60, 75, 89, 90])
+@pytest.mark.parametrize("route, a", [("trisection", 0.3), ("trisection", 1.0),
+                                      ("trisection", 7.5), ("origami", None), ("chord", None)])
+def test_moved_field_flags_the_residuals_that_read_it(route, a, degrees):
+    # Each move of a field is flagged by exactly the residuals pinned above,
+    # and the unmoved fold and chord figures pass their verifiers at 1e-12.
+    t3 = math.radians(degrees)
+    if route == "trisection":
+        params = LocusParams(a)
+        figure, check = trisect(t3, params), lambda r: verify_trisection(r, params).residuals
+    elif route == "origami":
+        figure, check = abe_construct(t3), lambda c: abe_verify(c).residuals
+    else:
+        figure, check = chord_diagram(t3), chord_residuals
+    unmoved = check(figure)
+    assert route == "trisection" or max(unmoved.values()) <= 1e-12
+    flagged = {}
+    for field in type(figure).__slots__:
+        for move, value in _moves(getattr(figure, field)).items():
+            moved = copy.copy(figure)
+            setattr(moved, field, value)
+            names = [name for name, residual in check(moved).items()
+                     if residual > 1e-12 and residual > 2.0 * unmoved[name]]
+            for name in names or ["unflagged"]:
+                flagged.setdefault(name, set()).add(field + move)
+    expected = {**_FLAGGED[route], **_FLAGGED_AT.get((route, degrees), {})}
+    assert flagged == {name: set(moves.split(", ")) for name, moves in expected.items()}
 
 
 def route_grid():
