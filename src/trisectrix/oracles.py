@@ -17,7 +17,7 @@ from .errors import MismatchDetected
 from .geom import Angle, AngleLike, Value, as_float, target_radians
 from .locus import LocusParams, trisect, verify_trisection
 from .origami import abe_construct, abe_verify
-from .report import ResidualMap, worst_of
+from .report import VerificationReport
 
 
 class ChordDiagram(Value):
@@ -123,7 +123,7 @@ def chord_residuals(d: ChordDiagram) -> dict[str, float]:
     }
 
 
-class CrossValidationReport(ResidualMap):
+class CrossValidationReport(VerificationReport):
     """The locus solver's trisected angle and every route's residual, keyed
     by source.
 
@@ -131,8 +131,7 @@ class CrossValidationReport(ResidualMap):
     order of the report's keys (see :func:`cross_validate`). ``residuals``
     is the dict of keys and values, built on its first read and kept: from
     then on it is the report's residuals, so a value written into it is what
-    ``passes`` and ``worst`` report. Until that read, they walk the tuple
-    and build no dict."""
+    ``passes``, ``worst`` and the repr report."""
 
     __slots__ = ("theta_locus", "residual_values", "_residuals")
 
@@ -151,18 +150,6 @@ class CrossValidationReport(ResidualMap):
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(theta_locus={self.theta_locus!r}, "
                 f"residuals={self.residuals!r})")
-
-    def worst(self) -> tuple[str, float]:
-        residuals = self._residuals
-        return worst_of(zip(_KEYS, self.residual_values) if residuals is None
-                        else residuals.items())
-
-    def passes(self, tol: float) -> bool:
-        residuals = self._residuals
-        for value in self.residual_values if residuals is None else residuals.values():
-            if not abs(value) <= tol:
-                return False
-        return True
 
 
 # Report keys of each route's residuals: the names one call of the route
@@ -202,9 +189,9 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     last ``chord_`` and each ``chord_residuals`` key, each route's keys in
     the route's own order. Every target in the domain gets every key.
 
-    The report keeps the values as one tuple in that order and builds no
-    dict: its ``residuals`` dict is built on first read, and ``passes`` and
-    ``worst`` do not read it.
+    The report keeps the values as one tuple in that order; its
+    ``residuals`` dict, which ``passes`` and ``worst`` walk, is built on
+    first read.
     """
     params = LocusParams(a)
     # trisect checks the target domain and tol; the routes below take the

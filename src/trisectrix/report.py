@@ -2,38 +2,30 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .geom import Value
 
 
-def worst_of(named: Iterable[tuple[str, float]]) -> tuple[str, float]:
-    """Name and magnitude of the largest of the ``(name, residual)`` pairs,
-    the first in order among equal ones. A NaN residual is worse than any
-    number: the first NaN one is named, with magnitude NaN."""
-    name, largest = "", -1.0
-    for key, value in named:
-        value = abs(value)
-        if value > largest:
-            name, largest = key, value
-        elif value != value:
-            return key, value
-    return name, largest
+class VerificationReport(Value):
+    """A map of named residuals, each a checked equality expected to sit at
+    rounding level."""
 
+    __slots__ = ("residuals",)
 
-class ResidualMap(Value):
-    """Queries over a ``residuals`` map of named residuals: the base of the
-    report types that hold one."""
-
-    __slots__ = ()
-
-    residuals: dict[str, float]
+    def __init__(self, residuals: dict[str, float]) -> None:
+        self.residuals = residuals
 
     def worst(self) -> tuple[str, float]:
         """Name and magnitude of the largest checked residual, the first in
-        key order among equal ones; a NaN one is worse than any number (see
-        :func:`worst_of`)."""
-        return worst_of(self.residuals.items())
+        key order among equal ones. A NaN residual is worse than any number:
+        the first NaN one is named, with magnitude NaN."""
+        name, largest = "", -1.0
+        for key, value in self.residuals.items():
+            value = abs(value)
+            if value > largest:
+                name, largest = key, value
+            elif value != value:
+                return key, value
+        return name, largest
 
     def max_residual(self) -> float:
         """The largest residual's magnitude, NaN if any residual is NaN."""
@@ -45,13 +37,3 @@ class ResidualMap(Value):
             if not abs(value) <= tol:
                 return False
         return True
-
-
-class VerificationReport(ResidualMap):
-    """A map of named residuals, each a checked equality expected to sit at
-    rounding level."""
-
-    __slots__ = ("residuals",)
-
-    def __init__(self, residuals: dict[str, float]) -> None:
-        self.residuals = residuals

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pins
 
-from trisectrix.errors import (AngleOutOfRange, MaxIterationsExceeded, MismatchDetected,
-                               TrisectrixError)
+from trisectrix.errors import AngleOutOfRange, MismatchDetected, TrisectrixError
 from trisectrix.geom import _HALF_PI, Angle, Point2, target_radians
 from trisectrix.locus import FOLD_MAX, FOLD_MIN, LocusParams, trisect, verify_trisection
 from trisectrix.oracles import (
@@ -249,30 +248,6 @@ class TestCrossValidate:
         assert tuple(report.residuals) == tuple(expected)
 
 
-@given(
-    target=st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True),
-    a=_log_uniform(FOLD_MIN, FOLD_MAX),
-    tol=_log_uniform(1e-17, 1e-3),
-)
-@settings(deadline=None, max_examples=300)
-def test_unread_report_answers_as_its_residuals_dict(target, a, tol):
-    # Until its residuals dict is read, a report answers passes and worst
-    # from its value tuple paired with the keys. Each answer must be the one
-    # a report of the same dict gives, at tol, at the worst magnitude and
-    # just below it, and at 1e-12.
-    try:
-        report = cross_validate(target, a, tol)
-    except MismatchDetected as exc:
-        report = exc.report
-    except MaxIterationsExceeded:
-        return
-    largest = report.max_residual()
-    tols = (tol, largest, math.nextafter(largest, 0.0), 1e-12)
-    unread = [report.passes(t) for t in tols] + [report.worst()]
-    reference = VerificationReport(dict(report.residuals))
-    assert repr(unread) == repr([reference.passes(t) for t in tols] + [reference.worst()])
-
-
 def test_a_value_written_into_residuals_is_what_passes_and_worst_report():
     # The residuals dict, once read, is the report's residuals: a write into
     # it is what passes, worst and the repr then show.
@@ -287,26 +262,6 @@ def test_a_value_written_into_residuals_is_what_passes_and_worst_report():
     report.residuals["theta_locus_vs_oracle"] = math.nan
     assert not report.passes(math.inf)
     assert report.worst()[0] == "theta_locus_vs_oracle"
-
-
-def test_passes_and_worst_build_no_dict():
-    # The crosscheck benchmark calls only passes and, on a failure, worst:
-    # neither may build the residuals dict, or its cost would move from
-    # cross_validate into the check.
-    from test_package import _mutable_parts
-
-    report = cross_validate(math.radians(60.0), 1.0, 1e-10)
-    assert report.passes(1e-10) and not report.passes(0.0)
-    report.worst()
-    report.max_residual()
-
-    def dicts():
-        return [part for part in _mutable_parts([report]).values() if isinstance(part, dict)]
-
-    assert dicts() == []
-    # The walk reaches the dict once it is built.
-    residuals = report.residuals
-    assert len(dicts()) == 1 and dicts()[0] is residuals
 
 
 @given(x=st.floats())
