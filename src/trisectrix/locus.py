@@ -11,10 +11,12 @@ intersection point Q traces a curve as b grows. Because the chord JQ of
 circle 1 has fixed length 2a, the central angle it subtends is exactly twice
 the angle of J, which puts Q at three times J's polar angle: the curve is a
 trisectrix. With J at angle phi/3 and |OQ| = |OJ|, its polar form is
-r = a / sin(phi/3). Intersecting it with the ray at a target angle therefore
-solves the trisection, and the distance |OQ| at the crossing is the unit
-length at which the assumed fold spacing equals the sine of the trisected
-angle.
+r = a / sin(phi/3). The triple-angle identity sin(phi) = 3u - 4u^3, with
+u = a/r, turns that into the cubic (x^2 + y^2)(3a - y) = 4a^3: the curve
+rises from (0, 2a) toward the asymptote y = 3a as b grows. Intersecting it
+with the ray at a target angle therefore solves the trisection, and the
+distance |OQ| at the crossing is the unit length at which the assumed fold
+spacing equals the sine of the trisected angle.
 
 The crossing is found by plain bisection on the polar angle of Q, which is
 strictly decreasing in b; the bracket starts at b = sqrt(3)*a, where Q sits

@@ -45,8 +45,10 @@ def render_svg(params: LocusParams, result: TrisectionResult, samples: int) -> s
 
     # The bounding box, from points listed in a fixed order: min and max
     # keep the first of equal values, so the sign of a zero bound is stable.
-    xs = [0.0, 0.0, b_star, -r1, r1, jx - r2, jx + r2]
-    ys = [0.0, 2.0 * a, 0.0, -r1, r1, jy - r2, jy + r2]
+    # Circle 2's left and lower edges are left out: r1 = |OJ| >= 2a puts -r1
+    # below both, b* - 2a and -a.
+    xs = [0.0, 0.0, b_star, -r1, r1, jx + r2]
+    ys = [0.0, 2.0 * a, 0.0, -r1, r1, jy + r2]
     xs += [pt.q.x for pt in locus_points]
     ys += [pt.q.y for pt in locus_points]
     reach = 1.15 * r1

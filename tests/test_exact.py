@@ -38,8 +38,9 @@ def test_curve_point_satisfies_the_paper_identities_exactly(a, ratio):
     u, v = 1 - 3 * s * s, s * (3 - s * s)
     assert x * v == y * u
     assert x * u + y * v > 0
-    # The b-free locus equation.
+    # The b-free locus equation, and the cubic (x^2 + y^2)(3a - y) = 4a^3.
     assert (r2 - 2 * a * a - a * y) ** 2 == x * x * (r2 - a * a)
+    assert r2 * (3 * a - y) == 4 * a ** 3
     # The fold: the crease that takes O onto J, the perpendicular bisector of
     # OJ, takes D = (0, 2a) onto Q.
     k = 1 - 4 * a * a / (a * a + b * b)
