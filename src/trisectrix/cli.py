@@ -34,7 +34,7 @@ from .locus import (
     trisect,
     verify_trisection,
 )
-from .oracles import cross_validate
+from .oracles import cross_validate, oracle_theta
 from .origami import abe_construct, abe_verify, fold_angles
 from .render import render_svg
 
@@ -151,7 +151,7 @@ def cmd_origami(args: argparse.Namespace) -> int:
     # perpendicular from H, the lengths O-P and H-P are cos t and sin t, which
     # abe_verify checks. The other reading, "C-P equals sin t", holds for no
     # point on the base ray, so it is reported here and not checked.
-    theta = c.three_theta / 3.0
+    theta = oracle_theta(c.three_theta)
     cp_vs_sin_theta = abs(math.dist(c.C, c.P) - math.sin(theta))
     alpha, beta, gamma = fold_angles(c)
     payload = {

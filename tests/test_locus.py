@@ -2,7 +2,6 @@
 
 import collections
 import contextlib
-import copy
 import io
 import itertools
 import math
@@ -79,20 +78,64 @@ class TestParams:
         assert FOLD_MIN < 1e-102 and FOLD_MAX > 1e89
 
 
+def _overflow_limit(a):
+    """About the largest curve parameter at fold ``a``: past it b*b, or
+    2a*(b*b - a*a) from fold 0.5 up, overflows."""
+    return math.sqrt(sys.float_info.max / max(2.0 * a, 1.0))
+
+
+def _rejection(a, b, name):
+    """The ParameterOutOfRange message for the curve parameter ``b``, named
+    ``name``, at fold ``a``, or None where the curve has a finite point:
+    from sqrt(3)*a, less a relative slack of 1e-12 for a start computed by
+    another expression, to where 2a*(b*b - a*a) overflows."""
+    lower = SQRT3 * a
+    if not b >= lower * (1.0 - 1e-12):
+        return f"parameter {name} must be at least sqrt(3)*a = {lower!r}, got {b!r}"
+    if math.isfinite(2.0 * a * (b * b - a * a)):
+        return None
+    return (f"parameter {name} must be finite and at most about {_overflow_limit(a):.3g} "
+            f"at fold a={a!r}, where the curve's products overflow, got {b!r}")
+
+
+@st.composite
+def fold_and_parameters(draw, count):
+    """A fold, spread evenly in its logarithm over the fold range, and
+    ``count`` curve parameters for it: each any float, or one spread evenly
+    in its logarithm from the curve's start to twice its overflow limit."""
+    a = draw(_log_uniform(FOLD_MIN, FOLD_MAX))
+    b = st.floats() | _log_uniform(SQRT3 * a, 2.0 * _overflow_limit(a))
+    return (a, *(draw(b) for _ in range(count)))
+
+
 class TestLocusPoint:
-    def test_below_curve_start_rejected(self):
-        with pytest.raises(ParameterOutOfRange):
-            locus_point(LocusParams(1.0), 1.0)
-        with pytest.raises(ParameterOutOfRange):
-            locus_point(LocusParams(1.0), float("nan"))
-        with pytest.raises(ParameterOutOfRange):
-            locus_point(LocusParams(1.0), SQRT3 * (1.0 - 1e-11))
-        # A b a rounding error below sqrt(3)*a is within the slack and
-        # accepted: Q sits a hair left of the y axis.
-        b = SQRT3 * (1.0 - 1e-13)
-        lp = locus_point(LocusParams(1.0), b)
-        assert -1e-12 < lp.q.x < 0.0
-        assert repr(sample_locus(LocusParams(1.0), b, 10.0, 2)[0].q) == repr(lp.q)
+    @given(fold_and_b=fold_and_parameters(1))
+    # At fold 1: below the start, NaN, just past the slack and just inside
+    # it, and past where the products overflow.
+    @_examples("fold_and_b", *((1.0, b) for b in (1.0, math.nan, SQRT3 * (1.0 - 1e-11),
+                                                  SQRT3 * (1.0 - 1e-13), 1e154, 1e200)))
+    @settings(deadline=None, max_examples=120)
+    def test_any_float_b_gives_a_finite_point_or_is_rejected(self, fold_and_b):
+        # Exactly the parameters _rejection accepts give a point, which keeps
+        # b bit for bit and is finite throughout; every other float, NaN and
+        # the infinities included, is rejected in its one wording. The limit
+        # that wording names is where rejection starts: the float below it
+        # gives a point and the float two above it does not.
+        a, b = fold_and_b
+        params = LocusParams(a)
+        limit = _overflow_limit(a)
+        below, above = math.nextafter(limit, 0.0), limit + 2.0 * math.ulp(limit)
+        assert _rejection(a, below, "b") is None and _rejection(a, above, "b")
+        for b in (b, below, above):
+            try:
+                lp = locus_point(params, b)
+            except ParameterOutOfRange as exc:
+                assert str(exc) == _rejection(a, b, "b")
+            else:
+                assert _rejection(a, b, "b") is None and lp.b.hex() == b.hex()
+                assert all(math.isfinite(v) for v in (lp.q.x, lp.q.y, lp.residual_circle1,
+                                                        lp.residual_circle2,
+                                                        lp.residual_locus_relation))
 
     @given(a=st.floats(min_value=0.01, max_value=100.0),
            ratio=st.floats(min_value=1.0, max_value=1e4))
@@ -102,31 +145,6 @@ class TestLocusPoint:
         lp = locus_point(LocusParams(a), b)
         slider = math.atan2(a, b)
         assert abs(wrap_signed(lp.q_polar_angle.radians - 3.0 * slider)) <= 1e-12
-
-    @given(b=st.floats(allow_nan=False, allow_infinity=False),
-           fold=st.floats(min_value=FOLD_MIN, max_value=FOLD_MAX))
-    @example(b=1e200, fold=1.0)
-    @example(b=1e154, fold=1.0)
-    @settings(deadline=None, max_examples=300)
-    def test_any_finite_b_and_fold(self, b, fold):
-        # Every finite b, at every fold in range, gives a finite point or a
-        # domain error naming b that reports no NaN made along the way: past
-        # about 9.5e153 at fold 1 the curve's products overflow.
-        try:
-            lp = locus_point(LocusParams(fold), b)
-        except ParameterOutOfRange as exc:
-            assert str(exc).startswith("parameter b must be ")
-            assert "nan" not in str(exc)
-            return
-        assert all(math.isfinite(v) for v in (lp.q.x, lp.q.y, lp.residual_circle1,
-                                                lp.residual_circle2,
-                                                lp.residual_locus_relation))
-
-    def test_monotone_decreasing_in_b(self):
-        params = LocusParams(0.7)
-        b_values = [SQRT3 * 0.7 * (1.0 + 0.37 * k) for k in range(40)]
-        angles = [locus_point(params, b).q_polar_angle.radians for b in b_values]
-        assert all(x > y for x, y in zip(angles, angles[1:]))
 
 
 class TestRelationResidual:
@@ -143,15 +161,6 @@ class TestSampleLocus:
     def test_degenerate_range_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             sample_locus(LocusParams(1.0), SQRT3, SQRT3, 5)
-
-    def test_non_finite_b_max_rejected(self):
-        # A domain error that names b_max. An infinite one reports no NaN
-        # made along the way; a NaN one is echoed as "got nan".
-        for b_max in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ParameterOutOfRange, match="b_max") as info:
-                sample_locus(LocusParams(1.0), SQRT3, b_max, 5)
-            if not math.isnan(b_max):
-                assert "nan" not in str(info.value)
 
     def test_b_min_below_curve_start_rejected(self):
         # b_min is checked first, so it is named even when b_max overflows.
@@ -182,25 +191,42 @@ class TestSampleLocus:
                    for v in (p.b, p.q.x, p.q.y, p.residual_circle1, p.residual_circle2,
                              p.residual_locus_relation, p.q_polar_angle.radians))
 
-    @given(
-        b_max=st.floats(allow_nan=False, allow_infinity=False),
-        fold=st.floats(allow_nan=False, allow_infinity=False),
-    )
-    @settings(deadline=None, max_examples=300)
-    def test_any_finite_b_max_and_fold(self, b_max, fold):
-        # Every finite b_max and fold, sampled from the curve start, gives
-        # finite points or a domain error, and a ValueError never reports a
-        # NaN made along the way.
+    @given(curve=fold_and_parameters(2), n=st.integers(-1, 33))
+    # As (a, b_min, b_max): a range at fold 0.4; and at fold 1, too few
+    # samples, b_min below the start or overflowing, even with b_max
+    # overflowing too, an empty range, and b_max non-finite, overflowing,
+    # at the first rejected float, or the float below it.
+    @example(curve=(0.4, 1.0, 7.0), n=33)
+    @example(curve=(1.0, SQRT3, 10.0), n=1)
+    @_examples("curve", (1.0, 1.0, 1e300), (1.0, 1e200, 1e201), (1.0, SQRT3, SQRT3),
+               *((1.0, SQRT3, b_max) for b_max in (math.inf, -math.inf, math.nan, 1e300,
+                                                   9.480751908109177e+153,
+                                                   9.480751908109176e+153)), n=3)
+    @settings(deadline=None, max_examples=120)
+    def test_any_float_range_is_sampled_or_rejected(self, curve, n):
+        # Fewer than 2 samples is a ValueError; then b_min and b_max are each
+        # checked as locus_point checks b, b_min first, each under its own
+        # name, and an empty range is rejected, each in its one wording.
+        # Otherwise the n samples are locus_point's, at b's that ascend from
+        # b_min to b_max exactly.
+        a, b_min, b_max = curve
+        params = LocusParams(a)
+        if n < 2:
+            expected = f"ValueError: need at least 2 samples, got {n!r}"
+        else:
+            message = (_rejection(a, b_min, "b_min") or _rejection(a, b_max, "b_max")
+                       or (None if b_min < b_max else
+                           f"need b_min < b_max, got b_min={b_min!r}, b_max={b_max!r}"))
+            expected = message and f"ParameterOutOfRange: {message}"
         try:
-            pts = sample_locus(LocusParams(fold), SQRT3 * fold, b_max, 8)
-        except ParameterOutOfRange:
-            return
-        except ValueError as exc:
-            assert "nan" not in str(exc)
-            return
-        assert all(math.isfinite(v) for p in pts
-                   for v in (p.q.x, p.q.y, p.residual_circle1, p.residual_circle2,
-                             p.residual_locus_relation))
+            points = sample_locus(params, b_min, b_max, n)
+        except (ValueError, ParameterOutOfRange) as exc:
+            assert f"{type(exc).__name__}: {exc}" == expected
+        else:
+            assert expected is None
+            bs = [p.b for p in points]
+            assert len(bs) == n and bs[0] == b_min and bs[-1] == b_max and bs == sorted(bs)
+            assert [repr(p) for p in points] == [repr(locus_point(params, b)) for b in bs]
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -216,11 +242,12 @@ class TestSampleLocus:
         ) <= 1e-12
 
     def test_ascending_b_descending_angle(self):
-        pts = sample_locus(LocusParams(1.0), SQRT3, 25.0, 100)
-        bs = [p.b for p in pts]
-        angles = [p.q_polar_angle.radians for p in pts]
-        assert bs == sorted(bs) and len(set(bs)) == len(bs)
-        assert all(x > y for x, y in zip(angles, angles[1:]))
+        for a in (0.7, 1.0):
+            pts = sample_locus(LocusParams(a), SQRT3 * a, 25.0 * a, 100)
+            bs = [p.b for p in pts]
+            angles = [p.q_polar_angle.radians for p in pts]
+            assert bs == sorted(bs) and len(set(bs)) == len(bs)
+            assert all(x > y for x, y in zip(angles, angles[1:]))
 
     @given(b_min=st.floats(min_value=SQRT3, max_value=1e6), ulps=st.integers(1, 64),
            n=st.integers(2, 200))
@@ -412,30 +439,6 @@ class TestVerifyTrisection:
         report = verify_trisection(r, params)
         assert report.passes(1e-11)
         assert abs(r.theta.degrees - 25.0) <= 1e-9
-
-    def test_tampered_theta_is_flagged(self):
-        params = LocusParams(1.0)
-        r = trisect(Angle.from_degrees(60.0), params)
-        bad = copy.copy(r)
-        bad.theta = Angle(r.theta.radians + 1e-6)
-        report = verify_trisection(bad, params)
-        res = report.residuals["three_theta_vs_target"]
-        assert math.isclose(res, 3e-6, rel_tol=1e-4)
-        assert not report.passes(1e-12)
-
-    def test_nan_unit_length_is_flagged(self):
-        # The unit length enters two residuals after the first, finite one;
-        # each NaN fails the report and is named by worst().
-        params = LocusParams(1.0)
-        bad = copy.copy(trisect(Angle.from_degrees(60.0), params))
-        bad.unit_length = math.nan
-        report = verify_trisection(bad, params)
-        nan_names = [k for k, v in report.residuals.items() if math.isnan(v)]
-        assert nan_names == ["on_vs_unit_length", "fold_ratio_vs_sin_theta"]
-        assert not report.passes(1e-12)
-        assert math.isnan(report.max_residual())
-        name, value = report.worst()
-        assert name == "on_vs_unit_length" and math.isnan(value)
 
 
 def _reference_trisect(three_theta, params, tol=1e-12):

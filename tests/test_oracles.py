@@ -36,12 +36,12 @@ def _outcome(fn, *args) -> str:
         return f"{type(exc).__name__}: {exc} | {attached!r}"
 
 
-def _examples(name, *values):
+def _examples(name, *values, **fixed):
     """A decorator that adds each value as an explicit example of the
-    test's argument ``name``."""
+    test's argument ``name``, with the test's other arguments ``fixed``."""
     def add(test):
         for value in values:
-            test = example(**{name: value})(test)
+            test = example(**{name: value}, **fixed)(test)
         return test
     return add
 
@@ -91,30 +91,6 @@ class TestTripleAngleResidual:
         assert residual > 0.2
 
 
-class TestChordDiagram:
-    def test_stores_only_its_points_and_target(self):
-        # Every length is measured from the points by chord_residuals. The
-        # target is the checked float, so no field is a mutable value.
-        d = chord_diagram(Angle.from_degrees(60.0))
-        assert type(d).__slots__ == ("three_theta", "E", "F", "G", "J", "K", "L")
-        assert type(d.three_theta) is float
-        for name in "EFGJKL":
-            point = getattr(d, name)
-            assert type(point) is tuple and len(point) == 2, name
-            assert all(type(coordinate) is float for coordinate in point), name
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("name", list("EFGJKL"))
-    def test_nan_coordinate_is_flagged(self, name, axis):
-        # Every coordinate enters a residual, so a NaN one fails the check.
-        d = chord_diagram(Angle.from_degrees(60.0))
-        point = list(getattr(d, name))
-        point[axis] = math.nan
-        bad = copy.copy(d)
-        setattr(bad, name, tuple(point))
-        assert not VerificationReport(chord_residuals(bad)).passes(1.0)
-
-
 class TestCrossValidate:
     def test_quarter_turn_runs_every_route(self):
         # The fold covers exactly 90 degrees too: the report holds every
@@ -143,20 +119,6 @@ class TestCrossValidate:
             for key in ("theta_locus_vs_origami", "theta_locus_vs_oracle",
                         "triple_angle_identity", "triple_angle_locus"):
                 assert residuals[key] <= 1e-12, key
-
-    def test_disagreement_raises_mismatch(self, monkeypatch):
-        # Skew the closed-form estimate; the comparison must notice.
-        def skewed(three_theta):
-            return three_theta / 3.0 + 1e-6
-
-        monkeypatch.setattr("trisectrix.oracles.oracle_theta", skewed)
-        with pytest.raises(MismatchDetected) as excinfo:
-            cross_validate(Angle.from_degrees(60.0), 1.0, 1e-10)
-        report = excinfo.value.report
-        assert report is not None
-        assert report.residuals["theta_locus_vs_oracle"] == pytest.approx(
-            1e-6, rel=1e-3
-        )
 
     @pytest.mark.parametrize("oracle_skew,origami_skew,tol,pair,key", [
         # The oracle alone is off: locus-oracle is checked first.
@@ -191,7 +153,7 @@ class TestCrossValidate:
             cross_validate(Angle.from_degrees(60.0), 1.0, tol)
         residuals = excinfo.value.report.residuals
         gap = residuals[key]
-        assert gap > tol
+        assert gap > tol and gap == pytest.approx(abs(oracle_skew - origami_skew), rel=1e-3)
         if origami_skew:
             assert residuals["origami_alpha_vs_beta"] > tol
         assert str(excinfo.value) == (
@@ -233,6 +195,23 @@ class TestCrossValidate:
         expected += ["chord_" + name for name in chord_residuals(chord_diagram(t3))]
         report = cross_validate(t3, 1.0, 1e-12)
         assert tuple(report.residuals) == tuple(expected)
+
+
+@pytest.mark.parametrize("construct, points", [(abe_construct, "DSHCGP"),
+                                               (chord_diagram, "EFGJKL")],
+                         ids=["origami", "chord"])
+def test_stores_only_its_points_and_target(construct, points):
+    # Every length, and the fold's angles, are measured from the points by
+    # the route's verifier (fold_angles for the angles), never stored, so no
+    # stored value can disagree with the points. The target is the checked
+    # float, so no field is a mutable value.
+    figure = construct(Angle.from_degrees(60.0))
+    assert type(figure).__slots__ == ("three_theta", *points)
+    assert type(figure.three_theta) is float
+    for name in points:
+        point = getattr(figure, name)
+        assert type(point) is tuple and len(point) == 2, name
+        assert all(type(coordinate) is float for coordinate in point), name
 
 
 def test_a_value_written_into_residuals_is_what_passes_and_worst_report():
@@ -290,6 +269,8 @@ def test_routes_keep_a_float_target_exactly_or_reject_it(x):
 # Angle's radians is scaled by 1 + 1e-9, an integer gains 1, and a point
 # moves out from the origin by 1 + 1e-9 or turns 1e-9 rad about it. A
 # residual flags a move when it exceeds 1e-12 and twice its unmoved value.
+# Each float field and each coordinate of a float-pair point is also made
+# NaN (_nan_moves), which the test checks against the table's moves.
 _FLAGGED = {
     "trisection": {
         "three_theta_vs_target": "three_theta, theta",
@@ -336,6 +317,16 @@ _FLAGGED_AT = {
 }
 
 
+def _nan_moves(value):
+    """Each NaN move of one field's value: the float itself, or one
+    coordinate of a point. Angle and Point2 reject NaN, and an int has none."""
+    if type(value) is float:
+        return [math.nan]
+    if type(value) is tuple:
+        return [(math.nan, value[1]), (value[0], math.nan)]
+    return []
+
+
 def _moves(value):
     """Each move of one field's value, keyed by its suffix in _FLAGGED."""
     if type(value) in (int, float):
@@ -356,6 +347,10 @@ def _moves(value):
 def test_moved_field_flags_the_residuals_that_read_it(route, a, degrees):
     # Each move of a field is flagged by exactly the residuals pinned above,
     # and the unmoved fold and chord figures pass their verifiers at 1e-12.
+    # A NaN move of a field that some move shows in a residual fails the
+    # report at any tol, and the NaN moves of a field, taken together, make
+    # NaN every residual that flags one of its moves; a NaN move of an
+    # unread field makes no residual NaN.
     t3 = math.radians(degrees)
     if route == "trisection":
         params = LocusParams(a)
@@ -364,19 +359,38 @@ def test_moved_field_flags_the_residuals_that_read_it(route, a, degrees):
         figure, check = abe_construct(t3), lambda c: abe_verify(c).residuals
     else:
         figure, check = chord_diagram(t3), chord_residuals
+
+    def checked(field, value):
+        moved = copy.copy(figure)
+        setattr(moved, field, value)
+        return check(moved)
+
     unmoved = check(figure)
     assert route == "trisection" or max(unmoved.values()) <= 1e-12
     flagged = {}
     for field in type(figure).__slots__:
         for move, value in _moves(getattr(figure, field)).items():
-            moved = copy.copy(figure)
-            setattr(moved, field, value)
-            names = [name for name, residual in check(moved).items()
+            names = [name for name, residual in checked(field, value).items()
                      if residual > 1e-12 and residual > 2.0 * unmoved[name]]
             for name in names or ["unflagged"]:
                 flagged.setdefault(name, set()).add(field + move)
     expected = {**_FLAGGED[route], **_FLAGGED_AT.get((route, degrees), {})}
     assert flagged == {name: set(moves.split(", ")) for name, moves in expected.items()}
+
+    for field in type(figure).__slots__:
+        nan_moves = _nan_moves(getattr(figure, field))
+        if not nan_moves:
+            continue
+        unread = field in flagged.get("unflagged", ())
+        made_nan = set()
+        for value in nan_moves:
+            report = VerificationReport(checked(field, value))
+            nan = {name for name, residual in report.residuals.items() if math.isnan(residual)}
+            made_nan |= nan
+            assert unread or (not report.passes(math.inf) and report.worst()[0] in nan), field
+        read = {name for name, moves in flagged.items() if name != "unflagged"
+                and any(move.split()[0] == field for move in moves)}
+        assert not made_nan if unread else made_nan >= read, field
 
 
 def route_grid():

@@ -326,7 +326,6 @@ def test_only_the_listed_functions_divide_by_three():
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
     )
     assert sites == [
-        "cli.cmd_origami",
         "locus.trisect", "locus.trisect",
         "oracles.chord_diagram", "oracles.chord_residuals", "oracles.oracle_theta",
         "origami.abe_construct", "origami.abe_verify",
