@@ -127,44 +127,34 @@ class CrossValidationReport(VerificationReport):
     """The locus solver's trisected angle and every route's residual, keyed
     by source.
 
-    The report holds the residuals as one tuple, ``residual_values``, in the
-    order of the report's keys (see :func:`cross_validate`). ``residuals``
-    is the dict of keys and values, built on its first read and kept: from
-    then on it is the report's residuals, so a value written into it is what
-    ``passes``, ``worst`` and the repr report."""
+    The report holds its residuals as ``parts``, (prefix, residual dict)
+    pairs in the order of the report's keys (see :func:`cross_validate`):
+    each route's dict as the route returned it, and the report's own values
+    under the prefix ``""``. ``residuals`` is the dict of every part's
+    names, each under its part's prefix, built on its first read and kept:
+    from then on it is the report's residuals, so a value written into it
+    is what ``passes``, ``worst`` and the repr report."""
 
-    __slots__ = ("theta_locus", "residual_values", "_residuals")
+    __slots__ = ("theta_locus", "parts", "_residuals")
 
-    def __init__(self, theta_locus: Angle, residual_values: tuple[float, ...]) -> None:
+    def __init__(self, theta_locus: Angle,
+                 parts: tuple[tuple[str, dict[str, float]], ...]) -> None:
         self.theta_locus = theta_locus
-        self.residual_values = residual_values
+        self.parts = parts
         self._residuals = None
 
     @property
     def residuals(self) -> dict[str, float]:
         residuals = self._residuals
         if residuals is None:
-            residuals = self._residuals = dict(zip(_KEYS, self.residual_values))
+            residuals = self._residuals = {prefix + name: value
+                                           for prefix, part in self.parts
+                                           for name, value in part.items()}
         return residuals
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(theta_locus={self.theta_locus!r}, "
                 f"residuals={self.residuals!r})")
-
-
-# Report keys of each route's residuals: the names one call of the route
-# returns, in its order, with the route's prefix added once, here, so that
-# cross_validate builds no key string per call. Every call of a route
-# returns the same names in the same order, so zip pairs these keys with
-# any later call's values.
-_TRISECTION_KEYS = tuple("trisection_" + name for name in verify_trisection(
-    trisect(1.0, LocusParams(1.0)), LocusParams(1.0)).residuals)
-_ORIGAMI_KEYS = tuple("origami_" + name for name in abe_verify(abe_construct(1.0)).residuals)
-_CHORD_KEYS = tuple("chord_" + name for name in chord_residuals(chord_diagram(1.0)))
-# A cross_validate report's keys, in order.
-_KEYS = (("theta_locus_vs_oracle", "triple_angle_identity", "triple_angle_locus")
-         + _TRISECTION_KEYS + ("theta_origami_vs_oracle", "theta_locus_vs_origami")
-         + _ORIGAMI_KEYS + _CHORD_KEYS)
 
 
 def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidationReport:
@@ -189,9 +179,9 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     last ``chord_`` and each ``chord_residuals`` key, each route's keys in
     the route's own order. Every target in the domain gets every key.
 
-    The report keeps the values as one tuple in that order; its
-    ``residuals`` dict, which ``passes`` and ``worst`` walk, is built on
-    first read.
+    The report keeps each route's dict as the route returned it, with its
+    prefix; its ``residuals`` dict, which ``passes`` and ``worst`` walk, is
+    built from them on first read.
     """
     params = LocusParams(a)
     # trisect checks the target domain and tol; the routes below take the
@@ -205,7 +195,6 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     oracle = oracle_theta(t3)
     gap = abs(locus - oracle)
     cos_t3 = math.cos(t3)
-    trisection = verify_trisection(result, params).residuals
     construction = abe_construct(t3)
     # The fold's estimate: H's polar angle, fold_angles' alpha.
     hx, hy = construction.H
@@ -213,10 +202,13 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     origami_gap = abs(origami - oracle)
     cross_gap = abs(locus - origami)
     report = CrossValidationReport(theta_locus, (
-        gap, _identity_residual(oracle, cos_t3), _identity_residual(locus, cos_t3),
-        *trisection.values(), origami_gap, cross_gap,
-        *abe_verify(construction).residuals.values(),
-        *chord_residuals(chord_diagram(t3)).values()))
+        ("", {"theta_locus_vs_oracle": gap,
+              "triple_angle_identity": _identity_residual(oracle, cos_t3),
+              "triple_angle_locus": _identity_residual(locus, cos_t3)}),
+        ("trisection_", verify_trisection(result, params).residuals),
+        ("", {"theta_origami_vs_oracle": origami_gap, "theta_locus_vs_origami": cross_gap}),
+        ("origami_", abe_verify(construction).residuals),
+        ("chord_", chord_residuals(chord_diagram(t3)))))
     if gap > tol:
         first, second = "locus", "oracle"
     elif cross_gap > tol:

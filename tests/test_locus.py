@@ -158,49 +158,17 @@ class TestRelationResidual:
 
 
 class TestSampleLocus:
-    def test_degenerate_range_rejected(self):
-        with pytest.raises(ParameterOutOfRange):
-            sample_locus(LocusParams(1.0), SQRT3, SQRT3, 5)
-
-    def test_b_min_below_curve_start_rejected(self):
-        # b_min is checked first, so it is named even when b_max overflows.
-        for b_max in (10.0, 1e300):
-            with pytest.raises(ParameterOutOfRange,
-                               match=r"^parameter b_min must be .*, got 1\.0$"):
-                sample_locus(LocusParams(1.0), 1.0, b_max, 5)
-
-    def test_overflowing_b_min_rejected_by_its_name(self):
-        # The overflow check names b_min as it names b_max, not "b".
-        with pytest.raises(ParameterOutOfRange,
-                           match=r"^parameter b_min must be finite .*, got 1e\+200$"):
-            sample_locus(LocusParams(1.0), 1e200, 1e201, 3)
-
-    @pytest.mark.parametrize("b_max", [1e300, 1e200, 9.480751908109177e+153])
-    def test_overflowing_b_max_rejected(self, b_max):
-        # b*b or 2a*(b*b - a*a) overflows: a domain error naming b_max, not
-        # a NaN coordinate.
-        with pytest.raises(ParameterOutOfRange, match="b_max") as info:
-            sample_locus(LocusParams(1.0), SQRT3, b_max, 3)
-        assert "nan" not in str(info.value)
-
-    def test_largest_finite_b_max_accepted(self):
-        # The float below the first rejected b_max at fold 1 still gives
-        # finite points.
-        pts = sample_locus(LocusParams(1.0), SQRT3, 9.480751908109176e+153, 3)
-        assert all(math.isfinite(v) for p in pts
-                   for v in (p.b, p.q.x, p.q.y, p.residual_circle1, p.residual_circle2,
-                             p.residual_locus_relation, p.q_polar_angle.radians))
-
     @given(curve=fold_and_parameters(2), n=st.integers(-1, 33))
     # As (a, b_min, b_max): a range at fold 0.4; and at fold 1, too few
-    # samples, b_min below the start or overflowing, even with b_max
-    # overflowing too, an empty range, and b_max non-finite, overflowing,
+    # samples, b_min below the start, with b_max in range or overflowing,
+    # b_min overflowing, an empty range, and b_max non-finite, overflowing,
     # at the first rejected float, or the float below it.
     @example(curve=(0.4, 1.0, 7.0), n=33)
     @example(curve=(1.0, SQRT3, 10.0), n=1)
-    @_examples("curve", (1.0, 1.0, 1e300), (1.0, 1e200, 1e201), (1.0, SQRT3, SQRT3),
+    @_examples("curve", (1.0, 1.0, 10.0), (1.0, 1.0, 1e300), (1.0, 1e200, 1e201),
+               (1.0, SQRT3, SQRT3),
                *((1.0, SQRT3, b_max) for b_max in (math.inf, -math.inf, math.nan, 1e300,
-                                                   9.480751908109177e+153,
+                                                   1e200, 9.480751908109177e+153,
                                                    9.480751908109176e+153)), n=3)
     @settings(deadline=None, max_examples=120)
     def test_any_float_range_is_sampled_or_rejected(self, curve, n):
@@ -227,10 +195,6 @@ class TestSampleLocus:
             bs = [p.b for p in points]
             assert len(bs) == n and bs[0] == b_min and bs[-1] == b_max and bs == sorted(bs)
             assert [repr(p) for p in points] == [repr(locus_point(params, b)) for b in bs]
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            sample_locus(LocusParams(1.0), SQRT3, 10.0, 1)
 
     def test_endpoints_included_exactly(self):
         pts = sample_locus(LocusParams(1.0), SQRT3, 10.0, 2)
@@ -716,9 +680,10 @@ def count_grid():
         yield (f"trisect k/10 deg for k = 1..900, fold {a!r}, tol 1e-17: collapses",
                f"{collapsed}\n")
 
-    # Per call: the result's 2 (theta and N) and the report's 2 (its theta
-    # and its dict). The result, the fold and the diagram store their target
-    # as a float, and the constructions' points are immutable tuples.
+    # Per call: the result's 2 (theta and N) and the report's 7 (its theta,
+    # the five dicts of its parts and the residuals dict built from them).
+    # The result, the fold and the diagram store their target as a float,
+    # and the constructions' points are immutable tuples.
     for target in (1.0, Angle(1.0)):
         parts = [_mutable_parts([value])
                  for value in _route_outputs(target)[0] + _route_outputs(target)[0]]

@@ -113,7 +113,8 @@ def test_values_rebuild_from_their_fields_by_keyword_and_compare_by_identity():
 
 def _mutable_parts(values):
     """Every Point2, Angle and dict reachable from ``values`` through the
-    slots of the value types, by id."""
+    slots of the value types, the items of tuples and the values of dicts,
+    by id."""
     found = {}
     stack = list(values)
     while stack:
@@ -122,6 +123,8 @@ def _mutable_parts(values):
             found[id(value)] = value
         if isinstance(value, Value):
             stack += [getattr(value, name) for name in type(value).__slots__]
+        elif isinstance(value, tuple):
+            stack += value
         elif isinstance(value, dict):
             stack += value.values()
     return found
@@ -167,12 +170,27 @@ def test_import_loads_no_dataclasses():
     # The value types are written out by hand so that importing the package
     # runs no code generation and loads none of dataclasses' dependencies,
     # and its annotations need no typing module. -S keeps site-packages
-    # hooks from importing these modules themselves.
+    # hooks from importing these modules themselves. The import also calls
+    # no function of the package: the profiler prints each package frame
+    # whose code is a function's (CO_OPTIMIZED), which module and class
+    # bodies are not, so no solve or route runs to fill a module constant.
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    code = "import sys, trisectrix.cli; print(*sorted(sys.modules))"
+    code = ("import sys\n"
+            f"package = {str(PACKAGE)!r}\n"
+            "def profile(frame, event, arg):\n"
+            "    code = frame.f_code\n"
+            "    if (event == 'call' and code.co_flags & 1\n"
+            "            and code.co_filename.startswith(package)):\n"
+            "        print('called', code.co_name)\n"
+            "sys.setprofile(profile)\n"
+            "import trisectrix.cli\n"
+            "sys.setprofile(None)\n"
+            "print(*sorted(sys.modules))\n")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded = set(out.split())
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("called ")] == []
+    loaded = set(lines[-1].split())
     assert "trisectrix.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "typing"} == set()
 

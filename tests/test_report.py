@@ -1,9 +1,10 @@
 """Tests for the residual-report queries.
 
-Each case runs on two reports of the same 31 named values: a
-VerificationReport of their dict, and a CrossValidationReport of their
-tuple under the cross-check's own keys. The cross-check report is a
-VerificationReport whose ``residuals`` dict is built from the tuple on first
+Each case runs on two reports of the same 31 named values, named as a
+cross-check report names its residuals: a VerificationReport of their dict,
+and a CrossValidationReport of the same values split into that report's
+parts, each route's names under its prefix. The cross-check report is a
+VerificationReport whose ``residuals`` dict is built from its parts on first
 read, and both answer ``passes`` and ``worst`` by walking that dict."""
 
 import math
@@ -11,27 +12,33 @@ import math
 import pytest
 
 from trisectrix.geom import Angle
-from trisectrix.oracles import _KEYS, CrossValidationReport
+from trisectrix.oracles import CrossValidationReport, cross_validate
 from trisectrix.report import VerificationReport
+
+# A cross-check report's parts, and its keys in order.
+PARTS = cross_validate(1.0, 1.0, 1e-10).parts
+KEYS = [prefix + name for prefix, part in PARTS for name in part]
 
 
 def _verification(values):
-    return VerificationReport(dict(zip(_KEYS, values)))
+    return VerificationReport(dict(zip(KEYS, values)))
 
 
 def _cross(values):
-    return CrossValidationReport(Angle(1.0), tuple(values))
+    values = iter(values)
+    return CrossValidationReport(Angle(1.0), tuple(
+        (prefix, {name: next(values) for name in part}) for prefix, part in PARTS))
 
 
 REPORTS = (_verification, _cross)
 # Where a NaN goes: the first key, one inside, and the last.
-POSITIONS = (0, 15, len(_KEYS) - 1)
+POSITIONS = (0, 15, len(KEYS) - 1)
 
 
 def _values(changed):
     """31 rounding-level residuals that grow along the keys, with each value
     of ``changed`` put at its position."""
-    values = [i * 1e-17 for i in range(len(_KEYS))]
+    values = [i * 1e-17 for i in range(len(KEYS))]
     for position, value in changed.items():
         values[position] = value
     return values
@@ -50,21 +57,21 @@ def test_nan_residual_fails_at_any_position(at):
         assert not report.passes(math.inf), build.__name__
         assert math.isnan(report.max_residual()), build.__name__
         name, value = report.worst()
-        assert name == _KEYS[position] and math.isnan(value), build.__name__
+        assert name == KEYS[position] and math.isnan(value), build.__name__
 
 
 def test_worst_names_the_first_nan():
     for build in REPORTS:
         report = build(_values({0: 1.0, 3: math.nan, 20: -math.nan, 30: math.nan}))
         name, value = report.worst()
-        assert name == _KEYS[3] and math.isnan(value), build.__name__
+        assert name == KEYS[3] and math.isnan(value), build.__name__
 
 
 def test_worst_takes_the_first_of_equal_maxima():
     # The verify command prints worst()'s name, so ties keep key order.
     for build in REPORTS:
         report = build(_values({0: 1e-13, 5: -3e-12, 9: 3e-12, 30: 2e-12}))
-        assert report.worst() == (_KEYS[5], 3e-12), build.__name__
+        assert report.worst() == (KEYS[5], 3e-12), build.__name__
         assert report.max_residual() == 3e-12, build.__name__
         assert report.passes(3e-12) and not report.passes(2.9e-12), build.__name__
 
@@ -72,7 +79,7 @@ def test_worst_takes_the_first_of_equal_maxima():
 def test_finite_report_passes_at_its_largest_residual():
     for build in REPORTS:
         report = build(_values({0: 0.0, 30: math.inf}))
-        assert report.worst() == (_KEYS[30], math.inf), build.__name__
+        assert report.worst() == (KEYS[30], math.inf), build.__name__
         assert report.passes(math.inf) and not report.passes(1e300), build.__name__
 
 
