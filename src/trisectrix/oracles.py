@@ -130,27 +130,27 @@ class CrossValidationReport(VerificationReport):
     The report holds its residuals as ``parts``, (prefix, residual dict)
     pairs in the order of the report's keys (see :func:`cross_validate`):
     each route's dict as the route returned it, and the report's own values
-    under the prefix ``""``. ``residuals`` is the dict of every part's
-    names, each under its part's prefix, built on its first read and kept:
-    from then on it is the report's residuals, so a value written into it
-    is what ``passes``, ``worst`` and the repr report."""
+    under the prefix ``""``. The first read of ``residuals`` merges the
+    parts into one, ``("", merged)``, whose dict holds every part's names,
+    each under its part's prefix, and returns that dict: from then on
+    ``residuals`` is the one part's dict, so a value written through
+    ``residuals`` or ``parts`` is what ``passes``, ``worst`` and the repr
+    report."""
 
-    __slots__ = ("theta_locus", "parts", "_residuals")
+    __slots__ = ("theta_locus", "parts")
 
     def __init__(self, theta_locus: Angle,
                  parts: tuple[tuple[str, dict[str, float]], ...]) -> None:
         self.theta_locus = theta_locus
         self.parts = parts
-        self._residuals = None
 
     @property
     def residuals(self) -> dict[str, float]:
-        residuals = self._residuals
-        if residuals is None:
-            residuals = self._residuals = {prefix + name: value
-                                           for prefix, part in self.parts
-                                           for name, value in part.items()}
-        return residuals
+        parts = self.parts
+        if len(parts) != 1 or parts[0][0]:
+            self.parts = parts = (("", {prefix + name: value for prefix, part in parts
+                                        for name, value in part.items()}),)
+        return parts[0][1]
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(theta_locus={self.theta_locus!r}, "
@@ -180,8 +180,8 @@ def cross_validate(three_theta: AngleLike, a: float, tol: float) -> CrossValidat
     the route's own order. Every target in the domain gets every key.
 
     The report keeps each route's dict as the route returned it, with its
-    prefix; its ``residuals`` dict, which ``passes`` and ``worst`` walk, is
-    built from them on first read.
+    prefix, until the first read of its ``residuals``, the dict that
+    ``passes`` and ``worst`` walk, merges them into one.
     """
     params = LocusParams(a)
     # trisect checks the target domain and tol; the routes below take the

@@ -42,6 +42,7 @@ from trisectrix.locus import (
     verify_trisection,
 )
 from trisectrix.oracles import cross_validate
+from trisectrix.render import render_svg
 
 # Targets over (0, pi/2]: uniform, or log-uniform down to the least subnormal.
 wide_targets = (st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_min=True)
@@ -570,19 +571,26 @@ PACKAGE = os.path.dirname(trisectrix.__file__) + os.sep
 POST_INITS = {cls.__post_init__.__code__: f"{cls.__name__}.__post_init__"
               for cls in (Point2, Angle)}
 
+# Frames that counted leaves out: Python 3.12 runs a list, dict or set
+# comprehension in its function's frame (PEP 709), where 3.10 and 3.11 give
+# it its own, and a generator's frame is entered once per item. Their math
+# calls still count.
+UNCOUNTED = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
 
 def counted(run):
     """Run ``run()`` under a profile and count by name each Python call into
     the package, as ``module.function`` (a ``__post_init__`` by its class,
     so its count is that class's builds), and each call the package makes
-    to a ``math`` function, as ``math.name``."""
+    to a ``math`` function, as ``math.name``. Comprehension and generator
+    frames are not calls (see ``UNCOUNTED``)."""
     calls = collections.Counter()
 
     def profile(frame, event, arg):
         code = frame.f_code
         if not code.co_filename.startswith(PACKAGE):
             return
-        if event == "call":
+        if event == "call" and code.co_name not in UNCOUNTED:
             module = frame.f_globals["__name__"].rpartition(".")[2]
             calls[POST_INITS.get(code, f"{module}.{code.co_name}")] += 1
         elif event == "c_call" and getattr(arg, "__self__", None) is math:
@@ -608,8 +616,9 @@ def _builds(run):
 
 def count_grid():
     """Each exact work count the tests gate, labelled by its inputs. The
-    solve path holds no comprehension or generator, whose frames only some
-    Python versions profile, so every supported Python counts the same."""
+    call counts leave out comprehension and generator frames, which only
+    some Python versions profile, so every supported Python counts the
+    same."""
     rng = random.Random(0x5B15)
     targets = [math.radians(d) for d in range(1, 91)]
     targets += [(1.0 - rng.random()) * (math.pi / 2.0) for _ in range(1000)]
@@ -670,6 +679,20 @@ def count_grid():
                 main(list(argv))
         yield f"cli.main {' '.join(argv)}: builds", _builds(run_cli)
 
+    # The other ops' calls: a sample is one locus_point; the diagram samples
+    # the locus once and formats each number with _n; the CLI's trisect,
+    # whose parser the runs above built, solves and verifies once.
+    yield ("sample_locus fold 1, b from sqrt(3) to 10, 64 samples: calls",
+           _lines(counted(lambda: sample_locus(params, SQRT3, 10.0, 64))))
+    result = trisect(math.radians(60.0), params)
+    yield ("render_svg 60 deg, fold 1, 16 samples: calls",
+           _lines(counted(lambda: render_svg(params, result, 16))))
+
+    def run_trisect():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["trisect", "--angle-deg", "60"])
+    yield "cli.main trisect --angle-deg 60: calls", _lines(counted(run_trisect))
+
     for a in (FOLD_MIN, 1.0, FOLD_MAX):
         collapsed = 0
         for k in range(1, 901):
@@ -680,8 +703,8 @@ def count_grid():
         yield (f"trisect k/10 deg for k = 1..900, fold {a!r}, tol 1e-17: collapses",
                f"{collapsed}\n")
 
-    # Per call: the result's 2 (theta and N) and the report's 7 (its theta,
-    # the five dicts of its parts and the residuals dict built from them).
+    # Per call: the result's 2 (theta and N) and the report's 2 (its theta
+    # and the one dict its parts merge into when _route_outputs reads it).
     # The result, the fold and the diagram store their target as a float,
     # and the constructions' points are immutable tuples.
     for target in (1.0, Angle(1.0)):

@@ -224,6 +224,15 @@ def test_a_value_written_into_residuals_is_what_passes_and_worst_report():
     report.residuals["theta_locus_vs_oracle"] = math.nan
     assert not report.passes(math.inf)
     assert report.worst()[0] == "theta_locus_vs_oracle"
+    # The read merged the parts into one, whose dict is the residuals, so a
+    # write through parts shows too: the report keeps one store.
+    assert report.parts == (("", report.residuals),)
+    assert report.parts[0][1] is report.residuals
+    report.parts[0][1]["theta_locus_vs_oracle"] = 0.0
+    report.parts[0][1]["origami_oh_vs_oc"] = 3.0
+    assert report.worst() == ("origami_oh_vs_oc", 3.0)
+    assert not report.passes(2.0) and report.passes(3.0)
+    assert "'origami_oh_vs_oc': 3.0" in repr(report)
 
 
 @given(x=st.floats())

@@ -91,20 +91,12 @@ def test_value_types_are_slotted_and_keep_post_init():
     assert "__post_init__" in Angle.__dict__
 
 
-def _is_field(slot):
-    """Whether a slot is a field of its value type: a slot whose name starts
-    with an underscore is a cache, such as the cross-check report's residuals
-    dict, which the report builds from its fields when it is first read."""
-    return not slot.startswith("_")
-
-
 def test_values_rebuild_from_their_fields_by_keyword_and_compare_by_identity():
     for value in _values():
         cls = type(value)
         # Every type builds from its fields by keyword, into a value of the
         # same repr; values compare and hash by identity.
-        rebuilt = cls(**{name: getattr(value, name)
-                         for name in cls.__slots__ if _is_field(name)})
+        rebuilt = cls(**{name: getattr(value, name) for name in cls.__slots__})
         assert repr(rebuilt) == repr(value), cls.__name__
         assert rebuilt != value and len({rebuilt, value}) == 2, cls.__name__
     # A report holds only its checked residuals.
@@ -264,7 +256,7 @@ def _fields(node):
         name
         for s in node.body
         if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "__slots__"
-        for name in ast.literal_eval(s.value) if _is_field(name)
+        for name in ast.literal_eval(s.value)
     ]
 
 

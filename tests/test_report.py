@@ -4,8 +4,8 @@ Each case runs on two reports of the same 31 named values, named as a
 cross-check report names its residuals: a VerificationReport of their dict,
 and a CrossValidationReport of the same values split into that report's
 parts, each route's names under its prefix. The cross-check report is a
-VerificationReport whose ``residuals`` dict is built from its parts on first
-read, and both answer ``passes`` and ``worst`` by walking that dict."""
+VerificationReport whose first read of ``residuals`` merges its parts into
+one dict, and both answer ``passes`` and ``worst`` by walking that dict."""
 
 import math
 
@@ -88,3 +88,7 @@ def test_the_cross_check_report_is_a_verification_report():
     # max_residual and passes and supplies only its residuals dict.
     assert issubclass(CrossValidationReport, VerificationReport)
     assert {"worst", "max_residual", "passes"} & vars(CrossValidationReport).keys() == set()
+    # A lone part is merged too when it has a prefix, so its keys carry it.
+    report = CrossValidationReport(Angle(1.0), (("chord_", {"jk_radius": 1.0}),))
+    assert report.worst() == ("chord_jk_radius", 1.0)
+    assert report.parts == (("", {"chord_jk_radius": 1.0}),)
